@@ -80,7 +80,11 @@ fn bench_model_scoring(c: &mut Criterion) {
         let mut out = vec![0.0f32; 2000];
         group.bench_function(kind.name(), |bench| {
             bench.iter(|| {
-                model.score_tails(kg_core::EntityId(5), kg_core::RelationId(3), &mut out);
+                model.score_all(
+                    kg_core::Triple::new(5, 3, 0),
+                    kg_core::triple::QuerySide::Tail,
+                    &mut out,
+                );
                 black_box(out[0])
             })
         });

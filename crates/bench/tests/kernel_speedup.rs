@@ -185,7 +185,7 @@ fn kernel_speedup_on_1m_entities() {
         let topk_s = start.elapsed().as_secs_f64();
         let mut full = vec![0.0f32; NUM_ENTITIES];
         let start = Instant::now();
-        m.score_tails(EntityId(12_345), kg_core::RelationId(1), &mut full);
+        m.score_all(Triple::new(12_345, 1, 0), QuerySide::Tail, &mut full);
         let rank_s = start.elapsed().as_secs_f64();
         println!(
             "kernel_topk: model={tag} isa={} queries={QUERIES} total_s={topk_s:.4} \

@@ -1,7 +1,7 @@
 //! Minimal data-parallel helper built on `std::thread::scope`.
 //!
 //! The expensive primitive in this workspace is "rank N independent
-//! queries"; `parallel_map_indexed` splits the index range into contiguous
+//! queries"; `parallel_map_with` splits the index range into contiguous
 //! chunks, one per thread, and writes results into a preallocated output —
 //! no extra dependencies, no channel traffic, deterministic output order.
 
@@ -201,40 +201,7 @@ where
     T: Send + Default + Clone,
     F: Fn(usize) -> T + Sync,
 {
-    let mut out = vec![T::default(); n];
-    if n == 0 {
-        return out;
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i);
-        }
-        return out;
-    }
-    let chunk = n.div_ceil(threads);
-    let fref = &f;
-    std::thread::scope(|scope| {
-        let mut rest: &mut [T] = &mut out;
-        let mut start = 0usize;
-        let mut handles = Vec::with_capacity(threads);
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let base = start;
-            handles.push(scope.spawn(move || {
-                for (off, slot) in head.iter_mut().enumerate() {
-                    *slot = fref(base + off);
-                }
-            }));
-            rest = tail;
-            start += take;
-        }
-        for h in handles {
-            h.join().expect("parallel worker panicked");
-        }
-    });
-    out
+    parallel_map_with(n, threads, || (), |_, i| f(i))
 }
 
 /// As [`parallel_map_indexed`], but each worker thread gets a scratch value

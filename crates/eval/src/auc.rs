@@ -12,7 +12,7 @@
 
 use kg_core::parallel::parallel_map_with;
 use kg_core::{FilterIndex, Triple};
-use kg_models::KgcModel;
+use kg_models::{engine, KgcModel};
 use kg_recommend::SampledCandidates;
 
 use crate::ranker::queries_of;
@@ -79,12 +79,9 @@ pub fn evaluate_auc(
             let (triple, side) = queries[qi];
             let answer = side.answer(triple);
             let candidates = samples.for_query(triple.relation, side);
-            to_score.clear();
-            to_score.push(answer);
-            to_score.extend_from_slice(candidates);
-            scores.clear();
-            scores.resize(to_score.len(), 0.0f32);
-            model.score_candidates(triple, side, to_score, scores);
+            engine::score_answer_and_candidates_fanout(
+                model, triple, side, candidates, to_score, scores, 1,
+            );
             let known = filter.known_answers(triple, side);
             // Filter: drop candidates that are the answer or known-true.
             let mut negatives = Vec::with_capacity(candidates.len());
@@ -111,7 +108,8 @@ pub fn evaluate_auc(
 mod tests {
     use super::*;
     use kg_core::sample::seeded_rng;
-    use kg_core::{EntityId, RelationId};
+    use kg_core::triple::QuerySide;
+    use kg_core::EntityId;
     use kg_recommend::{sample_candidates, SamplingStrategy};
 
     #[test]
@@ -152,34 +150,17 @@ mod tests {
         fn num_relations(&self) -> usize {
             1
         }
-        fn score(&self, _h: EntityId, _r: RelationId, t: EntityId) -> f32 {
-            self.tail_scores[t.index()]
+        fn query_len(&self) -> usize {
+            0
         }
-        fn score_tails(&self, _h: EntityId, _r: RelationId, out: &mut [f32]) {
-            out.copy_from_slice(&self.tail_scores);
+        fn build_query(&self, _triple: Triple, _side: QuerySide, _q: &mut [f32]) {}
+        fn score_rows(&self, _q: &[f32], rows: std::ops::Range<usize>, out: &mut [f32]) {
+            out.copy_from_slice(&self.tail_scores[rows]);
         }
-        fn score_heads(&self, _r: RelationId, _t: EntityId, out: &mut [f32]) {
-            out.copy_from_slice(&self.tail_scores);
-        }
-        fn score_tail_candidates(
-            &self,
-            _h: EntityId,
-            _r: RelationId,
-            c: &[EntityId],
-            out: &mut [f32],
-        ) {
+        fn score_gathered(&self, _q: &[f32], c: &[EntityId], out: &mut [f32]) {
             for (o, &e) in out.iter_mut().zip(c) {
                 *o = self.tail_scores[e.index()];
             }
-        }
-        fn score_head_candidates(
-            &self,
-            _r: RelationId,
-            _t: EntityId,
-            c: &[EntityId],
-            out: &mut [f32],
-        ) {
-            self.score_tail_candidates(EntityId(0), RelationId(0), c, out);
         }
     }
 

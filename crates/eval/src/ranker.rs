@@ -2,11 +2,11 @@
 //! protocol whose cost the paper's framework avoids, and the ground truth
 //! every estimator is compared against.
 //!
-//! Since the sharded-engine refactor the ranking pass streams per-shard
-//! score slices through [`kg_models::engine`] instead of materialising a
-//! `num_entities()`-sized row per query: `higher`/`ties` counters
-//! accumulate shard by shard, and the scratch buffer (one shard wide for
-//! range-scoring models) is reused across a worker thread's whole chunk.
+//! The ranking pass streams per-shard score slices through
+//! [`kg_models::engine`] instead of materialising a `num_entities()`-sized
+//! row per query: each query is prepared once, `higher`/`ties` counters
+//! accumulate shard by shard, and the one-shard-wide scratch buffers are
+//! pooled across the whole pass.
 
 use kg_core::parallel::{parallel_map_indexed, two_level_split, BufferPool, ShardPlan};
 use kg_core::timing::Stopwatch;
@@ -103,15 +103,15 @@ pub fn evaluate_full<F: KnownIndex + ?Sized>(
 /// [`evaluate_full`] with an explicit entity shard count (`0` = automatic).
 ///
 /// Ranks are computed by streaming per-shard score slices and accumulating
-/// `higher`/`ties` counters ([`kg_models::engine::rank_counts_with`]), so
-/// no `num_entities()`-sized row is materialised per query; scratch
-/// buffers are pooled across the whole pass.
+/// `higher`/`ties` counters ([`kg_models::engine::partial_rank_counts`]
+/// over the full range), so no `num_entities()`-sized row is materialised
+/// per query; scratch buffers are pooled across the whole pass.
 ///
 /// The thread budget follows the two-level work plan
 /// ([`kg_core::parallel::two_level_split`]): with at least `threads`
 /// queries every thread ranks its own query (the throughput regime); with
-/// fewer queries the spare threads fan each query's shard passes out via
-/// [`kg_models::engine::rank_counts_fanout`], so a single-query evaluation
+/// fewer queries the spare threads fan each query's pass out over
+/// contiguous pieces of the entity range, so a single-query evaluation
 /// uses the whole budget instead of one core. Per-row arithmetic, the
 /// comparison order, and the counter sums are all partition- and
 /// schedule-independent, so `EvalResult::ranks` is bit-for-bit identical
@@ -129,14 +129,21 @@ pub fn evaluate_full_sharded<F: KnownIndex + ?Sized>(
     let plan =
         if shards == 0 { ShardPlan::auto(n_entities) } else { ShardPlan::new(n_entities, shards) };
     let split = two_level_split(queries.len(), threads);
-    let pool = BufferPool::new(engine::scratch_len(model, &plan));
+    let pool = BufferPool::new(plan.max_shard_len());
     let sw = Stopwatch::start();
     let ranks = parallel_map_indexed(queries.len(), split.outer, |qi| {
         let (triple, side) = queries[qi];
         let known = filter.known_answers(triple, side);
-        let (higher, ties) =
-            engine::rank_counts_fanout(model, &plan, &pool, triple, side, &known, split.inner);
-        tie.rank(higher, ties)
+        let counts = engine::partial_rank_counts(
+            model,
+            &pool,
+            triple,
+            side,
+            &known,
+            0..n_entities,
+            split.inner,
+        );
+        tie.rank(counts.higher as usize, counts.ties as usize)
     });
     let seconds = sw.seconds();
     EvalResult { metrics: RankingMetrics::from_ranks(&ranks), ranks, seconds }
@@ -145,7 +152,7 @@ pub fn evaluate_full_sharded<F: KnownIndex + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kg_core::{EntityId, FilterIndex, RelationId};
+    use kg_core::{EntityId, FilterIndex};
     use kg_models::{build_model, ModelKind};
 
     /// A deterministic mock model: score(h,r,t) = f(t) only, so ranks are
@@ -168,34 +175,17 @@ mod tests {
         fn num_relations(&self) -> usize {
             1
         }
-        fn score(&self, _h: EntityId, _r: RelationId, t: EntityId) -> f32 {
-            self.tail_scores[t.index()]
+        fn query_len(&self) -> usize {
+            0
         }
-        fn score_tails(&self, _h: EntityId, _r: RelationId, out: &mut [f32]) {
-            out.copy_from_slice(&self.tail_scores);
+        fn build_query(&self, _triple: Triple, _side: QuerySide, _q: &mut [f32]) {}
+        fn score_rows(&self, _q: &[f32], rows: std::ops::Range<usize>, out: &mut [f32]) {
+            out.copy_from_slice(&self.tail_scores[rows]);
         }
-        fn score_heads(&self, _r: RelationId, _t: EntityId, out: &mut [f32]) {
-            out.copy_from_slice(&self.tail_scores);
-        }
-        fn score_tail_candidates(
-            &self,
-            _h: EntityId,
-            _r: RelationId,
-            c: &[EntityId],
-            out: &mut [f32],
-        ) {
+        fn score_gathered(&self, _q: &[f32], c: &[EntityId], out: &mut [f32]) {
             for (o, &e) in out.iter_mut().zip(c) {
                 *o = self.tail_scores[e.index()];
             }
-        }
-        fn score_head_candidates(
-            &self,
-            _r: RelationId,
-            _t: EntityId,
-            c: &[EntityId],
-            out: &mut [f32],
-        ) {
-            self.score_tail_candidates(EntityId(0), RelationId(0), c, out);
         }
     }
 

@@ -184,34 +184,17 @@ mod tests {
         fn num_relations(&self) -> usize {
             1
         }
-        fn score(&self, _h: EntityId, _r: kg_core::RelationId, t: EntityId) -> f32 {
-            self.tail_scores[t.index()]
+        fn query_len(&self) -> usize {
+            0
         }
-        fn score_tails(&self, _h: EntityId, _r: kg_core::RelationId, out: &mut [f32]) {
-            out.copy_from_slice(&self.tail_scores);
+        fn build_query(&self, _triple: Triple, _side: QuerySide, _q: &mut [f32]) {}
+        fn score_rows(&self, _q: &[f32], rows: std::ops::Range<usize>, out: &mut [f32]) {
+            out.copy_from_slice(&self.tail_scores[rows]);
         }
-        fn score_heads(&self, _r: kg_core::RelationId, _t: EntityId, out: &mut [f32]) {
-            out.copy_from_slice(&self.tail_scores);
-        }
-        fn score_tail_candidates(
-            &self,
-            _h: EntityId,
-            _r: kg_core::RelationId,
-            c: &[EntityId],
-            out: &mut [f32],
-        ) {
+        fn score_gathered(&self, _q: &[f32], c: &[EntityId], out: &mut [f32]) {
             for (o, &e) in out.iter_mut().zip(c) {
                 *o = self.tail_scores[e.index()];
             }
-        }
-        fn score_head_candidates(
-            &self,
-            _r: kg_core::RelationId,
-            _t: EntityId,
-            c: &[EntityId],
-            out: &mut [f32],
-        ) {
-            self.score_tail_candidates(EntityId(0), kg_core::RelationId(0), c, out);
         }
     }
 

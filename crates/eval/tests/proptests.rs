@@ -1,16 +1,103 @@
 //! Property-based tests for the ranking/estimation invariants.
 
+use std::sync::Arc;
+
+use kg_core::triple::QuerySide;
 use kg_core::{EntityId, Triple};
 use kg_eval::metrics::{RankingMetrics, TieBreak};
 use kg_eval::ranker::filtered_rank_from_scores;
 use kg_eval::sampled::sampled_rank;
+use kg_models::{KgcModel, ScoringEngine};
 use proptest::prelude::*;
 
 fn scores_strategy() -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, 2..60)
 }
 
+/// A seven-value score alphabet with both zeros, both infinities and NaN.
+fn adversarial_score() -> impl Strategy<Value = f32> {
+    prop_oneof![
+        Just(0.0f32),
+        Just(-0.0f32),
+        Just(1.0f32),
+        Just(-1.0f32),
+        Just(f32::NAN),
+        Just(f32::INFINITY),
+        Just(f32::NEG_INFINITY),
+    ]
+}
+
+/// Rows built to tie: all-equal, or drawn from [`adversarial_score`].
+fn adversarial_row() -> impl Strategy<Value = Vec<f32>> {
+    prop_oneof![
+        (adversarial_score(), 2usize..30).prop_map(|(v, n)| vec![v; n]),
+        proptest::collection::vec(adversarial_score(), 2..30),
+    ]
+}
+
+/// A model whose tail row is a fixed table, whatever the query.
+struct Row(Vec<f32>);
+
+impl KgcModel for Row {
+    fn name(&self) -> &'static str {
+        "Row"
+    }
+    fn dim(&self) -> usize {
+        1
+    }
+    fn num_entities(&self) -> usize {
+        self.0.len()
+    }
+    fn num_relations(&self) -> usize {
+        1
+    }
+    fn query_len(&self) -> usize {
+        0
+    }
+    fn build_query(&self, _triple: Triple, _side: QuerySide, _q: &mut [f32]) {}
+    fn score_rows(&self, _q: &[f32], rows: std::ops::Range<usize>, out: &mut [f32]) {
+        out.copy_from_slice(&self.0[rows]);
+    }
+    fn score_gathered(&self, _q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+        for (o, &c) in out.iter_mut().zip(candidates) {
+            *o = self.0[c.index()];
+        }
+    }
+}
+
 proptest! {
+    /// One tie policy: the row-based reference kernel, the engine's streamed
+    /// `(higher, ties)` counters and the sampled rank over *all* entities
+    /// return the same rank for every `TieBreak` — on all-tie rows, NaN
+    /// answers, NaN competitors, `-0.0` against `0.0`, and known answers
+    /// that tie with the answer.
+    #[test]
+    fn one_tie_policy_across_reference_engine_and_sampled_rank(
+        row in adversarial_row(),
+        answer_seed in 0usize..1000,
+        known_mask in proptest::collection::vec(0u32..3, 30..31),
+        shards in 1usize..5,
+    ) {
+        let n = row.len();
+        let answer = answer_seed % n;
+        // About a third of the entities are known (ascending, maybe the answer).
+        let known: Vec<EntityId> =
+            (0..n).filter(|&e| known_mask[e] == 0).map(|e| EntityId(e as u32)).collect();
+        let triple = Triple::new(0, 0, answer as u32);
+        let engine = ScoringEngine::new(Arc::new(Row(row.clone())), shards);
+        let (higher, ties) = engine.rank_counts(triple, QuerySide::Tail, &known);
+        // Every entity sampled, best-last so candidate order differs from id order.
+        let candidates: Vec<EntityId> = (0..n as u32).rev().map(EntityId).collect();
+        let mut scores = vec![row[answer]];
+        scores.extend(candidates.iter().map(|c| row[c.index()]));
+        for tie in [TieBreak::Mean, TieBreak::Optimistic, TieBreak::Pessimistic] {
+            let want = filtered_rank_from_scores(&row, answer, &known, tie);
+            prop_assert_eq!(tie.rank(higher, ties), want, "engine, {:?}: {:?}", tie, row);
+            let sampled = sampled_rank(EntityId(answer as u32), &candidates, &scores, &known, tie);
+            prop_assert_eq!(sampled, want, "sampled, {:?}: {:?}", tie, row);
+        }
+    }
+
     #[test]
     fn full_rank_within_bounds(scores in scores_strategy(), answer_seed in 0usize..1000) {
         let answer = answer_seed % scores.len();

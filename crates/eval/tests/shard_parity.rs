@@ -144,23 +144,21 @@ proptest! {
             let known = filter.known_answers(triple, side);
             let want = filtered_rank_from_scores(&row, answer, known, TieBreak::Mean);
             for shards in shard_counts(n) {
-                let plan = ShardPlan::new(n, shards);
-                let mut scratch = vec![0.0f32; engine::scratch_len(model.as_ref(), &plan)];
-                let (higher, ties) = engine::rank_counts_with(
-                    model.as_ref(), &plan, &mut scratch, triple, side, known,
+                let pool = BufferPool::new(ShardPlan::new(n, shards).max_shard_len());
+                let counts = engine::partial_rank_counts(
+                    model.as_ref(), &pool, triple, side, known, 0..n, 1,
                 );
                 prop_assert_eq!(
-                    TieBreak::Mean.rank(higher, ties), want,
+                    TieBreak::Mean.rank(counts.higher as usize, counts.ties as usize), want,
                     "{} S={}: streamed rank diverged", model.name(), shards
                 );
             }
         }
     }
 
-    /// Per-query shard fan-out (`rank_counts_fanout`, the latency path)
-    /// equals the row-based kernel for every family, shard count, and
-    /// fan-out width — including the full-row fallback families
-    /// (TuckER/ConvE), whose *counting* is what fans out.
+    /// Per-query fan-out (`partial_rank_counts` with `threads > 1`, the
+    /// latency path) equals the row-based kernel for every family, shard
+    /// count, and fan-out width.
     #[test]
     fn fanout_rank_counts_bit_identical(
         (kind, seed) in model_strategy(),
@@ -178,13 +176,12 @@ proptest! {
             let known = filter.known_answers(triple, side);
             let want = filtered_rank_from_scores(&row, answer, known, TieBreak::Mean);
             for shards in shard_counts(n) {
-                let plan = ShardPlan::new(n, shards);
-                let pool = BufferPool::new(engine::scratch_len(model.as_ref(), &plan));
-                let (higher, ties) = engine::rank_counts_fanout(
-                    model.as_ref(), &plan, &pool, triple, side, known, fanout,
+                let pool = BufferPool::new(ShardPlan::new(n, shards).max_shard_len());
+                let counts = engine::partial_rank_counts(
+                    model.as_ref(), &pool, triple, side, known, 0..n, fanout,
                 );
                 prop_assert_eq!(
-                    TieBreak::Mean.rank(higher, ties), want,
+                    TieBreak::Mean.rank(counts.higher as usize, counts.ties as usize), want,
                     "{} S={} fanout={}: fanned rank diverged", model.name(), shards, fanout
                 );
             }

@@ -166,7 +166,6 @@ impl KpEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kg_core::RelationId;
     use kg_models::{build_model, ModelKind};
 
     fn triples(n: u32) -> Vec<Triple> {
@@ -188,40 +187,29 @@ mod tests {
         fn num_relations(&self) -> usize {
             3
         }
-        fn score(&self, _h: EntityId, _r: RelationId, t: EntityId) -> f32 {
-            if t.0 % 2 == 1 {
+        fn query_len(&self) -> usize {
+            0
+        }
+        fn build_query(&self, _triple: Triple, _side: QuerySide, _q: &mut [f32]) {}
+        fn score_rows(&self, _q: &[f32], rows: std::ops::Range<usize>, out: &mut [f32]) {
+            for (o, e) in out.iter_mut().zip(rows) {
+                *o = Separator::row(e);
+            }
+        }
+        fn score_gathered(&self, _q: &[f32], c: &[EntityId], out: &mut [f32]) {
+            for (o, &e) in out.iter_mut().zip(c) {
+                *o = Separator::row(e.index());
+            }
+        }
+    }
+
+    impl Separator {
+        fn row(e: usize) -> f32 {
+            if e % 2 == 1 {
                 6.0
             } else {
                 -6.0
             }
-        }
-        fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = self.score(h, r, EntityId(i as u32));
-            }
-        }
-        fn score_heads(&self, _r: RelationId, _t: EntityId, out: &mut [f32]) {
-            out.fill(0.0);
-        }
-        fn score_tail_candidates(
-            &self,
-            h: EntityId,
-            r: RelationId,
-            c: &[EntityId],
-            out: &mut [f32],
-        ) {
-            for (o, &e) in out.iter_mut().zip(c) {
-                *o = self.score(h, r, e);
-            }
-        }
-        fn score_head_candidates(
-            &self,
-            _r: RelationId,
-            _t: EntityId,
-            _c: &[EntityId],
-            out: &mut [f32],
-        ) {
-            out.fill(0.0);
         }
     }
 
@@ -260,31 +248,14 @@ mod tests {
             fn num_relations(&self) -> usize {
                 3
             }
-            fn score(&self, _h: EntityId, _r: RelationId, _t: EntityId) -> f32 {
-                0.0
+            fn query_len(&self) -> usize {
+                0
             }
-            fn score_tails(&self, _h: EntityId, _r: RelationId, out: &mut [f32]) {
+            fn build_query(&self, _triple: Triple, _side: QuerySide, _q: &mut [f32]) {}
+            fn score_rows(&self, _q: &[f32], _rows: std::ops::Range<usize>, out: &mut [f32]) {
                 out.fill(0.0);
             }
-            fn score_heads(&self, _r: RelationId, _t: EntityId, out: &mut [f32]) {
-                out.fill(0.0);
-            }
-            fn score_tail_candidates(
-                &self,
-                _h: EntityId,
-                _r: RelationId,
-                _c: &[EntityId],
-                out: &mut [f32],
-            ) {
-                out.fill(0.0);
-            }
-            fn score_head_candidates(
-                &self,
-                _r: RelationId,
-                _t: EntityId,
-                _c: &[EntityId],
-                out: &mut [f32],
-            ) {
+            fn score_gathered(&self, _q: &[f32], _c: &[EntityId], out: &mut [f32]) {
                 out.fill(0.0);
             }
         }

@@ -4,13 +4,13 @@
 //! with `m = dim/2`. The asymmetric conjugation lets ComplEx model
 //! anti-symmetric relations that defeat DistMult.
 
+use std::ops::Range;
+
 use kg_core::triple::QuerySide;
-use kg_core::{EntityId, RelationId, Triple};
+use kg_core::{EntityId, Triple};
 use rand::Rng;
 
-use crate::embedding::{
-    combine_all, combine_candidates, combine_range, combine_row, Combine, EmbeddingTable,
-};
+use crate::embedding::{combine_candidates, combine_range, Combine, EmbeddingTable};
 use crate::model::{KgcModel, TrainableModel};
 
 /// Complex bilinear factorisation model.
@@ -59,14 +59,6 @@ impl ComplEx {
             q[m + k] = rr * ti - ri * tr;
         }
     }
-
-    fn tail_query(&self, h: EntityId, r: RelationId, q: &mut [f32]) {
-        Self::tail_query_into(self.entities.row(h.index()), self.relations.row(r.index()), q);
-    }
-
-    fn head_query(&self, r: RelationId, t: EntityId, q: &mut [f32]) {
-        Self::head_query_into(self.entities.row(t.index()), self.relations.row(r.index()), q);
-    }
 }
 
 impl KgcModel for ComplEx {
@@ -86,74 +78,25 @@ impl KgcModel for ComplEx {
         self.relations.count()
     }
 
-    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_row(Combine::Dot, &self.entities, &q, t.index())
+    fn query_len(&self) -> usize {
+        self.dim
     }
 
-    fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_all(Combine::Dot, &self.entities, &q, out);
+    fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+        let ctx = self.entities.row(side.context(triple).index());
+        let rel = self.relations.row(triple.relation.index());
+        match side {
+            QuerySide::Tail => Self::tail_query_into(ctx, rel, q),
+            QuerySide::Head => Self::head_query_into(ctx, rel, q),
+        }
     }
 
-    fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        combine_all(Combine::Dot, &self.entities, &q, out);
+    fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        combine_range(Combine::Dot, &self.entities, q, rows, out);
     }
 
-    fn supports_range_scoring(&self) -> bool {
-        true
-    }
-
-    fn score_tails_range(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_range(Combine::Dot, &self.entities, &q, range, out);
-    }
-
-    fn score_heads_range(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        combine_range(Combine::Dot, &self.entities, &q, range, out);
-    }
-
-    fn score_tail_candidates(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_candidates(Combine::Dot, &self.entities, &q, candidates, out);
-    }
-
-    fn score_head_candidates(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        combine_candidates(Combine::Dot, &self.entities, &q, candidates, out);
+    fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+        combine_candidates(Combine::Dot, &self.entities, q, candidates, out);
     }
 }
 
@@ -177,10 +120,7 @@ impl TrainableModel for ComplEx {
         // vector = the query vector for this side; and linear in the fixed
         // entity/relation once the weighted candidate sum v is known.
         let mut q = vec![0.0f32; d];
-        match side {
-            QuerySide::Tail => self.tail_query(context, r, &mut q),
-            QuerySide::Head => self.head_query(r, context, &mut q),
-        }
+        self.build_query(pos, side, &mut q);
         let mut v = vec![0.0f32; d];
         let mut grad_cand = vec![0.0f32; d];
         for (&cand, &w) in candidates.iter().zip(coeffs) {
@@ -237,6 +177,7 @@ mod tests {
     use super::*;
     use crate::model::gradcheck;
     use kg_core::sample::seeded_rng;
+    use kg_core::RelationId;
 
     fn model() -> ComplEx {
         ComplEx::new(8, 3, 8, &mut seeded_rng(13))

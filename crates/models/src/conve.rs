@@ -15,8 +15,10 @@
 //! protocol): the relation table holds `2|R|` rows and `(?, r, t)` is scored
 //! as the tail query `(t, r + |R|, ?)`.
 
+use std::ops::Range;
+
 use kg_core::triple::QuerySide;
-use kg_core::{EntityId, RelationId, Triple};
+use kg_core::{EntityId, Triple};
 use rand::Rng;
 
 use crate::embedding::EmbeddingTable;
@@ -248,48 +250,24 @@ impl KgcModel for ConvE {
         self.num_relations
     }
 
-    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-        let fwd = self.forward(h, r.index());
-        self.score_with_q(&fwd.q, t.index())
+    fn query_len(&self) -> usize {
+        self.dim
     }
 
-    fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-        let fwd = self.forward(h, r.index());
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.score_with_q(&fwd.q, i);
+    fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+        let (src, rel_row) = self.query_source(triple, side);
+        q.copy_from_slice(&self.forward(src, rel_row).q);
+    }
+
+    fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        for (o, e) in out.iter_mut().zip(rows) {
+            *o = self.score_with_q(q, e);
         }
     }
 
-    fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-        let fwd = self.forward(t, r.index() + self.num_relations);
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.score_with_q(&fwd.q, i);
-        }
-    }
-
-    fn score_tail_candidates(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let fwd = self.forward(h, r.index());
+    fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
         for (o, &c) in out.iter_mut().zip(candidates) {
-            *o = self.score_with_q(&fwd.q, c.index());
-        }
-    }
-
-    fn score_head_candidates(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let fwd = self.forward(t, r.index() + self.num_relations);
-        for (o, &c) in out.iter_mut().zip(candidates) {
-            *o = self.score_with_q(&fwd.q, c.index());
+            *o = self.score_with_q(q, c.index());
         }
     }
 }
@@ -342,6 +320,7 @@ mod tests {
     use super::*;
     use crate::model::gradcheck;
     use kg_core::sample::seeded_rng;
+    use kg_core::RelationId;
 
     fn model() -> ConvE {
         ConvE::new(8, 3, 16, &mut seeded_rng(61))
@@ -367,10 +346,10 @@ mod tests {
         let mut m = model();
         let pos = Triple::new(2, 0, 6);
         let mut out = vec![0.0f32; 8];
-        m.score_heads(pos.relation, pos.tail, &mut out);
+        m.score_all(pos, QuerySide::Head, &mut out);
         let before = out[2];
         m.step_group(pos, QuerySide::Head, &[EntityId(2)], &[-1.0], 0.05);
-        m.score_heads(pos.relation, pos.tail, &mut out);
+        m.score_all(pos, QuerySide::Head, &mut out);
         assert!(out[2] > before, "head-side ascent failed: {} -> {}", before, out[2]);
     }
 

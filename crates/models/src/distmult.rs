@@ -1,12 +1,12 @@
 //! DistMult (Yang et al., 2014): `score(h,r,t) = Σ_k h_k · w_k · t_k`.
 
+use std::ops::Range;
+
 use kg_core::triple::QuerySide;
-use kg_core::{EntityId, RelationId, Triple};
+use kg_core::{EntityId, Triple};
 use rand::Rng;
 
-use crate::embedding::{
-    combine_all, combine_candidates, combine_range, combine_row, Combine, EmbeddingTable,
-};
+use crate::embedding::{combine_candidates, combine_range, Combine, EmbeddingTable};
 use crate::model::{KgcModel, TrainableModel};
 
 /// Bilinear-diagonal factorisation model.
@@ -34,10 +34,6 @@ impl DistMult {
             q[k] = ee[k] * re[k];
         }
     }
-
-    fn query(&self, e: EntityId, r: RelationId, q: &mut [f32]) {
-        Self::query_into(self.entities.row(e.index()), self.relations.row(r.index()), q);
-    }
 }
 
 impl KgcModel for DistMult {
@@ -57,74 +53,24 @@ impl KgcModel for DistMult {
         self.relations.count()
     }
 
-    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-        let mut q = vec![0.0f32; self.dim];
-        self.query(h, r, &mut q);
-        combine_row(Combine::Dot, &self.entities, &q, t.index())
+    fn query_len(&self) -> usize {
+        self.dim
     }
 
-    fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.query(h, r, &mut q);
-        combine_all(Combine::Dot, &self.entities, &q, out);
+    fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+        Self::query_into(
+            self.entities.row(side.context(triple).index()),
+            self.relations.row(triple.relation.index()),
+            q,
+        );
     }
 
-    fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.query(t, r, &mut q);
-        combine_all(Combine::Dot, &self.entities, &q, out);
+    fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        combine_range(Combine::Dot, &self.entities, q, rows, out);
     }
 
-    fn supports_range_scoring(&self) -> bool {
-        true
-    }
-
-    fn score_tails_range(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.query(h, r, &mut q);
-        combine_range(Combine::Dot, &self.entities, &q, range, out);
-    }
-
-    fn score_heads_range(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.query(t, r, &mut q);
-        combine_range(Combine::Dot, &self.entities, &q, range, out);
-    }
-
-    fn score_tail_candidates(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.query(h, r, &mut q);
-        combine_candidates(Combine::Dot, &self.entities, &q, candidates, out);
-    }
-
-    fn score_head_candidates(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.query(t, r, &mut q);
-        combine_candidates(Combine::Dot, &self.entities, &q, candidates, out);
+    fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+        combine_candidates(Combine::Dot, &self.entities, q, candidates, out);
     }
 }
 
@@ -146,7 +92,7 @@ impl TrainableModel for DistMult {
         let mut v = vec![0.0f32; d];
         {
             let mut q = vec![0.0f32; d];
-            self.query(context, r, &mut q);
+            self.build_query(pos, side, &mut q);
             let mut grad_cand = vec![0.0f32; d];
             for (&cand, &w) in candidates.iter().zip(coeffs) {
                 if w == 0.0 {
@@ -181,6 +127,7 @@ mod tests {
     use super::*;
     use crate::model::gradcheck;
     use kg_core::sample::seeded_rng;
+    use kg_core::RelationId;
 
     fn model() -> DistMult {
         DistMult::new(8, 3, 6, &mut seeded_rng(7))

@@ -110,20 +110,12 @@ impl EmbeddingTable {
     }
 }
 
-/// Score the query vector `q` against *all* rows of `table` into `out`
-/// (the full-ranking primitive: one linear pass over the table).
-pub fn combine_all(c: Combine, table: &EmbeddingTable, q: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(q.len(), table.dim());
-    debug_assert_eq!(out.len(), table.count());
-    kernel_rows(c, q, table.as_slice(), table.dim(), out);
-}
-
 /// Score `q` against the contiguous row range `rows` into `out`
-/// (`out.len() == rows.len()`). This is the sharded full-ranking primitive:
-/// the kernel streams the shard's flat slice of the table (already sized to
+/// (`out.len() == rows.len()`). This is the full-ranking primitive: the
+/// kernel streams the range's flat slice of the table (already sized to
 /// stay cache-resident by `ShardPlan`) with register-blocked SIMD rows.
-/// Per-row arithmetic is identical to [`combine_all`], so a row range
-/// scored here is bit-for-bit the same slice of the full row.
+/// Per-row arithmetic is independent of the range, so any partition of the
+/// table scores every row to the same bits.
 pub fn combine_range(
     c: Combine,
     table: &EmbeddingTable,
@@ -153,11 +145,6 @@ pub fn combine_candidates(
     for (o, &e) in out.iter_mut().zip(candidates) {
         *o = kernel_one(c, q, table.row(e.index()));
     }
-}
-
-/// Score `q` against a single row.
-pub fn combine_row(c: Combine, table: &EmbeddingTable, q: &[f32], i: usize) -> f32 {
-    kernel_one(c, q, table.row(i))
 }
 
 #[cfg(test)]
@@ -212,9 +199,8 @@ mod tests {
         let mut t = EmbeddingTable::uniform(2, 2, 0.0, &mut seeded_rng(4));
         t.as_mut_slice().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         let mut out = [0.0f32; 2];
-        combine_all(Combine::Dot, &t, &[1.0, 1.0], &mut out);
+        combine_range(Combine::Dot, &t, &[1.0, 1.0], 0..2, &mut out);
         assert_eq!(out, [3.0, 7.0]);
-        assert_eq!(combine_row(Combine::Dot, &t, &[2.0, 0.0], 1), 6.0);
     }
 
     #[test]
@@ -223,12 +209,12 @@ mod tests {
         t.as_mut_slice().copy_from_slice(&[1.0, -1.0]);
         let q = [0.0f32, 0.0];
         let mut out = [0.0f32; 1];
-        combine_all(Combine::NegL1, &t, &q, &mut out);
+        combine_range(Combine::NegL1, &t, &q, 0..1, &mut out);
         assert_eq!(out[0], -2.0);
-        combine_all(Combine::NegL2, &t, &q, &mut out);
+        combine_range(Combine::NegL2, &t, &q, 0..1, &mut out);
         assert_eq!(out[0], -2.0);
         let q2 = [1.0f32, -1.0];
-        combine_all(Combine::NegL2, &t, &q2, &mut out);
+        combine_range(Combine::NegL2, &t, &q2, 0..1, &mut out);
         assert_eq!(out[0], 0.0, "identical vectors have zero distance");
     }
 
@@ -247,7 +233,7 @@ mod tests {
         let q: Vec<f32> = (0..13).map(|k| k as f32 * 0.1 - 0.6).collect();
         for c in [Combine::Dot, Combine::NegL1, Combine::NegL2] {
             let mut full = vec![0.0f32; 33];
-            combine_all(c, &t, &q, &mut full);
+            combine_range(c, &t, &q, 0..33, &mut full);
             let mut part = vec![0.0f32; 20];
             combine_range(c, &t, &q, 7..27, &mut part);
             let fb: Vec<u32> = full[7..27].iter().map(|v| v.to_bits()).collect();

@@ -1,41 +1,37 @@
 //! The sharded scoring engine — the single full-ranking entry point.
 //!
-//! Every consumer that used to allocate a `num_entities()`-sized score row
-//! and call [`KgcModel::score_tails`] / `score_heads` directly (the full
-//! ranker, the `/topk` endpoint, benches) now goes through this module,
-//! and every path through it bottoms out in the **partial-result API**:
+//! A model is a prepared query and a table ([`KgcModel`]), so ranking is
+//! one loop: **build the query once per `(triple, side)`**, then stream
+//! [`KgcModel::score_rows`] over the requested entity range in
+//! scratch-sized chunks (cache-resident inner loops) and fold each scored
+//! slice into a mergeable partial from [`kg_core::partial`]:
 //!
-//! * [`partial_rank_counts_with`] / [`partial_top_k_with`] compute one
+//! * [`partial_rank_counts`] / [`ScoringEngine::partial_top_k`] compute one
 //!   query's [`PartialRankCounts`] / [`PartialTopK`] over an **explicit
 //!   entity range** — the primitive a shard server evaluates for its
-//!   configured range and ships over the wire;
-//! * [`partial_rank_counts_fanout`] / [`partial_top_k_fanout`] split a
-//!   range across worker threads and merge the per-range partials with
-//!   [`kg_core::partial`] — the in-process latency path;
-//! * the classic entry points ([`ScoringEngine::rank_counts`],
-//!   [`ScoringEngine::top_k`], their `_fanout` variants and the free
-//!   `*_with` functions) are thin wrappers passing the full `0..|E|`
-//!   range, so in-process fan-out and remote shard endpoints share
-//!   **exactly one ranking code path** and one merge implementation.
+//!   configured range and ships over the wire. With `threads > 1` the
+//!   range is split into contiguous pieces, every worker scores its piece
+//!   against the *same* prepared query, and the per-piece partials are
+//!   merged — the in-process latency path;
+//! * [`ScoringEngine::rank_counts`], [`ScoringEngine::top_k`] and
+//!   [`ScoringEngine::top_k_fanout`] pass the full `0..|E|` range, so
+//!   in-process fan-out and remote shard endpoints share **exactly one
+//!   ranking code path** and one merge implementation, for every model
+//!   family.
 //!
-//! Models whose scorers reduce to *query vector × table slice*
-//! ([`KgcModel::supports_range_scoring`]) score each range straight off
-//! its slice of the embedding table in scratch-sized chunks
-//! (cache-resident inner loops); other models score one full row per
-//! partial call — the pass that cannot be split — and restrict counting /
-//! heap building to the requested range (the fan-out variants score the
-//! row once and fan only the counting).
+//! No path scores or allocates an `|E|`-sized row: scratch is one chunk
+//! wide whatever the model.
 //!
-//! **Parity invariant:** per-row arithmetic is independent of the
-//! partition, all comparisons use the total order of
-//! [`kg_core::topk::cmp_score`], counter addition is associative, and the
-//! top-k merge re-selects under a total order — so results are
-//! bit-for-bit identical for every range partition, chunking, shard
-//! count, and thread count, including the degenerate single-range serial
-//! pass. The reference score `s_true` is likewise partition-independent:
-//! it is computed through the same range scorer (a one-entity range) on
-//! every node, so a shard that does not own the answer still counts
-//! against the identical bits.
+//! **Parity invariant:** a row's score depends on the prepared query and
+//! the row alone (the [`KgcModel`] row contract), all comparisons use the
+//! total order of [`kg_core::topk::cmp_score`], counter addition is
+//! associative, and the top-k merge re-selects under a total order — so
+//! results are bit-for-bit identical for every range partition, chunking,
+//! shard count, and thread count, including the degenerate single-range
+//! serial pass. The reference score `s_true` is likewise
+//! partition-independent: it is the answer's own row through the same
+//! range primitive (a one-entity range) on every node, so a shard that
+//! does not own the answer still counts against the identical bits.
 //!
 //! **NaN ordering** (explicit, see [`cmp_score`]): a NaN score is *worse
 //! than every real score*. A NaN competitor therefore never counts as
@@ -47,23 +43,12 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use kg_core::parallel::{parallel_map_indexed, BufferPool, ShardPlan};
-use kg_core::partial::{Partial, PartialRankCounts, PartialTopK};
+use kg_core::partial::{merge_all, Partial, PartialRankCounts, PartialTopK};
 use kg_core::topk::{cmp_score, TopKHeap};
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, Triple};
 
-use crate::model::KgcModel;
-
-/// Scratch-buffer length a per-query pass over `plan` needs for `model`:
-/// one shard's width when the model scores ranges natively, the full row
-/// otherwise (scored once, then sliced logically).
-pub fn scratch_len(model: &dyn KgcModel, plan: &ShardPlan) -> usize {
-    if model.supports_range_scoring() {
-        plan.max_shard_len()
-    } else {
-        plan.len()
-    }
-}
+use crate::model::{prepared_query, KgcModel};
 
 /// Count strictly-higher and tied competitors in one scored range.
 ///
@@ -124,30 +109,12 @@ fn heap_scored_range(heap: &mut TopKHeap, scores: &[f32], base: usize, known: &[
     }
 }
 
-/// The query's reference score — the true answer's own score, computed
-/// through the same scorer family every range pass uses (a one-entity
-/// range for range-scoring models), so every node and every partition
-/// derives the identical bits.
-fn answer_score(model: &dyn KgcModel, scratch: &mut [f32], triple: Triple, side: QuerySide) -> f32 {
-    let answer = side.answer(triple).index();
-    if model.supports_range_scoring() {
-        let buf = &mut scratch[..1];
-        model.score_range(triple, side, answer..answer + 1, buf);
-        buf[0]
-    } else {
-        let buf = &mut scratch[..model.num_entities()];
-        model.score_all(triple, side, buf);
-        buf[answer]
-    }
-}
-
-/// Walk `range` in scratch-sized chunks, scoring each with the model's
-/// range kernel and folding `f` over the scored slices.
+/// Walk `range` in scratch-sized chunks, scoring each against the prepared
+/// query `q` and handing `f` the scored slice and its first entity id.
 fn for_scored_chunks(
     model: &dyn KgcModel,
+    q: &[f32],
     scratch: &mut [f32],
-    triple: Triple,
-    side: QuerySide,
     range: Range<usize>,
     mut f: impl FnMut(&[f32], usize),
 ) {
@@ -157,242 +124,71 @@ fn for_scored_chunks(
     while start < range.end {
         let end = (start + chunk).min(range.end);
         let buf = &mut scratch[..end - start];
-        model.score_range(triple, side, start..end, buf);
+        model.score_rows(q, start..end, buf);
         f(buf, start);
         start = end;
     }
 }
 
-/// One query's filtered-rank counters restricted to `range`: the
-/// serializable partial a shard server evaluates for its configured range
-/// (see [`kg_core::partial::PartialRankCounts`]). Merging the partials of
-/// any partition of `0..num_entities()` reproduces the unpartitioned
-/// counters bit for bit.
+/// One partial over `range`: `piece(scratch, sub_range)` run serially on
+/// the whole range, or — the in-process latency path — on `threads`
+/// contiguous pieces in parallel with the per-piece partials merged into
+/// `zero`. Bit-for-bit the serial partial for every `threads` (merging is
+/// associative). Scratch comes from `pool`, so a caller ranking many
+/// queries reuses one pool across all of them.
+fn fan_out<P: Partial + Send + Default + Clone>(
+    pool: &BufferPool,
+    range: Range<usize>,
+    threads: usize,
+    zero: P,
+    piece: impl Fn(&mut [f32], Range<usize>) -> P + Sync,
+) -> P {
+    if threads <= 1 || range.len() <= 1 {
+        return piece(&mut pool.acquire(), range);
+    }
+    let pieces = ShardPlan::new(range.len(), threads);
+    let parts = parallel_map_indexed(pieces.num_shards(), threads, |s| {
+        let r = pieces.range(s);
+        piece(&mut pool.acquire(), range.start + r.start..range.start + r.end)
+    });
+    merge_all(zero, parts)
+}
+
+/// One query's filtered-rank counters restricted to `range`, fanned across
+/// `threads` workers: the serializable partial a shard server evaluates
+/// for its configured range (see [`kg_core::partial::PartialRankCounts`]).
+/// Merging the partials of any partition of `0..num_entities()` reproduces
+/// the unpartitioned counters bit for bit.
 ///
-/// `scratch` must hold [`scratch_len`] floats for the engine's plan (a
-/// full row for models without range scoring, at least one float
-/// otherwise; ranges wider than the scratch are walked in chunks).
-pub fn partial_rank_counts_with(
+/// `pool` supplies the chunk scratch: any non-zero buffer length is
+/// correct, one shard's width keeps the inner loop cache-resident.
+pub fn partial_rank_counts(
     model: &dyn KgcModel,
-    scratch: &mut [f32],
+    pool: &BufferPool,
     triple: Triple,
     side: QuerySide,
     known: &[EntityId],
     range: Range<usize>,
+    threads: usize,
 ) -> PartialRankCounts {
     debug_assert!(range.end <= model.num_entities());
     if range.is_empty() {
         return PartialRankCounts::ZERO;
     }
     let answer = side.answer(triple).index();
-    if !model.supports_range_scoring() {
-        // One full-row pass (the model cannot score ranges); the partial
-        // restricts the *counting* to the requested slice.
-        let buf = &mut scratch[..model.num_entities()];
-        model.score_all(triple, side, buf);
-        let s_true = buf[answer];
-        return count_scored_range(&buf[range.clone()], range.start, answer, s_true, known);
-    }
-    let s_true = answer_score(model, scratch, triple, side);
-    let mut acc = PartialRankCounts::ZERO;
-    for_scored_chunks(model, scratch, triple, side, range, |scores, base| {
-        acc.merge(count_scored_range(scores, base, answer, s_true, known));
-    });
-    acc
-}
-
-/// One query's top-k restricted to `range`: the serializable partial a
-/// shard server evaluates for its configured range (see
-/// [`kg_core::partial::PartialTopK`]). Merging the partials of any
-/// partition of `0..num_entities()` reproduces the unpartitioned top-k
-/// bit for bit. Scratch requirements as in [`partial_rank_counts_with`].
-pub fn partial_top_k_with(
-    model: &dyn KgcModel,
-    scratch: &mut [f32],
-    triple: Triple,
-    side: QuerySide,
-    known: &[EntityId],
-    k: usize,
-    range: Range<usize>,
-) -> PartialTopK {
-    debug_assert!(range.end <= model.num_entities());
-    if k == 0 || range.is_empty() {
-        return PartialTopK::empty(k);
-    }
-    let mut heap = TopKHeap::new(k);
-    if !model.supports_range_scoring() {
-        let buf = &mut scratch[..model.num_entities()];
-        model.score_all(triple, side, buf);
-        heap_scored_range(&mut heap, &buf[range.clone()], range.start, known);
-    } else {
-        for_scored_chunks(model, scratch, triple, side, range, |scores, base| {
-            heap_scored_range(&mut heap, scores, base, known);
+    // Built once: the reference score, every chunk and every fan-out worker
+    // below share it read-only.
+    let q = prepared_query(model, triple, side);
+    let mut s_true = [0.0f32];
+    model.score_rows(&q, answer..answer + 1, &mut s_true);
+    let [s_true] = s_true;
+    fan_out(pool, range, threads, PartialRankCounts::ZERO, |scratch, piece| {
+        let mut acc = PartialRankCounts::ZERO;
+        for_scored_chunks(model, &q, scratch, piece, |scores, base| {
+            acc.merge(count_scored_range(scores, base, answer, s_true, known));
         });
-    }
-    PartialTopK::from_entries(k, heap.into_sorted())
-}
-
-/// [`partial_rank_counts_with`] with the range split across `threads`
-/// workers and the per-piece partials merged — the in-process latency
-/// path, bit-for-bit identical to the serial partial for every `threads`
-/// (counter addition is associative and `s_true` partition-independent).
-///
-/// Range-scoring models hand each worker a contiguous piece to score and
-/// count; models without range scoring score one full row — the pass that
-/// cannot be split — and fan out the *counting* over the row's slices.
-/// Scratch buffers come from `pool`, so a caller ranking many queries
-/// reuses one pool across all of them.
-pub fn partial_rank_counts_fanout(
-    model: &dyn KgcModel,
-    pool: &BufferPool,
-    triple: Triple,
-    side: QuerySide,
-    known: &[EntityId],
-    range: Range<usize>,
-    threads: usize,
-) -> PartialRankCounts {
-    debug_assert!(range.end <= model.num_entities());
-    if threads <= 1 || range.len() <= 1 {
-        let mut buf = pool.acquire();
-        return partial_rank_counts_with(model, &mut buf, triple, side, known, range);
-    }
-    let answer = side.answer(triple).index();
-    let pieces = ShardPlan::new(range.len(), threads);
-    if !model.supports_range_scoring() {
-        // One full-row pass, then the counting fans out across the range's
-        // pieces.
-        let mut row = pool.acquire();
-        let row = &mut row[..model.num_entities()];
-        model.score_all(triple, side, row);
-        let s_true = row[answer];
-        let row = &*row;
-        let parts = parallel_map_indexed(pieces.num_shards(), threads, |s| {
-            let r = pieces.range(s);
-            let (start, end) = (range.start + r.start, range.start + r.end);
-            count_scored_range(&row[start..end], start, answer, s_true, known)
-        });
-        return kg_core::partial::merge_all(PartialRankCounts::ZERO, parts);
-    }
-    let parts = parallel_map_indexed(pieces.num_shards(), threads, |s| {
-        let r = pieces.range(s);
-        let mut buf = pool.acquire();
-        partial_rank_counts_with(
-            model,
-            &mut buf,
-            triple,
-            side,
-            known,
-            range.start + r.start..range.start + r.end,
-        )
-    });
-    kg_core::partial::merge_all(PartialRankCounts::ZERO, parts)
-}
-
-/// [`partial_top_k_with`] with the range split across `threads` workers
-/// and the per-piece partials merged with [`kg_core::partial`] — same
-/// work plan and parity guarantees as [`partial_rank_counts_fanout`].
-#[allow(clippy::too_many_arguments)] // the full query tuple is the signature
-pub fn partial_top_k_fanout(
-    model: &dyn KgcModel,
-    pool: &BufferPool,
-    triple: Triple,
-    side: QuerySide,
-    known: &[EntityId],
-    k: usize,
-    range: Range<usize>,
-    threads: usize,
-) -> PartialTopK {
-    debug_assert!(range.end <= model.num_entities());
-    if k == 0 || range.is_empty() {
-        return PartialTopK::empty(k);
-    }
-    if threads <= 1 || range.len() <= 1 {
-        let mut buf = pool.acquire();
-        return partial_top_k_with(model, &mut buf, triple, side, known, k, range);
-    }
-    let pieces = ShardPlan::new(range.len(), threads);
-    let parts = if model.supports_range_scoring() {
-        parallel_map_indexed(pieces.num_shards(), threads, |s| {
-            let r = pieces.range(s);
-            let mut buf = pool.acquire();
-            partial_top_k_with(
-                model,
-                &mut buf,
-                triple,
-                side,
-                known,
-                k,
-                range.start + r.start..range.start + r.end,
-            )
-        })
-    } else {
-        let mut row = pool.acquire();
-        let row = &mut row[..model.num_entities()];
-        model.score_all(triple, side, row);
-        let row = &*row;
-        parallel_map_indexed(pieces.num_shards(), threads, |s| {
-            let r = pieces.range(s);
-            let (start, end) = (range.start + r.start, range.start + r.end);
-            let mut heap = TopKHeap::new(k);
-            heap_scored_range(&mut heap, &row[start..end], start, known);
-            PartialTopK::from_entries(k, heap.into_sorted())
-        })
-    };
-    kg_core::partial::merge_all(PartialTopK::empty(k), parts)
-}
-
-/// Streamed filtered-rank counters for one query: `(higher, ties)` over
-/// all entities except `known`, under the NaN ordering documented at the
-/// module level. A thin full-range wrapper over
-/// [`partial_rank_counts_with`]; `scratch.len()` must be at least
-/// [`scratch_len`].
-pub fn rank_counts_with(
-    model: &dyn KgcModel,
-    plan: &ShardPlan,
-    scratch: &mut [f32],
-    triple: Triple,
-    side: QuerySide,
-    known: &[EntityId],
-) -> (usize, usize) {
-    debug_assert_eq!(plan.len(), model.num_entities());
-    let p = partial_rank_counts_with(model, scratch, triple, side, known, 0..plan.len());
-    (p.higher as usize, p.ties as usize)
-}
-
-/// Top-k entities for one query, excluding `known` (ascending). Best
-/// first; ties break toward the lower entity id. A thin full-range
-/// wrapper over [`partial_top_k_with`]; `scratch.len()` must be at least
-/// [`scratch_len`].
-pub fn top_k_with(
-    model: &dyn KgcModel,
-    plan: &ShardPlan,
-    scratch: &mut [f32],
-    triple: Triple,
-    side: QuerySide,
-    known: &[EntityId],
-    k: usize,
-) -> Vec<(u32, f32)> {
-    debug_assert_eq!(plan.len(), model.num_entities());
-    partial_top_k_with(model, scratch, triple, side, known, k, 0..plan.len()).into_entries()
-}
-
-/// Streamed filtered-rank counters for one query with the per-range
-/// passes fanned out across `fanout` workers — the full-range wrapper
-/// over [`partial_rank_counts_fanout`], bit-for-bit identical to
-/// [`rank_counts_with`] for every model, shard count, and fan-out width.
-pub fn rank_counts_fanout(
-    model: &dyn KgcModel,
-    plan: &ShardPlan,
-    pool: &BufferPool,
-    triple: Triple,
-    side: QuerySide,
-    known: &[EntityId],
-    fanout: usize,
-) -> (usize, usize) {
-    debug_assert_eq!(plan.len(), model.num_entities());
-    debug_assert!(pool.buffer_len() >= scratch_len(model, plan));
-    let p = partial_rank_counts_fanout(model, pool, triple, side, known, 0..plan.len(), fanout);
-    (p.higher as usize, p.ties as usize)
+        acc
+    })
 }
 
 /// Candidate count below which [`score_answer_and_candidates_fanout`]
@@ -403,22 +199,12 @@ pub const CANDIDATE_FANOUT_MIN: usize = 1024;
 /// scores — the sampled-evaluation scoring layout (`scores[0]` is the
 /// answer's score). Both buffers are cleared and reused, so callers keep
 /// per-thread scratch instead of allocating per query.
-pub fn score_answer_and_candidates(
-    model: &dyn KgcModel,
-    triple: Triple,
-    side: QuerySide,
-    candidates: &[EntityId],
-    ids: &mut Vec<EntityId>,
-    scores: &mut Vec<f32>,
-) {
-    score_answer_and_candidates_fanout(model, triple, side, candidates, ids, scores, 1);
-}
-
-/// [`score_answer_and_candidates`] with the candidate list chunked across
-/// `fanout` workers (the sampled-evaluation latency path). Per-candidate
-/// arithmetic is independent of its neighbours, so the result is
-/// bit-for-bit the single-pass one; lists shorter than
-/// [`CANDIDATE_FANOUT_MIN`] are scored serially regardless.
+///
+/// The query is prepared once; with `fanout > 1` and at least
+/// [`CANDIDATE_FANOUT_MIN`] ids the list is chunked across `fanout`
+/// workers (the sampled-evaluation latency path). Per-candidate arithmetic
+/// is independent of its neighbours, so the result is bit-for-bit the
+/// single-pass one.
 pub fn score_answer_and_candidates_fanout(
     model: &dyn KgcModel,
     triple: Triple,
@@ -433,18 +219,19 @@ pub fn score_answer_and_candidates_fanout(
     ids.extend_from_slice(candidates);
     scores.clear();
     scores.resize(ids.len(), 0.0);
+    let q = prepared_query(model, triple, side);
     if fanout <= 1 || ids.len() < CANDIDATE_FANOUT_MIN {
-        model.score_candidates(triple, side, ids, scores);
+        model.score_gathered(&q, ids, scores);
         return;
     }
-    let ids: &[EntityId] = ids;
+    let (ids, q): (&[EntityId], &[f32]) = (ids, &q);
     let chunks = ShardPlan::new(ids.len(), fanout);
     std::thread::scope(|scope| {
         let mut rest: &mut [f32] = scores;
         for r in chunks.ranges() {
             let (head, tail) = rest.split_at_mut(r.len());
             let chunk = &ids[r];
-            scope.spawn(move || model.score_candidates(triple, side, chunk, head));
+            scope.spawn(move || model.score_gathered(q, chunk, head));
             rest = tail;
         }
     });
@@ -462,21 +249,17 @@ pub struct ScoringEngine {
 impl ScoringEngine {
     /// Engine over `model` with `num_shards` entity shards (`0` = choose
     /// automatically from [`kg_core::parallel::DEFAULT_SHARD_TARGET`]).
+    /// Scratch buffers are one shard wide.
     pub fn new(model: Arc<dyn KgcModel>, num_shards: usize) -> Self {
         let n = model.num_entities();
         let plan = if num_shards == 0 { ShardPlan::auto(n) } else { ShardPlan::new(n, num_shards) };
-        let pool = BufferPool::new(scratch_len(model.as_ref(), &plan));
+        let pool = BufferPool::new(plan.max_shard_len());
         ScoringEngine { model, plan, pool }
     }
 
     /// The underlying model.
     pub fn model(&self) -> &Arc<dyn KgcModel> {
         &self.model
-    }
-
-    /// The entity shard plan.
-    pub fn plan(&self) -> ShardPlan {
-        self.plan
     }
 
     /// Number of entity shards.
@@ -512,10 +295,8 @@ impl ScoringEngine {
         self.model.score_candidates(triple, side, candidates, out);
     }
 
-    /// One query's filtered-rank counters restricted to an explicit
-    /// entity `range`, fanned across `threads` workers — the primitive a
-    /// shard server evaluates for its configured range. Merging the
-    /// partials of any partition of `0..num_entities()` with
+    /// [`partial_rank_counts`] over this engine's model and scratch pool.
+    /// Merging the partials of any partition of `0..num_entities()` with
     /// [`kg_core::partial::Partial::merge`] is bit-identical to
     /// [`ScoringEngine::rank_counts`]. `range` is clamped to the entity
     /// space.
@@ -528,21 +309,14 @@ impl ScoringEngine {
         threads: usize,
     ) -> PartialRankCounts {
         let range = clamp_range(range, self.plan.len());
-        partial_rank_counts_fanout(
-            self.model.as_ref(),
-            &self.pool,
-            triple,
-            side,
-            known,
-            range,
-            threads,
-        )
+        partial_rank_counts(self.model.as_ref(), &self.pool, triple, side, known, range, threads)
     }
 
     /// One query's top-k restricted to an explicit entity `range`, fanned
     /// across `threads` workers — the shard-server counterpart of
-    /// [`ScoringEngine::partial_rank_counts`]. Merging the partials of
-    /// any partition of `0..num_entities()` is bit-identical to
+    /// [`ScoringEngine::partial_rank_counts`] (see
+    /// [`kg_core::partial::PartialTopK`]). Merging the partials of any
+    /// partition of `0..num_entities()` is bit-identical to
     /// [`ScoringEngine::top_k`]. `range` is clamped to the entity space.
     pub fn partial_top_k(
         &self,
@@ -554,44 +328,36 @@ impl ScoringEngine {
         threads: usize,
     ) -> PartialTopK {
         let range = clamp_range(range, self.plan.len());
-        partial_top_k_fanout(
-            self.model.as_ref(),
-            &self.pool,
-            triple,
-            side,
-            known,
-            k,
-            range,
-            threads,
-        )
+        if k == 0 || range.is_empty() {
+            return PartialTopK::empty(k);
+        }
+        let model = self.model.as_ref();
+        let q = prepared_query(model, triple, side);
+        fan_out(&self.pool, range, threads, PartialTopK::empty(k), |scratch, piece| {
+            let mut heap = TopKHeap::new(k);
+            for_scored_chunks(model, &q, scratch, piece, |scores, base| {
+                heap_scored_range(&mut heap, scores, base, known);
+            });
+            PartialTopK::from_entries(k, heap.into_sorted())
+        })
     }
 
-    /// Streamed filtered-rank counters for one query (full range, serial);
-    /// scratch comes from the engine's pool.
+    /// Streamed filtered-rank counters for one query: `(higher, ties)`
+    /// over all entities except `known`, serially, under the NaN ordering
+    /// documented at the module level.
     pub fn rank_counts(
         &self,
         triple: Triple,
         side: QuerySide,
         known: &[EntityId],
     ) -> (usize, usize) {
-        self.rank_counts_fanout(triple, side, known, 1)
-    }
-
-    /// Filtered-rank counters with the per-range passes fanned out across
-    /// `fanout` workers; bit-for-bit identical to
-    /// [`ScoringEngine::rank_counts`] (see [`partial_rank_counts_fanout`]).
-    pub fn rank_counts_fanout(
-        &self,
-        triple: Triple,
-        side: QuerySide,
-        known: &[EntityId],
-        fanout: usize,
-    ) -> (usize, usize) {
-        let p = self.partial_rank_counts(triple, side, known, 0..self.plan.len(), fanout);
+        let p = self.partial_rank_counts(triple, side, known, 0..self.plan.len(), 1);
         (p.higher as usize, p.ties as usize)
     }
 
-    /// Top-k for one query over the full entity range, serially.
+    /// Top-k entities for one query over the full entity range, serially,
+    /// excluding `known` (ascending). Best first; ties break toward the
+    /// lower entity id.
     pub fn top_k(
         &self,
         triple: Triple,
@@ -604,9 +370,7 @@ impl ScoringEngine {
 
     /// Top-k with the full range fanned out across `threads` workers and
     /// the per-range partials merged; bit-for-bit identical to
-    /// [`ScoringEngine::top_k`] for every model family (see
-    /// [`partial_top_k_fanout`] — models without range scoring score one
-    /// full row and fan out the heap building over its slices).
+    /// [`ScoringEngine::top_k`] for every model family.
     pub fn top_k_fanout(
         &self,
         triple: Triple,
@@ -630,8 +394,6 @@ fn clamp_range(range: Range<usize>, len: usize) -> Range<usize> {
 mod tests {
     use super::*;
     use crate::factory::{build_model, ModelKind};
-    use crate::model::TrainableModel;
-    use kg_core::RelationId;
 
     /// Reference rank counters from a fully materialised row (the seed
     /// path's logic, generalised to cmp_score).
@@ -676,7 +438,7 @@ mod tests {
         all
     }
 
-    fn models() -> Vec<Box<dyn TrainableModel>> {
+    fn models() -> Vec<Arc<dyn KgcModel>> {
         ModelKind::ALL
             .into_iter()
             .map(|kind| {
@@ -685,15 +447,26 @@ mod tests {
                     ModelKind::Rescal | ModelKind::TuckEr => 8,
                     _ => 12,
                 };
-                build_model(kind, 23, 3, dim, 5)
+                Arc::from(build_model(kind, 23, 3, dim, 5) as Box<dyn KgcModel>)
             })
             .collect()
+    }
+
+    /// The full-range counters with the pass fanned across `fanout` workers.
+    fn fanned_counts(
+        engine: &ScoringEngine,
+        triple: Triple,
+        side: QuerySide,
+        known: &[EntityId],
+        fanout: usize,
+    ) -> (usize, usize) {
+        let p = engine.partial_rank_counts(triple, side, known, 0..engine.num_entities(), fanout);
+        (p.higher as usize, p.ties as usize)
     }
 
     #[test]
     fn sharded_counts_match_full_row_for_every_model_and_shard_count() {
         for model in models() {
-            let model: &dyn KgcModel = model.as_ref();
             let n = model.num_entities();
             let triple = Triple::new(2, 1, 20);
             let known = [EntityId(4), EntityId(20), EntityId(21)];
@@ -702,9 +475,8 @@ mod tests {
                 model.score_all(triple, side, &mut row);
                 let want = reference_counts(&row, side.answer(triple).index(), &known);
                 for shards in [1usize, 2, 7, n] {
-                    let plan = ShardPlan::new(n, shards);
-                    let mut scratch = vec![0.0f32; scratch_len(model, &plan)];
-                    let got = rank_counts_with(model, &plan, &mut scratch, triple, side, &known);
+                    let engine = ScoringEngine::new(Arc::clone(&model), shards);
+                    let got = engine.rank_counts(triple, side, &known);
                     assert_eq!(got, want, "{} S={shards} {side:?}: counts diverged", model.name());
                 }
             }
@@ -714,7 +486,6 @@ mod tests {
     #[test]
     fn sharded_topk_matches_reference_for_every_model_and_shard_count() {
         for model in models() {
-            let model: &dyn KgcModel = model.as_ref();
             let n = model.num_entities();
             let triple = Triple::new(0, 2, 9);
             let known = [EntityId(1), EntityId(9)];
@@ -724,9 +495,8 @@ mod tests {
                 for k in [0usize, 1, 5, n] {
                     let want = reference_topk(&row, &known, k);
                     for shards in [1usize, 2, 7, n] {
-                        let plan = ShardPlan::new(n, shards);
-                        let mut scratch = vec![0.0f32; scratch_len(model, &plan)];
-                        let got = top_k_with(model, &plan, &mut scratch, triple, side, &known, k);
+                        let engine = ScoringEngine::new(Arc::clone(&model), shards);
+                        let got = engine.top_k(triple, side, &known, k);
                         assert_eq!(
                             got,
                             want,
@@ -741,11 +511,7 @@ mod tests {
 
     #[test]
     fn fanout_counts_and_topk_match_serial_for_every_model_family() {
-        // Parity of the latency path for all 7 families — including the
-        // non-range-scoring ones (TuckER, ConvE), whose full-row pass fans
-        // out the counting / heap building.
         for model in models() {
-            let model: Arc<dyn KgcModel> = Arc::from(model as Box<dyn KgcModel>);
             let n = model.num_entities();
             let triple = Triple::new(5, 2, 11);
             let known = [EntityId(0), EntityId(11), EntityId(19)];
@@ -756,7 +522,7 @@ mod tests {
                     let top = engine.top_k(triple, side, &known, 6);
                     for fanout in [1usize, 3, 8] {
                         assert_eq!(
-                            engine.rank_counts_fanout(triple, side, &known, fanout),
+                            fanned_counts(&engine, triple, side, &known, fanout),
                             counts,
                             "{} S={shards} fanout={fanout} {side:?}: counts diverged",
                             model.name()
@@ -777,7 +543,7 @@ mod tests {
     fn partials_over_any_split_merge_to_the_full_result() {
         // The partial API directly: split 0..n at every cut point, merge
         // the two partials, compare against the full-range pass — for a
-        // range-scoring and a full-row-fallback family.
+        // kernel-scored family and one with a heavy query build.
         for kind in [ModelKind::ComplEx, ModelKind::TuckEr] {
             let dim = if kind == ModelKind::TuckEr { 8 } else { 12 };
             let model = build_model(kind, 23, 3, dim, 5);
@@ -815,111 +581,100 @@ mod tests {
         assert_eq!(inverted, PartialRankCounts::ZERO);
     }
 
-    #[test]
-    fn coarse_storage_plans_are_subdivided_for_the_fanout_pass() {
-        use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-        // A range-scoring model that counts its range calls: with a
-        // single-shard storage plan (every small graph under the auto
-        // target), the fan-out must subdivide rather than silently run
-        // serial on one core.
-        struct CountingRange {
-            n: usize,
-            range_calls: AtomicUsize,
-        }
-        impl KgcModel for CountingRange {
-            fn name(&self) -> &'static str {
-                "CountingRange"
-            }
-            fn dim(&self) -> usize {
-                1
-            }
-            fn num_entities(&self) -> usize {
-                self.n
-            }
-            fn num_relations(&self) -> usize {
-                1
-            }
-            fn score(&self, _h: EntityId, _r: RelationId, t: EntityId) -> f32 {
-                (t.index() * 7 % self.n) as f32
-            }
-            fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-                for (t, o) in out.iter_mut().enumerate() {
-                    *o = self.score(h, r, EntityId(t as u32));
-                }
-            }
-            fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-                self.score_tails(t, r, out);
-            }
-            fn score_tail_candidates(
-                &self,
-                h: EntityId,
-                r: RelationId,
-                c: &[EntityId],
-                out: &mut [f32],
-            ) {
-                for (o, &e) in out.iter_mut().zip(c) {
-                    *o = self.score(h, r, e);
-                }
-            }
-            fn score_head_candidates(
-                &self,
-                r: RelationId,
-                t: EntityId,
-                c: &[EntityId],
-                out: &mut [f32],
-            ) {
-                self.score_tail_candidates(t, r, c, out);
-            }
-            fn supports_range_scoring(&self) -> bool {
-                true
-            }
-            fn score_tails_range(
-                &self,
-                h: EntityId,
-                r: RelationId,
-                range: std::ops::Range<usize>,
-                out: &mut [f32],
-            ) {
-                self.range_calls.fetch_add(1, AtomicOrdering::Relaxed);
-                for (off, o) in out.iter_mut().enumerate() {
-                    *o = self.score(h, r, EntityId((range.start + off) as u32));
-                }
-            }
-            fn score_heads_range(
-                &self,
-                r: RelationId,
-                t: EntityId,
-                range: std::ops::Range<usize>,
-                out: &mut [f32],
-            ) {
-                self.score_tails_range(t, r, range, out);
-            }
+    /// A model that counts its query builds and its range calls.
+    struct Counting {
+        n: usize,
+        builds: std::sync::atomic::AtomicUsize,
+        range_calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Counting {
+        fn new(n: usize) -> Arc<Counting> {
+            Arc::new(Counting { n, builds: Default::default(), range_calls: Default::default() })
         }
 
-        let concrete = Arc::new(CountingRange { n: 64, range_calls: AtomicUsize::new(0) });
-        let model: Arc<dyn KgcModel> = Arc::clone(&concrete) as Arc<dyn KgcModel>;
-        let counter = || concrete.range_calls.load(AtomicOrdering::Relaxed);
-        let engine = ScoringEngine::new(model, 1);
-        assert_eq!(engine.num_shards(), 1, "storage plan is deliberately coarse");
+        /// `(query builds, range calls)` since the last take.
+        fn take(&self) -> (usize, usize) {
+            use std::sync::atomic::Ordering::Relaxed;
+            (self.builds.swap(0, Relaxed), self.range_calls.swap(0, Relaxed))
+        }
+    }
+
+    impl KgcModel for Counting {
+        fn name(&self) -> &'static str {
+            "Counting"
+        }
+        fn dim(&self) -> usize {
+            1
+        }
+        fn num_entities(&self) -> usize {
+            self.n
+        }
+        fn num_relations(&self) -> usize {
+            1
+        }
+        fn query_len(&self) -> usize {
+            0
+        }
+        fn build_query(&self, _triple: Triple, _side: QuerySide, _q: &mut [f32]) {
+            self.builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        fn score_rows(&self, _q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+            self.range_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            for (o, e) in out.iter_mut().zip(rows) {
+                *o = (e * 7 % self.n) as f32;
+            }
+        }
+        fn score_gathered(&self, _q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+            for (o, &c) in out.iter_mut().zip(candidates) {
+                *o = (c.index() * 7 % self.n) as f32;
+            }
+        }
+    }
+
+    #[test]
+    fn the_query_is_built_once_per_triple_and_side_on_every_path() {
+        let concrete = Counting::new(64);
         let triple = Triple::new(3, 0, 9);
         let known = [EntityId(9)];
+        let side = QuerySide::Tail;
 
-        let serial_counts = engine.rank_counts(triple, QuerySide::Tail, &known);
-        let serial_top = engine.top_k(triple, QuerySide::Tail, &known, 5);
-        let before = counter();
-        let fanned_counts = engine.rank_counts_fanout(triple, QuerySide::Tail, &known, 4);
-        assert_eq!(fanned_counts, serial_counts);
-        // One scoring pass per fan-out worker plus one singleton
-        // reference-score call per worker's partial.
-        assert_eq!(
-            counter() - before,
-            8,
-            "a 1-shard plan must subdivide into one range per fan-out worker"
+        // Chunked serial pass: 8 shards ⇒ 8-entity scratch ⇒ 8 chunk calls
+        // (+ the one-entity reference score for counts), one build.
+        let chunked = ScoringEngine::new(Arc::clone(&concrete) as Arc<dyn KgcModel>, 8);
+        let serial_counts = chunked.rank_counts(triple, side, &known);
+        assert_eq!(concrete.take(), (1, 9), "chunked counts");
+        let serial_top = chunked.top_k(triple, side, &known, 5);
+        assert_eq!(concrete.take(), (1, 8), "chunked top-k");
+
+        // Fan-out over a single-shard storage plan (every small graph under
+        // the auto target): the range must subdivide into one piece per
+        // worker rather than silently run serial on one core — and the
+        // workers share the one prepared query.
+        let engine = ScoringEngine::new(Arc::clone(&concrete) as Arc<dyn KgcModel>, 1);
+        assert_eq!(engine.num_shards(), 1, "storage plan is deliberately coarse");
+        assert_eq!(fanned_counts(&engine, triple, side, &known, 4), serial_counts);
+        assert_eq!(concrete.take(), (1, 5), "fan-out counts: 4 pieces + the reference score");
+        assert_eq!(engine.top_k_fanout(triple, side, &known, 5, 4), serial_top);
+        assert_eq!(concrete.take(), (1, 4), "fan-out top-k: 4 pieces");
+
+        // A shard server's sub-range partial, and the chunked candidate path.
+        engine.partial_top_k(triple, side, &known, 5, 16..48, 2);
+        assert_eq!(concrete.take(), (1, 2), "partial top-k over a sub-range");
+        let candidates: Vec<EntityId> =
+            (0..CANDIDATE_FANOUT_MIN as u32).map(|i| EntityId(i % 64)).collect();
+        let (mut ids, mut scores) = (Vec::new(), Vec::new());
+        let model: &dyn KgcModel = concrete.as_ref();
+        score_answer_and_candidates_fanout(
+            model,
+            triple,
+            side,
+            &candidates,
+            &mut ids,
+            &mut scores,
+            4,
         );
-        let before = counter();
-        let fanned_top = engine.top_k_fanout(triple, QuerySide::Tail, &known, 5, 4);
-        assert_eq!(fanned_top, serial_top);
-        assert_eq!(counter() - before, 4, "top-k fans the subdivided ranges out too");
+        assert_eq!(concrete.take(), (1, 0), "candidate fan-out");
     }
 
     #[test]
@@ -933,23 +688,19 @@ mod tests {
         for side in QuerySide::BOTH {
             let (mut ids_a, mut scores_a) = (Vec::new(), Vec::new());
             let (mut ids_b, mut scores_b) = (Vec::new(), Vec::new());
-            score_answer_and_candidates(
-                model,
-                triple,
-                side,
-                &candidates,
-                &mut ids_a,
-                &mut scores_a,
-            );
-            score_answer_and_candidates_fanout(
-                model,
-                triple,
-                side,
-                &candidates,
-                &mut ids_b,
-                &mut scores_b,
-                4,
-            );
+            for (ids, scores, fanout) in
+                [(&mut ids_a, &mut scores_a, 1), (&mut ids_b, &mut scores_b, 4)]
+            {
+                score_answer_and_candidates_fanout(
+                    model,
+                    triple,
+                    side,
+                    &candidates,
+                    ids,
+                    scores,
+                    fanout,
+                );
+            }
             assert_eq!(ids_a, ids_b);
             assert_eq!(
                 scores_a.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
@@ -998,6 +749,7 @@ mod tests {
     /// competitor.
     #[test]
     fn nan_scores_rank_worst() {
+        const ROW: [f32; 4] = [0.5, f32::NAN, 0.9, f32::NAN];
         struct NanModel;
         impl KgcModel for NanModel {
             fn name(&self) -> &'static str {
@@ -1012,72 +764,30 @@ mod tests {
             fn num_relations(&self) -> usize {
                 1
             }
-            fn score(&self, _h: EntityId, _r: RelationId, t: EntityId) -> f32 {
-                [0.5, f32::NAN, 0.9, f32::NAN][t.index()]
+            fn query_len(&self) -> usize {
+                0
             }
-            fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-                for (t, o) in out.iter_mut().enumerate() {
-                    *o = self.score(h, r, EntityId(t as u32));
+            fn build_query(&self, _triple: Triple, _side: QuerySide, _q: &mut [f32]) {}
+            fn score_rows(&self, _q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+                out.copy_from_slice(&ROW[rows]);
+            }
+            fn score_gathered(&self, _q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+                for (o, &c) in out.iter_mut().zip(candidates) {
+                    *o = ROW[c.index()];
                 }
-            }
-            fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-                self.score_tails(t, r, out);
-            }
-            fn score_tail_candidates(
-                &self,
-                h: EntityId,
-                r: RelationId,
-                c: &[EntityId],
-                out: &mut [f32],
-            ) {
-                for (o, &e) in out.iter_mut().zip(c) {
-                    *o = self.score(h, r, e);
-                }
-            }
-            fn score_head_candidates(
-                &self,
-                r: RelationId,
-                t: EntityId,
-                c: &[EntityId],
-                out: &mut [f32],
-            ) {
-                self.score_tail_candidates(t, r, c, out);
             }
         }
-        let plan = ShardPlan::new(4, 2);
-        let mut scratch = vec![0.0f32; 4];
+        let engine = ScoringEngine::new(Arc::new(NanModel), 2);
         // Real answer (entity 0, score 0.5): only entity 2 (0.9) is higher;
         // the two NaNs neither rank higher nor tie.
-        let (higher, ties) = rank_counts_with(
-            &NanModel,
-            &plan,
-            &mut scratch,
-            Triple::new(0, 0, 0),
-            QuerySide::Tail,
-            &[],
-        );
-        assert_eq!((higher, ties), (1, 0));
+        let counts = engine.rank_counts(Triple::new(0, 0, 0), QuerySide::Tail, &[]);
+        assert_eq!(counts, (1, 0));
         // NaN answer (entity 1): both real scores rank higher, the other
         // NaN ties.
-        let (higher, ties) = rank_counts_with(
-            &NanModel,
-            &plan,
-            &mut scratch,
-            Triple::new(0, 0, 1),
-            QuerySide::Tail,
-            &[],
-        );
-        assert_eq!((higher, ties), (2, 1));
+        let counts = engine.rank_counts(Triple::new(0, 0, 1), QuerySide::Tail, &[]);
+        assert_eq!(counts, (2, 1));
         // Top-k: NaNs sort after all real scores, lower id first.
-        let top = top_k_with(
-            &NanModel,
-            &plan,
-            &mut scratch,
-            Triple::new(0, 0, 0),
-            QuerySide::Tail,
-            &[],
-            4,
-        );
+        let top = engine.top_k(Triple::new(0, 0, 0), QuerySide::Tail, &[], 4);
         assert_eq!(top.iter().map(|t| t.0).collect::<Vec<_>>(), vec![2, 0, 1, 3]);
     }
 }

@@ -3,14 +3,15 @@
 //! Knowledge-graph-completion models implemented from scratch: TransE,
 //! DistMult, ComplEx, RESCAL, RotatE, TuckER and ConvE — the model zoo of
 //! the paper's §5.2 — together with Adagrad-based training, uniform
-//! corruption negative sampling, and vectorised full-row scoring used by
-//! the evaluation framework.
+//! corruption negative sampling, and the sharded scoring [`engine`] used
+//! by the evaluation framework.
 //!
 //! All models implement [`KgcModel`] (scoring) and [`TrainableModel`]
-//! (grouped gradient steps). Scoring reduces to a *query vector* combined
-//! with entity embeddings by dot product or negative Lp distance, which
-//! makes "score every entity" (the expensive full-ranking primitive) a
-//! single pass over the embedding table.
+//! (grouped gradient steps). A model is a *prepared query* and a table:
+//! it builds the query once per `(triple, side)` and scores it against a
+//! contiguous range of entity rows (full ranking, `|E|` rows) or a
+//! gathered candidate list (sampled evaluation, `n_s` rows) — the only
+//! two scorers an implementation writes.
 
 // The only crate (with kg-core) allowed to contain unsafe code, and only behind the
 // unsafe-op-in-unsafe-fn discipline: every unsafe operation sits in an

@@ -1,13 +1,28 @@
 //! The model traits: scoring ([`KgcModel`]) and training ([`TrainableModel`]).
 
+use std::ops::Range;
+
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, RelationId, Triple};
 
 /// A knowledge-graph completion model that scores triples.
 ///
-/// Higher scores mean "more plausible". Implementations must provide the
-/// vectorised full-row scorers; they are the expensive primitive whose cost
-/// the paper's framework avoids paying `|E|` times per query.
+/// Higher scores mean "more plausible". A model is a **query vector and a
+/// table**: [`KgcModel::build_query`] does everything that does not depend
+/// on the candidate (the translation, rotation, core contraction or
+/// convolution) once per `(triple, side)`, and two row primitives score
+/// that prepared query against rows of the entity table —
+/// [`KgcModel::score_rows`] over a contiguous range (`|E|` rows for full
+/// filtered ranking, one shard's worth for a shard server) and
+/// [`KgcModel::score_gathered`] over a candidate list (`n_s` rows for
+/// sampled evaluation). That is the paper's whole cost model, and the only
+/// scoring surface an implementation writes.
+///
+/// **Row contract:** the score of row `e` depends on `(q, e)` alone —
+/// never on its neighbours, the range it arrived in, or which primitive
+/// computed it — so any partition of `0..|E|` through `score_rows` and any
+/// candidate list through `score_gathered` yield the same bits per entity.
+/// Shard, thread, node and full-vs-sampled parity all rest on this.
 pub trait KgcModel: Send + Sync {
     /// Human-readable model name (e.g. `"ComplEx"`).
     fn name(&self) -> &'static str;
@@ -28,33 +43,33 @@ pub trait KgcModel: Send + Sync {
         crate::kernels::Precision::F32
     }
 
-    /// Score a single triple.
-    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32;
+    /// Length of a prepared query, in floats.
+    fn query_len(&self) -> usize;
 
-    /// Scores of *every* entity as the tail of `(h, r, ?)`;
-    /// `out.len() == num_entities()`.
-    fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]);
+    /// Prepare `triple`'s query on `side` into `q`
+    /// (`q.len() == query_len()`): everything the row primitives need that
+    /// does not depend on the candidate.
+    fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]);
 
-    /// Scores of *every* entity as the head of `(?, r, t)`.
-    fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]);
+    /// Scores of the contiguous entity range `rows` against the prepared
+    /// query `q`; `out.len() == rows.len()`.
+    fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]);
 
-    /// Scores of a candidate subset as tails of `(h, r, ?)`.
-    fn score_tail_candidates(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    );
+    /// Scores of the gathered `candidates` against the prepared query `q`;
+    /// `out.len() == candidates.len()`.
+    fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]);
 
-    /// Scores of a candidate subset as heads of `(?, r, t)`.
-    fn score_head_candidates(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    );
+    /// Score a single triple (its tail query against its own tail).
+    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
+        let mut out = [0.0f32];
+        self.score_candidates(
+            Triple { head: h, relation: r, tail: t },
+            QuerySide::Tail,
+            &[t],
+            &mut out,
+        );
+        out[0]
+    }
 
     /// Scores of a candidate subset answering `triple`'s query on `side`.
     fn score_candidates(
@@ -64,78 +79,28 @@ pub trait KgcModel: Send + Sync {
         candidates: &[EntityId],
         out: &mut [f32],
     ) {
-        match side {
-            QuerySide::Tail => {
-                self.score_tail_candidates(triple.head, triple.relation, candidates, out)
-            }
-            QuerySide::Head => {
-                self.score_head_candidates(triple.relation, triple.tail, candidates, out)
-            }
-        }
+        self.score_gathered(&prepared_query(self, triple, side), candidates, out);
     }
 
-    /// Scores of every entity answering `triple`'s query on `side`.
+    /// Scores of every entity answering `triple`'s query on `side`;
+    /// `out.len() == num_entities()`. The reference row tests compare the
+    /// streamed engine against; ranking itself goes through
+    /// [`crate::engine`], which never materialises it.
     fn score_all(&self, triple: Triple, side: QuerySide, out: &mut [f32]) {
-        match side {
-            QuerySide::Tail => self.score_tails(triple.head, triple.relation, out),
-            QuerySide::Head => self.score_heads(triple.relation, triple.tail, out),
-        }
+        self.score_rows(&prepared_query(self, triple, side), 0..self.num_entities(), out);
     }
+}
 
-    /// Whether [`KgcModel::score_tails_range`] / `score_heads_range` are
-    /// overridden to score only the requested slice of the embedding table.
-    ///
-    /// When `false` the default range implementations fall back to scoring a
-    /// full row and copying the slice out — correct for every model
-    /// (including reciprocal-relation head scorers), but `O(|E|)` per call.
-    /// The sharded scoring engine consults this to score such models with
-    /// one full-row pass per query instead of one per shard.
-    fn supports_range_scoring(&self) -> bool {
-        false
-    }
-
-    /// Scores of entities `range` as tails of `(h, r, ?)`;
-    /// `out.len() == range.len()`. Must equal the same slice of
-    /// [`KgcModel::score_tails`]'s output bit-for-bit.
-    fn score_tails_range(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut full = vec![0.0f32; self.num_entities()];
-        self.score_tails(h, r, &mut full);
-        out.copy_from_slice(&full[range]);
-    }
-
-    /// Scores of entities `range` as heads of `(?, r, t)`; same contract as
-    /// [`KgcModel::score_tails_range`].
-    fn score_heads_range(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut full = vec![0.0f32; self.num_entities()];
-        self.score_heads(r, t, &mut full);
-        out.copy_from_slice(&full[range]);
-    }
-
-    /// Scores of entities `range` answering `triple`'s query on `side`.
-    fn score_range(
-        &self,
-        triple: Triple,
-        side: QuerySide,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        match side {
-            QuerySide::Tail => self.score_tails_range(triple.head, triple.relation, range, out),
-            QuerySide::Head => self.score_heads_range(triple.relation, triple.tail, range, out),
-        }
-    }
+/// The prepared query for `(triple, side)` in a fresh buffer. Callers that
+/// score many rows build it here once and share it read-only.
+pub(crate) fn prepared_query<M: KgcModel + ?Sized>(
+    model: &M,
+    triple: Triple,
+    side: QuerySide,
+) -> Vec<f32> {
+    let mut q = vec![0.0f32; model.query_len()];
+    model.build_query(triple, side, &mut q);
+    q
 }
 
 /// A model that can take gradient steps.
@@ -242,90 +207,51 @@ pub(crate) mod gradcheck {
         );
     }
 
-    /// Assert the vectorised scorers agree with `score` on every entity.
+    /// Assert the row primitives agree with `score` on every entity.
     ///
     /// Models using reciprocal relations for head queries (ConvE) should use
-    /// [`assert_scorers_consistent_recip`] instead: their `score_heads` is
+    /// [`assert_scorers_consistent_recip`] instead: their head query is
     /// *deliberately* a different function than `score(·, r, t)`.
     #[allow(clippy::needless_range_loop)] // symmetric/dual-index loop
     pub fn assert_scorers_consistent<M: KgcModel>(model: &M, r: RelationId) {
         let n = model.num_entities();
-        let mut tails = vec![0.0f32; n];
         let mut heads = vec![0.0f32; n];
-        let h = EntityId(0);
-        let t = EntityId((n - 1) as u32);
-        model.score_tails(h, r, &mut tails);
-        model.score_heads(r, t, &mut heads);
+        let query = Triple { head: EntityId(0), relation: r, tail: EntityId((n - 1) as u32) };
+        model.score_all(query, QuerySide::Head, &mut heads);
         for e in 0..n {
-            let eid = EntityId(e as u32);
-            let st = model.score(h, r, eid);
-            let sh = model.score(eid, r, t);
-            assert!(
-                (tails[e] - st).abs() < 1e-3,
-                "{}: score_tails[{e}] = {} but score = {}",
-                model.name(),
-                tails[e],
-                st
-            );
+            let sh = model.score(EntityId(e as u32), r, query.tail);
             assert!(
                 (heads[e] - sh).abs() < 1e-3,
-                "{}: score_heads[{e}] = {} but score = {}",
+                "{}: head row[{e}] = {} but score = {}",
                 model.name(),
                 heads[e],
                 sh
             );
         }
-        // Candidate scorer agrees with the full scorer.
-        let cands: Vec<EntityId> = (0..n as u32).step_by(2).map(EntityId).collect();
-        let mut out = vec![0.0f32; cands.len()];
-        model.score_tail_candidates(h, r, &cands, &mut out);
-        for (i, &c) in cands.iter().enumerate() {
-            assert!((out[i] - tails[c.index()]).abs() < 1e-4);
-        }
-        let mut out_h = vec![0.0f32; cands.len()];
-        model.score_head_candidates(r, t, &cands, &mut out_h);
-        for (i, &c) in cands.iter().enumerate() {
-            assert!((out_h[i] - heads[c.index()]).abs() < 1e-4);
-        }
+        assert_scorers_consistent_recip(model, r);
     }
 
-    /// Scorer consistency for reciprocal-relation models: the tail side must
-    /// match `score`, and the head side must be internally consistent
-    /// (`score_heads` ↔ `score_head_candidates`) even though it evaluates the
-    /// inverse relation.
-    #[allow(clippy::needless_range_loop)] // dual-index loops
+    /// Scorer consistency for reciprocal-relation models: on both sides the
+    /// gathered primitive must return the range primitive's bits. (The tail
+    /// side is `score` by definition; the head side evaluates the inverse
+    /// relation, so it is only checked against itself.)
     pub fn assert_scorers_consistent_recip<M: KgcModel>(model: &M, r: RelationId) {
         let n = model.num_entities();
-        let h = EntityId(0);
-        let t = EntityId((n - 1) as u32);
-        let mut tails = vec![0.0f32; n];
-        model.score_tails(h, r, &mut tails);
-        for e in 0..n {
-            let st = model.score(h, r, EntityId(e as u32));
-            assert!(
-                (tails[e] - st).abs() < 1e-3,
-                "{}: score_tails[{e}] = {} but score = {}",
-                model.name(),
-                tails[e],
-                st
-            );
-        }
-        let mut heads = vec![0.0f32; n];
-        model.score_heads(r, t, &mut heads);
-        let cands: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-        let mut out = vec![0.0f32; n];
-        model.score_head_candidates(r, t, &cands, &mut out);
-        for e in 0..n {
-            assert!(
-                (out[e] - heads[e]).abs() < 1e-4,
-                "{}: head candidate scorer disagrees at {e}",
-                model.name()
-            );
-        }
-        let mut out_t = vec![0.0f32; n];
-        model.score_tail_candidates(h, r, &cands, &mut out_t);
-        for e in 0..n {
-            assert!((out_t[e] - tails[e]).abs() < 1e-4);
+        let query = Triple { head: EntityId(0), relation: r, tail: EntityId((n - 1) as u32) };
+        let cands: Vec<EntityId> = (0..n as u32).step_by(2).map(EntityId).collect();
+        for side in QuerySide::BOTH {
+            let mut row = vec![0.0f32; n];
+            model.score_all(query, side, &mut row);
+            let mut out = vec![0.0f32; cands.len()];
+            model.score_candidates(query, side, &cands, &mut out);
+            for (i, &c) in cands.iter().enumerate() {
+                assert_eq!(
+                    out[i].to_bits(),
+                    row[c.index()].to_bits(),
+                    "{}: {side:?} candidate scorer disagrees at {c:?}",
+                    model.name()
+                );
+            }
         }
     }
 }

@@ -15,6 +15,8 @@
 //! error in ways the affine bound does not cover), and
 //! [`KgcModel::precision`] reports what the model actually runs at.
 
+use std::ops::Range;
+
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, KgError, RelationId, Triple};
 
@@ -27,7 +29,7 @@ use crate::{ComplEx, DistMult, Rescal, RotatE, TransE};
 /// A trained model re-materialised for serving with quantized entity
 /// storage. Built from a [`ModelSnapshot`] via
 /// [`QuantizedModel::from_snapshot`]; supports the full scoring surface
-/// (including range scoring for sharded engines) but not training.
+/// but not training.
 pub struct QuantizedModel {
     kind: ModelKind,
     dim: usize,
@@ -123,69 +125,6 @@ impl QuantizedModel {
         let i = r.index();
         &self.relations[i * self.rel_stride..(i + 1) * self.rel_stride]
     }
-
-    /// Build the tail-side query vector for `(h, r, ?)` into `q`
-    /// (`q.len() == dim`), dequantizing the context row.
-    fn tail_query(&self, h: EntityId, r: RelationId, q: &mut [f32]) {
-        let mut ctx = vec![0.0f32; self.dim];
-        self.entities.dequantize_row(h.index(), &mut ctx);
-        let re = self.relation(r);
-        match self.kind {
-            ModelKind::TransE => TransE::tail_query_into(&ctx, re, q),
-            ModelKind::DistMult => DistMult::query_into(&ctx, re, q),
-            ModelKind::ComplEx => ComplEx::tail_query_into(&ctx, re, q),
-            ModelKind::Rescal => Rescal::tail_query_into(&ctx, re, q),
-            ModelKind::RotatE => RotatE::tail_query_into(&ctx, re, q),
-            ModelKind::TuckEr | ModelKind::ConvE => unreachable!("rejected at construction"),
-        }
-    }
-
-    /// Build the head-side query vector for `(?, r, t)` into `q`.
-    fn head_query(&self, r: RelationId, t: EntityId, q: &mut [f32]) {
-        let mut ctx = vec![0.0f32; self.dim];
-        self.entities.dequantize_row(t.index(), &mut ctx);
-        let re = self.relation(r);
-        match self.kind {
-            ModelKind::TransE => TransE::head_query_into(&ctx, re, q),
-            ModelKind::DistMult => DistMult::query_into(&ctx, re, q),
-            ModelKind::ComplEx => ComplEx::head_query_into(&ctx, re, q),
-            ModelKind::Rescal => Rescal::head_query_into(&ctx, re, q),
-            ModelKind::RotatE => RotatE::head_query_into(&ctx, re, q),
-            ModelKind::TuckEr | ModelKind::ConvE => unreachable!("rejected at construction"),
-        }
-    }
-
-    fn query_for(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
-        match side {
-            QuerySide::Tail => self.tail_query(triple.head, triple.relation, q),
-            QuerySide::Head => self.head_query(triple.relation, triple.tail, q),
-        }
-    }
-
-    /// Score entities `range` against a prepared query vector.
-    fn combine_query_range(&self, q: &[f32], range: std::ops::Range<usize>, out: &mut [f32]) {
-        if self.kind == ModelKind::RotatE {
-            // RotatE's modulus distance has no affine-fused kernel; score
-            // row-by-row over dequantized candidates.
-            let mut row = vec![0.0f32; self.dim];
-            for (o, e) in out.iter_mut().zip(range) {
-                self.entities.dequantize_row(e, &mut row);
-                *o = RotatE::mod_distance_slices(q, &row);
-            }
-        } else {
-            self.entities.combine_range(self.combine(), q, range, out);
-        }
-    }
-
-    fn combine_query_one(&self, q: &[f32], e: usize) -> f32 {
-        if self.kind == ModelKind::RotatE {
-            let mut row = vec![0.0f32; self.dim];
-            self.entities.dequantize_row(e, &mut row);
-            RotatE::mod_distance_slices(q, &row)
-        } else {
-            self.entities.combine_one(self.combine(), q, e)
-        }
-    }
 }
 
 impl KgcModel for QuantizedModel {
@@ -209,96 +148,56 @@ impl KgcModel for QuantizedModel {
         self.entities.precision()
     }
 
-    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        self.combine_query_one(&q, t.index())
+    fn query_len(&self) -> usize {
+        self.dim
     }
 
-    fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        self.combine_query_range(&q, 0..self.entities.count(), out);
-    }
-
-    fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        self.combine_query_range(&q, 0..self.entities.count(), out);
-    }
-
-    fn supports_range_scoring(&self) -> bool {
-        true
-    }
-
-    fn score_tails_range(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        self.combine_query_range(&q, range, out);
-    }
-
-    fn score_heads_range(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        self.combine_query_range(&q, range, out);
-    }
-
-    fn score_tail_candidates(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        for (o, &c) in out.iter_mut().zip(candidates) {
-            *o = self.combine_query_one(&q, c.index());
+    /// The family's query builder over the *dequantized* context row.
+    fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+        let mut ctx = vec![0.0f32; self.dim];
+        self.entities.dequantize_row(side.context(triple).index(), &mut ctx);
+        let re = self.relation(triple.relation);
+        match (self.kind, side) {
+            (ModelKind::TransE, QuerySide::Tail) => TransE::tail_query_into(&ctx, re, q),
+            (ModelKind::TransE, QuerySide::Head) => TransE::head_query_into(&ctx, re, q),
+            (ModelKind::DistMult, _) => DistMult::query_into(&ctx, re, q),
+            (ModelKind::ComplEx, QuerySide::Tail) => ComplEx::tail_query_into(&ctx, re, q),
+            (ModelKind::ComplEx, QuerySide::Head) => ComplEx::head_query_into(&ctx, re, q),
+            (ModelKind::Rescal, QuerySide::Tail) => Rescal::tail_query_into(&ctx, re, q),
+            (ModelKind::Rescal, QuerySide::Head) => Rescal::head_query_into(&ctx, re, q),
+            (ModelKind::RotatE, QuerySide::Tail) => RotatE::tail_query_into(&ctx, re, q),
+            (ModelKind::RotatE, QuerySide::Head) => RotatE::head_query_into(&ctx, re, q),
+            (ModelKind::TuckEr | ModelKind::ConvE, _) => unreachable!("rejected at construction"),
         }
     }
 
-    fn score_head_candidates(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        for (o, &c) in out.iter_mut().zip(candidates) {
-            *o = self.combine_query_one(&q, c.index());
+    fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        if self.kind == ModelKind::RotatE {
+            // RotatE's modulus distance has no affine-fused kernel; score
+            // row-by-row over dequantized candidates.
+            let mut row = vec![0.0f32; self.dim];
+            for (o, e) in out.iter_mut().zip(rows) {
+                self.entities.dequantize_row(e, &mut row);
+                *o = RotatE::mod_distance_slices(q, &row);
+            }
+        } else {
+            self.entities.combine_range(self.combine(), q, rows, out);
         }
     }
-}
 
-// QuerySide-based helper used by tests and the engine via score_range's
-// default; keep the explicit impl so the borrow of `q` is obvious.
-impl QuantizedModel {
-    /// Scores of entities `range` answering `triple`'s query on `side`
-    /// (convenience mirror of [`KgcModel::score_range`]).
-    pub fn score_query_range(
-        &self,
-        triple: Triple,
-        side: QuerySide,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.query_for(triple, side, &mut q);
-        self.combine_query_range(&q, range, out);
+    fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+        if self.kind == ModelKind::RotatE {
+            let mut row = vec![0.0f32; self.dim];
+            for (o, &c) in out.iter_mut().zip(candidates) {
+                self.entities.dequantize_row(c.index(), &mut row);
+                *o = RotatE::mod_distance_slices(q, &row);
+            }
+        } else {
+            let op = self.combine();
+            for (o, &c) in out.iter_mut().zip(candidates) {
+                *o = self.entities.combine_one(op, q, c.index());
+            }
+        }
     }
 }
 
@@ -334,8 +233,9 @@ mod tests {
                 let n = quant.num_entities();
                 let mut want = vec![0.0f32; n];
                 let mut got = vec![0.0f32; n];
-                exact.score_tails(EntityId(3), RelationId(1), &mut want);
-                quant.score_tails(EntityId(3), RelationId(1), &mut got);
+                let query = Triple::new(3, 1, 0);
+                exact.score_all(query, QuerySide::Tail, &mut want);
+                quant.score_all(query, QuerySide::Tail, &mut got);
                 // Embeddings here are O(1); affine int8 error per dim is
                 // ≤ scale/2 ≈ range/510, so a loose absolute budget holds.
                 let tol = if precision == Precision::F16 { 5e-3 } else { 5e-2 };
@@ -359,18 +259,21 @@ mod tests {
             let quant = QuantizedModel::from_snapshot(&snap, Precision::Int8).unwrap();
             let n = quant.num_entities();
             let mut full = vec![0.0f32; n];
-            quant.score_heads(RelationId(0), EntityId(7), &mut full);
+            let query = Triple::new(0, 0, 7);
+            quant.score_all(query, QuerySide::Head, &mut full);
+            let mut q = vec![0.0f32; quant.query_len()];
+            quant.build_query(query, QuerySide::Head, &mut q);
             let mut part = vec![0.0f32; 4];
-            quant.score_heads_range(RelationId(0), EntityId(7), 3..7, &mut part);
+            quant.score_rows(&q, 3..7, &mut part);
             assert_eq!(&part, &full[3..7], "{}: range ≠ full slice", kind.name());
             let cands = [EntityId(8), EntityId(0), EntityId(5)];
             let mut cs = vec![0.0f32; 3];
-            quant.score_head_candidates(RelationId(0), EntityId(7), &cands, &mut cs);
+            quant.score_gathered(&q, &cands, &mut cs);
             for (i, &c) in cands.iter().enumerate() {
                 assert_eq!(cs[i], full[c.index()], "{}: candidate ≠ full", kind.name());
             }
-            // score() agrees with score_tails.
-            quant.score_tails(EntityId(2), RelationId(2), &mut full);
+            // score() agrees with the tail row.
+            quant.score_all(Triple::new(2, 2, 0), QuerySide::Tail, &mut full);
             let one = quant.score(EntityId(2), RelationId(2), EntityId(9));
             assert_eq!(one, full[9]);
         }

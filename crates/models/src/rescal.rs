@@ -1,13 +1,13 @@
 //! RESCAL (Nickel et al., 2011): `score(h,r,t) = e_hᵀ · W_r · e_t` with a
 //! full `d × d` interaction matrix per relation.
 
+use std::ops::Range;
+
 use kg_core::triple::QuerySide;
-use kg_core::{EntityId, RelationId, Triple};
+use kg_core::{EntityId, Triple};
 use rand::Rng;
 
-use crate::embedding::{
-    combine_all, combine_candidates, combine_range, combine_row, Combine, EmbeddingTable,
-};
+use crate::embedding::{combine_candidates, combine_range, Combine, EmbeddingTable};
 use crate::model::{KgcModel, TrainableModel};
 
 /// Bilinear tensor factorisation with per-relation matrices.
@@ -58,14 +58,6 @@ impl Rescal {
             q[i] = acc;
         }
     }
-
-    fn tail_query(&self, h: EntityId, r: RelationId, q: &mut [f32]) {
-        Self::tail_query_into(self.entities.row(h.index()), self.relations.row(r.index()), q);
-    }
-
-    fn head_query(&self, r: RelationId, t: EntityId, q: &mut [f32]) {
-        Self::head_query_into(self.entities.row(t.index()), self.relations.row(r.index()), q);
-    }
 }
 
 impl KgcModel for Rescal {
@@ -85,74 +77,25 @@ impl KgcModel for Rescal {
         self.relations.count()
     }
 
-    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_row(Combine::Dot, &self.entities, &q, t.index())
+    fn query_len(&self) -> usize {
+        self.dim
     }
 
-    fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_all(Combine::Dot, &self.entities, &q, out);
+    fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+        let ctx = self.entities.row(side.context(triple).index());
+        let rel = self.relations.row(triple.relation.index());
+        match side {
+            QuerySide::Tail => Self::tail_query_into(ctx, rel, q),
+            QuerySide::Head => Self::head_query_into(ctx, rel, q),
+        }
     }
 
-    fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        combine_all(Combine::Dot, &self.entities, &q, out);
+    fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        combine_range(Combine::Dot, &self.entities, q, rows, out);
     }
 
-    fn supports_range_scoring(&self) -> bool {
-        true
-    }
-
-    fn score_tails_range(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_range(Combine::Dot, &self.entities, &q, range, out);
-    }
-
-    fn score_heads_range(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        combine_range(Combine::Dot, &self.entities, &q, range, out);
-    }
-
-    fn score_tail_candidates(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_candidates(Combine::Dot, &self.entities, &q, candidates, out);
-    }
-
-    fn score_head_candidates(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        combine_candidates(Combine::Dot, &self.entities, &q, candidates, out);
+    fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+        combine_candidates(Combine::Dot, &self.entities, q, candidates, out);
     }
 }
 
@@ -172,10 +115,7 @@ impl TrainableModel for Rescal {
         let r = pos.relation;
 
         let mut q = vec![0.0f32; d];
-        match side {
-            QuerySide::Tail => self.tail_query(context, r, &mut q),
-            QuerySide::Head => self.head_query(r, context, &mut q),
-        }
+        self.build_query(pos, side, &mut q);
         // v = Σ w_c e_c.
         let mut v = vec![0.0f32; d];
         let mut grad_cand = vec![0.0f32; d];
@@ -231,6 +171,7 @@ mod tests {
     use super::*;
     use crate::model::gradcheck;
     use kg_core::sample::seeded_rng;
+    use kg_core::RelationId;
 
     fn model() -> Rescal {
         Rescal::new(8, 3, 4, &mut seeded_rng(21))

@@ -4,8 +4,10 @@
 //! Entity embeddings are complex (`[re…, im…]` layout, `m = dim/2` complex
 //! dimensions); relation parameters are the `m` phases `θ`.
 
+use std::ops::Range;
+
 use kg_core::triple::QuerySide;
-use kg_core::{EntityId, RelationId, Triple};
+use kg_core::{EntityId, Triple};
 use rand::Rng;
 
 use crate::embedding::EmbeddingTable;
@@ -72,18 +74,6 @@ impl RotatE {
         }
         -acc
     }
-
-    fn tail_query(&self, h: EntityId, r: RelationId, q: &mut [f32]) {
-        Self::tail_query_into(self.entities.row(h.index()), self.phases.row(r.index()), q);
-    }
-
-    fn head_query(&self, r: RelationId, t: EntityId, q: &mut [f32]) {
-        Self::head_query_into(self.entities.row(t.index()), self.phases.row(r.index()), q);
-    }
-
-    fn mod_distance(&self, q: &[f32], e: &[f32]) -> f32 {
-        Self::mod_distance_slices(q, e)
-    }
 }
 
 impl KgcModel for RotatE {
@@ -103,85 +93,28 @@ impl KgcModel for RotatE {
         self.phases.count()
     }
 
-    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        self.mod_distance(&q, self.entities.row(t.index()))
+    fn query_len(&self) -> usize {
+        self.dim
     }
 
-    fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        for (e, o) in out.iter_mut().enumerate() {
-            *o = self.mod_distance(&q, self.entities.row(e));
+    fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+        let ctx = self.entities.row(side.context(triple).index());
+        let th = self.phases.row(triple.relation.index());
+        match side {
+            QuerySide::Tail => Self::tail_query_into(ctx, th, q),
+            QuerySide::Head => Self::head_query_into(ctx, th, q),
         }
     }
 
-    fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        for (e, o) in out.iter_mut().enumerate() {
-            *o = self.mod_distance(&q, self.entities.row(e));
+    fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        for (o, e) in out.iter_mut().zip(rows) {
+            *o = Self::mod_distance_slices(q, self.entities.row(e));
         }
     }
 
-    fn supports_range_scoring(&self) -> bool {
-        true
-    }
-
-    fn score_tails_range(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        for (o, e) in out.iter_mut().zip(range) {
-            *o = self.mod_distance(&q, self.entities.row(e));
-        }
-    }
-
-    fn score_heads_range(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        range: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        for (o, e) in out.iter_mut().zip(range) {
-            *o = self.mod_distance(&q, self.entities.row(e));
-        }
-    }
-
-    fn score_tail_candidates(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
+    fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
         for (o, &c) in out.iter_mut().zip(candidates) {
-            *o = self.mod_distance(&q, self.entities.row(c.index()));
-        }
-    }
-
-    fn score_head_candidates(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        for (o, &c) in out.iter_mut().zip(candidates) {
-            *o = self.mod_distance(&q, self.entities.row(c.index()));
+            *o = Self::mod_distance_slices(q, self.entities.row(c.index()));
         }
     }
 }
@@ -267,6 +200,7 @@ mod tests {
     use super::*;
     use crate::model::gradcheck;
     use kg_core::sample::seeded_rng;
+    use kg_core::RelationId;
 
     fn model() -> RotatE {
         RotatE::new(8, 3, 8, &mut seeded_rng(31))
@@ -291,7 +225,7 @@ mod tests {
         let mut m = RotatE::new(2, 1, 4, &mut seeded_rng(6));
         m.entities.row_mut(0).copy_from_slice(&[1.0, 0.5, -0.3, 0.8]);
         let mut q = vec![0.0f32; 4];
-        m.tail_query(EntityId(0), RelationId(0), &mut q);
+        m.build_query(Triple::new(0, 0, 1), QuerySide::Tail, &mut q);
         m.entities.row_mut(1).copy_from_slice(&q);
         let s = m.score(EntityId(0), RelationId(0), EntityId(1));
         assert!(s.abs() < 1e-5, "perfect rotation should score 0, got {s}");
@@ -311,7 +245,7 @@ mod tests {
     fn scores_are_nonpositive() {
         let m = model();
         let mut out = vec![0.0f32; 8];
-        m.score_tails(EntityId(0), RelationId(0), &mut out);
+        m.score_all(Triple::new(0, 0, 0), QuerySide::Tail, &mut out);
         assert!(out.iter().all(|&s| s <= 0.0));
     }
 }

@@ -8,11 +8,13 @@
 //! number of candidates is `O(d)` each — the same structure the trainer's
 //! grouped steps exploit.
 
+use std::ops::Range;
+
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, RelationId, Triple};
 use rand::Rng;
 
-use crate::embedding::{combine_all, combine_candidates, combine_row, Combine, EmbeddingTable};
+use crate::embedding::{combine_candidates, combine_range, Combine, EmbeddingTable};
 use crate::model::{KgcModel, TrainableModel};
 
 /// Tucker-decomposition model with a shared core tensor.
@@ -120,46 +122,23 @@ impl KgcModel for TuckEr {
         self.relations.count()
     }
 
-    fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_row(Combine::Dot, &self.entities, &q, t.index())
+    fn query_len(&self) -> usize {
+        self.dim
     }
 
-    fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_all(Combine::Dot, &self.entities, &q, out);
+    fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+        match side {
+            QuerySide::Tail => self.tail_query(triple.head, triple.relation, q),
+            QuerySide::Head => self.head_query(triple.relation, triple.tail, q),
+        }
     }
 
-    fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        combine_all(Combine::Dot, &self.entities, &q, out);
+    fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        combine_range(Combine::Dot, &self.entities, q, rows, out);
     }
 
-    fn score_tail_candidates(
-        &self,
-        h: EntityId,
-        r: RelationId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.tail_query(h, r, &mut q);
-        combine_candidates(Combine::Dot, &self.entities, &q, candidates, out);
-    }
-
-    fn score_head_candidates(
-        &self,
-        r: RelationId,
-        t: EntityId,
-        candidates: &[EntityId],
-        out: &mut [f32],
-    ) {
-        let mut q = vec![0.0f32; self.dim];
-        self.head_query(r, t, &mut q);
-        combine_candidates(Combine::Dot, &self.entities, &q, candidates, out);
+    fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+        combine_candidates(Combine::Dot, &self.entities, q, candidates, out);
     }
 }
 
@@ -180,10 +159,7 @@ impl TrainableModel for TuckEr {
 
         // Candidate gradients: score is linear in e_c with coefficient q.
         let mut q = vec![0.0f32; d];
-        match side {
-            QuerySide::Tail => self.tail_query(context, r, &mut q),
-            QuerySide::Head => self.head_query(r, context, &mut q),
-        }
+        self.build_query(pos, side, &mut q);
         let mut v = vec![0.0f32; d];
         let mut grad_cand = vec![0.0f32; d];
         for (&cand, &w) in candidates.iter().zip(coeffs) {

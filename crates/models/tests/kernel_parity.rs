@@ -11,6 +11,7 @@
 //!    a documented accuracy budget on a *trained* model.
 
 use kg_core::sample::seeded_rng;
+use kg_core::triple::QuerySide;
 use kg_core::{EntityId, RelationId, Triple};
 use kg_models::io::snapshot_model;
 use kg_models::kernels::{self, Combine, Isa};
@@ -130,10 +131,13 @@ fn all_families_bit_identical_across_forced_isas() {
             let mut heads = vec![0.0f32; n];
             let mut range = vec![0.0f32; 14];
             let mut cand = vec![0.0f32; cands.len()];
-            model.score_tails(EntityId(2), RelationId(1), &mut tails);
-            model.score_heads(RelationId(2), EntityId(9), &mut heads);
-            model.score_tails_range(EntityId(2), RelationId(1), 5..19, &mut range);
-            model.score_tail_candidates(EntityId(2), RelationId(1), &cands, &mut cand);
+            let tail_query = Triple::new(2, 1, 0);
+            model.score_all(tail_query, QuerySide::Tail, &mut tails);
+            model.score_all(Triple::new(0, 2, 9), QuerySide::Head, &mut heads);
+            let mut q = vec![0.0f32; model.query_len()];
+            model.build_query(tail_query, QuerySide::Tail, &mut q);
+            model.score_rows(&q, 5..19, &mut range);
+            model.score_candidates(tail_query, QuerySide::Tail, &cands, &mut cand);
             let point = model.score(EntityId(1), RelationId(0), EntityId(3));
             (tails, heads, range, cand, point)
         };
@@ -141,8 +145,8 @@ fn all_families_bit_identical_across_forced_isas() {
         let fast = run(best);
         kernels::force(best);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        assert_eq!(bits(&scalar.0), bits(&fast.0), "{}: score_tails diverged", kind.name());
-        assert_eq!(bits(&scalar.1), bits(&fast.1), "{}: score_heads diverged", kind.name());
+        assert_eq!(bits(&scalar.0), bits(&fast.0), "{}: tail row diverged", kind.name());
+        assert_eq!(bits(&scalar.1), bits(&fast.1), "{}: head row diverged", kind.name());
         assert_eq!(bits(&scalar.2), bits(&fast.2), "{}: range scoring diverged", kind.name());
         assert_eq!(bits(&scalar.3), bits(&fast.3), "{}: candidates diverged", kind.name());
         assert_eq!(scalar.4.to_bits(), fast.4.to_bits(), "{}: point score", kind.name());
@@ -174,7 +178,7 @@ fn quantized_accuracy_budget_on_trained_model() {
     // Optimistic rank of the true tail under full ranking.
     let rank_of = |m: &dyn kg_models::KgcModel, t: &Triple| -> usize {
         let mut scores = vec![0.0f32; n];
-        m.score_tails(t.head, t.relation, &mut scores);
+        m.score_all(*t, QuerySide::Tail, &mut scores);
         let truth = scores[t.tail.index()];
         1 + scores.iter().filter(|&&s| s > truth).count()
     };

@@ -584,7 +584,7 @@ impl TopKBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kg_core::{EntityId, RelationId};
+    use kg_core::EntityId;
     use kg_models::KgcModel;
 
     struct Linear {
@@ -604,40 +604,36 @@ mod tests {
         fn num_relations(&self) -> usize {
             4
         }
-        fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-            h.0 as f32 * 10_000.0 + r.0 as f32 * 100.0 + t.0 as f32
+        fn query_len(&self) -> usize {
+            3
         }
-        fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-            for (t, o) in out.iter_mut().enumerate() {
-                *o = self.score(h, r, EntityId(t as u32));
+        /// `[context entity, relation, 1.0 on the head side]`.
+        fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+            let head_side = if side == QuerySide::Head { 1.0 } else { 0.0 };
+            q.copy_from_slice(&[
+                side.context(triple).0 as f32,
+                triple.relation.0 as f32,
+                head_side,
+            ]);
+        }
+        fn score_rows(&self, q: &[f32], rows: std::ops::Range<usize>, out: &mut [f32]) {
+            for (o, e) in out.iter_mut().zip(rows) {
+                *o = Linear::row(q, e);
             }
         }
-        fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-            for (h, o) in out.iter_mut().enumerate() {
-                *o = self.score(EntityId(h as u32), r, t);
-            }
-        }
-        fn score_tail_candidates(
-            &self,
-            h: EntityId,
-            r: RelationId,
-            candidates: &[EntityId],
-            out: &mut [f32],
-        ) {
+        fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
             for (o, &c) in out.iter_mut().zip(candidates) {
-                *o = self.score(h, r, c);
+                *o = Linear::row(q, c.index());
             }
         }
-        fn score_head_candidates(
-            &self,
-            r: RelationId,
-            t: EntityId,
-            candidates: &[EntityId],
-            out: &mut [f32],
-        ) {
-            for (o, &c) in out.iter_mut().zip(candidates) {
-                *o = self.score(c, r, t);
-            }
+    }
+
+    impl Linear {
+        /// `score(h, r, t) = 10000·h + 100·r + t` with row `e` in the slot
+        /// the query leaves open.
+        fn row(q: &[f32], e: usize) -> f32 {
+            let (h, t) = if q[2] == 0.0 { (q[0], e as f32) } else { (e as f32, q[0]) };
+            h * 10_000.0 + q[1] * 100.0 + t
         }
     }
 
@@ -776,33 +772,18 @@ mod tests {
         fn num_relations(&self) -> usize {
             self.inner.num_relations()
         }
-        fn score(&self, h: EntityId, r: RelationId, t: EntityId) -> f32 {
-            assert_ne!(h.0, 13, "poison triple");
-            self.inner.score(h, r, t)
+        fn query_len(&self) -> usize {
+            self.inner.query_len()
         }
-        fn score_tails(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
-            self.inner.score_tails(h, r, out)
+        fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
+            assert_ne!(triple.head.0, 13, "poison triple");
+            self.inner.build_query(triple, side, q)
         }
-        fn score_heads(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
-            self.inner.score_heads(r, t, out)
+        fn score_rows(&self, q: &[f32], rows: std::ops::Range<usize>, out: &mut [f32]) {
+            self.inner.score_rows(q, rows, out)
         }
-        fn score_tail_candidates(
-            &self,
-            h: EntityId,
-            r: RelationId,
-            candidates: &[EntityId],
-            out: &mut [f32],
-        ) {
-            self.inner.score_tail_candidates(h, r, candidates, out)
-        }
-        fn score_head_candidates(
-            &self,
-            r: RelationId,
-            t: EntityId,
-            candidates: &[EntityId],
-            out: &mut [f32],
-        ) {
-            self.inner.score_head_candidates(r, t, candidates, out)
+        fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
+            self.inner.score_gathered(q, candidates, out)
         }
     }
 

@@ -94,18 +94,13 @@ fn every_model_survives_the_full_protocol() {
     }
 }
 
+/// The paper's Theorem 1, bit-exact, for every model family: full and
+/// sampled evaluation share one row scorer, so sampling every entity
+/// reproduces the filtered ranks exactly — no tolerance.
 #[test]
 fn sampling_everything_recovers_the_full_ranking() {
     let d = dataset();
-    let mut model = build_model(ModelKind::DistMult, d.num_entities(), d.num_relations(), 16, 5);
-    train(
-        model.as_mut(),
-        d.train.triples(),
-        &TrainConfig { epochs: 3, ..Default::default() },
-        None,
-    );
     let test: Vec<_> = d.test.iter().copied().take(60).collect();
-    let full = evaluate_full(model.as_ref(), &test, &d.filter, TieBreak::Mean, 2);
     let samples = sample_candidates(
         SamplingStrategy::Random,
         d.num_entities(),
@@ -115,9 +110,20 @@ fn sampling_everything_recovers_the_full_ranking() {
         None,
         &mut seeded_rng(1),
     );
-    let est = evaluate_sampled(model.as_ref(), &test, &d.filter, &samples, TieBreak::Mean, 2);
-    assert_eq!(full.ranks, est.ranks, "n_s = |E| must reproduce exact filtered ranks");
-    assert_eq!(full.metrics, est.metrics);
+    for kind in ModelKind::ALL {
+        let mut model = build_model(kind, d.num_entities(), d.num_relations(), 16, 5);
+        train(
+            model.as_mut(),
+            d.train.triples(),
+            &TrainConfig { epochs: 3, ..Default::default() },
+            None,
+        );
+        let full = evaluate_full(model.as_ref(), &test, &d.filter, TieBreak::Mean, 2);
+        let est = evaluate_sampled(model.as_ref(), &test, &d.filter, &samples, TieBreak::Mean, 2);
+        let name = kind.name();
+        assert_eq!(full.ranks, est.ranks, "{name}: n_s = |E| must reproduce exact filtered ranks");
+        assert_eq!(full.metrics, est.metrics, "{name}");
+    }
 }
 
 #[test]
