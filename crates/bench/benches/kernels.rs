@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use kg_core::sample::{seeded_rng, weighted_without_replacement, WeightedIndex};
+use kg_core::sample::{seeded_rng, weighted_without_replacement, PickSet, WeightedIndex};
 use kg_core::sparse::{row_normalize_l1, spgemm, transpose, CooBuilder};
 use kg_kp::{persistence_diagram, sliced_wasserstein, ScoredGraph};
 use rand::Rng;
@@ -50,10 +50,15 @@ fn bench_weighted_sampling(c: &mut Criterion) {
             let mut rng = seeded_rng(3);
             bench.iter(|| black_box(weighted_without_replacement(&mut rng, &weights, k)))
         });
-        group.bench_with_input(BenchmarkId::new("prefix_cached", k), &k, |bench, &k| {
+        group.bench_with_input(BenchmarkId::new("alias_cached", k), &k, |bench, &k| {
             let idx = WeightedIndex::new(&weights);
             let mut rng = seeded_rng(3);
-            bench.iter(|| black_box(idx.sample_distinct(&mut rng, k)))
+            let (mut seen, mut picks) = (PickSet::new(), Vec::with_capacity(k));
+            bench.iter(|| {
+                picks.clear();
+                idx.sample_distinct(&mut rng, k, &mut seen, &mut picks);
+                black_box(picks.len())
+            })
         });
     }
     group.finish();

@@ -1,6 +1,8 @@
 //! Property-based tests for kg-core invariants.
 
-use kg_core::sample::{seeded_rng, uniform_without_replacement, weighted_without_replacement};
+use kg_core::sample::{
+    seeded_rng, uniform_without_replacement, weighted_without_replacement, PickSet, WeightedIndex,
+};
 use kg_core::sparse::{row_normalize_l1, spgemm, transpose, CooBuilder, CsrMatrix};
 use kg_core::stats::{
     expected_higher_ranked, expected_rank_gain, kendall_tau, mae, pearson, RankGainParams,
@@ -120,15 +122,25 @@ proptest! {
     }
 
     #[test]
-    fn weighted_sample_never_picks_nonpositive(seed in 0u64..500, weights in proptest::collection::vec(prop_oneof![Just(0.0f32), 0.01f32..5.0], 1..50), k in 1usize..20) {
-        let s = weighted_without_replacement(&mut seeded_rng(seed), &weights, k);
+    fn weighted_sample_never_picks_nonpositive(seed in 0u64..500, weights in proptest::collection::vec(prop_oneof![Just(0.0f32), Just(-1.0f32), 0.01f32..5.0, Just(500.0f32)], 1..50), k in 1usize..20) {
+        // One contract, both samplers: the one-shot A-Res sweep and the
+        // alias table (whose rejection loop hands over to the sweep when a
+        // 500.0 soaks up the draws).
+        let alias = |seed| {
+            let mut out = Vec::new();
+            WeightedIndex::new(&weights).sample_distinct(&mut seeded_rng(seed), k, &mut PickSet::new(), &mut out);
+            out.into_iter().map(|p| p as usize).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(alias(seed), alias(seed));
         let positive = weights.iter().filter(|w| **w > 0.0).count();
-        prop_assert_eq!(s.len(), k.min(positive));
-        prop_assert!(s.iter().all(|&p| weights[p] > 0.0));
-        let mut sorted = s.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), s.len());
+        for s in [weighted_without_replacement(&mut seeded_rng(seed), &weights, k), alias(seed)] {
+            prop_assert_eq!(s.len(), k.min(positive));
+            prop_assert!(s.iter().all(|&p| weights[p] > 0.0));
+            let mut sorted = s.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            prop_assert_eq!(sorted.len(), s.len());
+        }
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! is the inductive-KGC protocol the paper cites (Teru et al.); with
 //! recommender-guided negatives it scores against *hard* candidates.
 
-use kg_core::parallel::parallel_map_with;
-use kg_core::{FilterIndex, Triple};
-use kg_models::{engine, KgcModel};
+use kg_core::{EntityId, FilterIndex, Triple};
+use kg_models::KgcModel;
 use kg_recommend::SampledCandidates;
 
-use crate::ranker::queries_of;
+use crate::sampled::{grouped_pass, PreparedQuery, TileFold};
 
 /// Aggregated classification metrics over all queries.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -31,38 +30,77 @@ pub struct AucMetrics {
     pub count: usize,
 }
 
-/// ROC-AUC of one positive score against negative scores (Mann–Whitney).
-pub fn roc_auc_single(positive: f32, negatives: &[f32]) -> f64 {
-    if negatives.is_empty() {
-        return 1.0;
+/// How one positive score compares with its negatives (IEEE comparisons:
+/// a NaN on either side is neither a win, a tie nor a loss).
+#[derive(Clone, Copy, Debug, Default)]
+struct Comparisons {
+    negatives: usize,
+    lower: usize,
+    ties: usize,
+    higher: usize,
+}
+
+impl Comparisons {
+    fn add(&mut self, positive: f32, negative: f32) {
+        self.negatives += 1;
+        self.lower += usize::from(positive > negative);
+        self.ties += usize::from(positive == negative);
+        self.higher += usize::from(negative > positive);
     }
-    let mut wins = 0.0f64;
-    for &n in negatives {
-        if positive > n {
-            wins += 1.0;
-        } else if positive == n {
-            wins += 0.5;
+
+    fn of(positive: f32, negatives: &[f32]) -> Self {
+        let mut c = Comparisons::default();
+        negatives.iter().for_each(|&n| c.add(positive, n));
+        c
+    }
+
+    /// Mann–Whitney win fraction, ties counting half.
+    fn roc_auc(&self) -> f64 {
+        if self.negatives == 0 {
+            return 1.0;
+        }
+        (self.lower as f64 + self.ties as f64 / 2.0) / self.negatives as f64
+    }
+
+    /// `1 / rank` of the positive (mean tie-break).
+    fn average_precision(&self) -> f64 {
+        1.0 / (1.0 + self.higher as f64 + self.ties as f64 / 2.0)
+    }
+}
+
+impl TileFold for Comparisons {
+    /// Filtered: candidates that are the answer or known-true are not
+    /// negatives.
+    fn fold_tile(&mut self, query: &PreparedQuery<'_>, candidates: &[EntityId], scores: &[f32]) {
+        for (&c, &s) in candidates.iter().zip(scores) {
+            if c != query.answer && query.known.binary_search(&c).is_err() {
+                self.add(query.s_true, s);
+            }
         }
     }
-    wins / negatives.len() as f64
+
+    fn combine(&mut self, other: Self) {
+        self.negatives += other.negatives;
+        self.lower += other.lower;
+        self.ties += other.ties;
+        self.higher += other.higher;
+    }
+}
+
+/// ROC-AUC of one positive score against negative scores (Mann–Whitney).
+pub fn roc_auc_single(positive: f32, negatives: &[f32]) -> f64 {
+    Comparisons::of(positive, negatives).roc_auc()
 }
 
 /// Average precision with a single positive at (1-based) rank `r` is `1/r`.
 pub fn average_precision_single(positive: f32, negatives: &[f32]) -> f64 {
-    let mut higher = 0usize;
-    let mut ties = 0usize;
-    for &n in negatives {
-        if n > positive {
-            higher += 1;
-        } else if n == positive {
-            ties += 1;
-        }
-    }
-    1.0 / (1.0 + higher as f64 + ties as f64 / 2.0)
+    Comparisons::of(positive, negatives).average_precision()
 }
 
 /// Evaluate ROC-AUC / AUC-PR over `triples` using per-relation candidate
-/// samples as negatives (filtered: known-true candidates are excluded).
+/// samples as negatives (filtered: known-true candidates are excluded),
+/// through the same column-grouped pass as
+/// [`crate::evaluate_sampled`].
 pub fn evaluate_auc(
     model: &dyn KgcModel,
     triples: &[Triple],
@@ -70,36 +108,14 @@ pub fn evaluate_auc(
     samples: &SampledCandidates,
     threads: usize,
 ) -> AucMetrics {
-    let queries = queries_of(triples);
-    let per_query = parallel_map_with(
-        queries.len(),
-        threads,
-        || (Vec::new(), Vec::new()),
-        |(to_score, scores), qi| {
-            let (triple, side) = queries[qi];
-            let answer = side.answer(triple);
-            let candidates = samples.for_query(triple.relation, side);
-            engine::score_answer_and_candidates_fanout(
-                model, triple, side, candidates, to_score, scores, 1,
-            );
-            let known = filter.known_answers(triple, side);
-            // Filter: drop candidates that are the answer or known-true.
-            let mut negatives = Vec::with_capacity(candidates.len());
-            for (i, &c) in candidates.iter().enumerate() {
-                if c != answer && known.binary_search(&c).is_err() {
-                    negatives.push(scores[i + 1]);
-                }
-            }
-            (roc_auc_single(scores[0], &negatives), average_precision_single(scores[0], &negatives))
-        },
-    );
+    let per_query: Vec<Comparisons> = grouped_pass(model, triples, filter, samples, threads);
     if per_query.is_empty() {
         return AucMetrics::default();
     }
     let n = per_query.len() as f64;
     AucMetrics {
-        roc_auc: per_query.iter().map(|p| p.0).sum::<f64>() / n,
-        auc_pr: per_query.iter().map(|p| p.1).sum::<f64>() / n,
+        roc_auc: per_query.iter().map(Comparisons::roc_auc).sum::<f64>() / n,
+        auc_pr: per_query.iter().map(Comparisons::average_precision).sum::<f64>() / n,
         count: per_query.len(),
     }
 }

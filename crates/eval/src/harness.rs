@@ -202,7 +202,12 @@ pub fn run_train_eval_with_matrix(
     };
     let seen = SeenSets::from_store(&dataset.train);
     let static_sets = CandidateSets::static_sets(matrix, &seen);
-    let prob_cache = ProbabilisticCache::new(matrix);
+    // Built once per matrix and only when a Probabilistic estimate is asked
+    // for: 8 bytes per nonzero.
+    let prob_cache = config
+        .strategies
+        .contains(&SamplingStrategy::Probabilistic)
+        .then(|| ProbabilisticCache::new(matrix));
 
     let dim = if config.dim == 0 { config.model.default_dim() } else { config.dim };
     let mut model = build_model(
@@ -239,7 +244,7 @@ pub fn run_train_eval_with_matrix(
                     n_s,
                     Some(matrix),
                     Some(&static_sets),
-                    Some(&prob_cache),
+                    prob_cache.as_ref(),
                     &mut sample_rng,
                 )
             });

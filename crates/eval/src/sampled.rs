@@ -8,9 +8,12 @@
 //! could outrank the answer, so the sampled rank approaches the full rank
 //! (Theorem 1).
 
-use kg_core::parallel::{parallel_map_with, two_level_split};
+use std::borrow::Cow;
+
+use kg_core::parallel::{parallel_map_indexed, two_level_split, ShardPlan};
+use kg_core::partial::{Partial, PartialRankCounts};
 use kg_core::timing::Stopwatch;
-use kg_core::topk::cmp_score;
+use kg_core::triple::QuerySide;
 use kg_core::{EntityId, KnownIndex, Triple};
 use kg_models::{engine, KgcModel};
 use kg_recommend::SampledCandidates;
@@ -18,6 +21,19 @@ use kg_recommend::SampledCandidates;
 use crate::metrics::TieBreak;
 use crate::ranker::{queries_of, EvalResult};
 use crate::RankingMetrics;
+
+/// Floats one candidate tile spans, counting `dim` per row: 8 KiB of rows
+/// (16 KiB for families that store two halves), so a tile stays in L1
+/// while every query of the column scores against it.
+const TILE_FLOATS: usize = 2048;
+
+/// Queries scored against one walk over a column's tiles; bounds the
+/// prepared-query scratch however many queries a column serves.
+const GROUP_QUERIES: usize = 256;
+
+/// Candidate count below which a column's scoring is not split across
+/// spare threads: spawning a thread team costs more than scoring this few.
+const FANOUT_MIN_CANDIDATES: usize = 1024;
 
 /// Rank `answer` against `candidates` under the filtered protocol.
 ///
@@ -35,32 +51,177 @@ pub fn sampled_rank(
     tie: TieBreak,
 ) -> f64 {
     debug_assert_eq!(scores.len(), candidates.len() + 1);
-    let s_true = scores[0];
-    let mut higher = 0usize;
-    let mut ties = 0usize;
-    for (i, &c) in candidates.iter().enumerate() {
-        if c == answer || known.binary_search(&c).is_ok() {
-            continue;
-        }
-        match cmp_score(scores[i + 1], s_true) {
-            std::cmp::Ordering::Greater => higher += 1,
-            std::cmp::Ordering::Equal => ties += 1,
-            std::cmp::Ordering::Less => {}
-        }
-    }
-    tie.rank(higher, ties)
+    let counts = engine::count_gathered(&scores[1..], candidates, answer, scores[0], known);
+    tie.rank(counts.higher as usize, counts.ties as usize)
 }
 
-/// Evaluate `model` on `triples` using per-relation candidate samples.
+/// What a grouped pass accumulates for one query, tile by tile.
+pub(crate) trait TileFold: Clone + Default + Send {
+    /// Fold in one scored tile of the query's candidates.
+    fn fold_tile(&mut self, query: &PreparedQuery<'_>, candidates: &[EntityId], scores: &[f32]);
+
+    /// Add the accumulator of a disjoint part of the same candidate list.
+    fn combine(&mut self, other: Self);
+}
+
+/// The per-query state a tile is folded against.
+pub(crate) struct PreparedQuery<'a> {
+    pub(crate) answer: EntityId,
+    /// The answer's own score.
+    pub(crate) s_true: f32,
+    /// Known answers of the query, ascending.
+    pub(crate) known: Cow<'a, [EntityId]>,
+}
+
+impl TileFold for PartialRankCounts {
+    fn fold_tile(&mut self, query: &PreparedQuery<'_>, candidates: &[EntityId], scores: &[f32]) {
+        self.merge(engine::count_gathered(
+            scores,
+            candidates,
+            query.answer,
+            query.s_true,
+            &query.known,
+        ));
+    }
+
+    fn combine(&mut self, other: Self) {
+        self.merge(other);
+    }
+}
+
+/// The pass behind [`evaluate_sampled`] (which documents the work plan) and
+/// [`crate::auc::evaluate_auc`]: one accumulator per query of
+/// `queries_of(triples)`, in that order.
+pub(crate) fn grouped_pass<A: TileFold, F: KnownIndex + ?Sized>(
+    model: &dyn KgcModel,
+    triples: &[Triple],
+    filter: &F,
+    samples: &SampledCandidates,
+    threads: usize,
+) -> Vec<A> {
+    let queries = queries_of(triples);
+    if queries.is_empty() {
+        return Vec::new();
+    }
+    let column = |qi: &usize| (queries[*qi].0.relation, queries[*qi].1 == QuerySide::Tail);
+    let mut order: Vec<usize> = (0..queries.len()).collect();
+    order.sort_by_key(column);
+    let split = two_level_split(queries.len(), threads);
+    let pieces = ShardPlan::new(order.len(), split.outer);
+    let tile = (TILE_FLOATS / model.dim().max(1)).clamp(16, 512);
+    let scored = parallel_map_indexed(pieces.num_shards(), split.outer, |p| {
+        let piece = &order[pieces.range(p)];
+        let mut out: Vec<A> = Vec::with_capacity(piece.len());
+        let mut q = Vec::new();
+        for group in piece.chunk_by(|a, b| column(a) == column(b)) {
+            for group in group.chunks(GROUP_QUERIES) {
+                let group = Group::prepare(model, filter, samples, &queries, group, &mut q);
+                out.extend(group.score(tile, split.inner));
+            }
+        }
+        out
+    });
+    let mut result = vec![A::default(); queries.len()];
+    for (&qi, acc) in order.iter().zip(scored.into_iter().flatten()) {
+        result[qi] = acc;
+    }
+    result
+}
+
+/// Queries of one column, prepared against its shared candidate list.
+struct Group<'a> {
+    model: &'a dyn KgcModel,
+    candidates: &'a [EntityId],
+    /// The prepared query vectors, `query_len` floats each, back to back.
+    q: &'a [f32],
+    queries: Vec<PreparedQuery<'a>>,
+}
+
+impl<'a> Group<'a> {
+    /// Build every member's query vector (into `q`, reused across groups),
+    /// reference score and known answers — once per `(triple, side)`.
+    fn prepare<F: KnownIndex + ?Sized>(
+        model: &'a dyn KgcModel,
+        filter: &'a F,
+        samples: &'a SampledCandidates,
+        all: &[(Triple, QuerySide)],
+        members: &[usize],
+        q: &'a mut Vec<f32>,
+    ) -> Self {
+        let (first, side) = all[members[0]];
+        let len = model.query_len();
+        q.clear();
+        q.resize(members.len() * len, 0.0);
+        let queries = members
+            .iter()
+            .enumerate()
+            .map(|(i, &qi)| {
+                let (triple, side) = all[qi];
+                let q = &mut q[i * len..(i + 1) * len];
+                model.build_query(triple, side, q);
+                let answer = side.answer(triple);
+                let mut s_true = [0.0f32];
+                model.score_gathered(q, &[answer], &mut s_true);
+                let [s_true] = s_true;
+                PreparedQuery { answer, s_true, known: filter.known_answers(triple, side) }
+            })
+            .collect();
+        Group { model, candidates: samples.for_query(first.relation, side), q, queries }
+    }
+
+    /// One accumulator per member, over the whole candidate list: folded
+    /// in `fanout` contiguous parts, one thread each, and combined. A list
+    /// too short to repay a thread team is one part.
+    fn score<A: TileFold>(&self, tile: usize, fanout: usize) -> Vec<A> {
+        let fanout = if self.candidates.len() < FANOUT_MIN_CANDIDATES { 1 } else { fanout };
+        let parts = ShardPlan::new(self.candidates.len(), fanout);
+        let mut folded = parallel_map_indexed(parts.num_shards(), fanout, |s| {
+            self.fold::<A>(&self.candidates[parts.range(s)], tile)
+        })
+        .into_iter();
+        let mut accs = folded.next().unwrap_or_default();
+        for part in folded {
+            for (acc, other) in accs.iter_mut().zip(part) {
+                acc.combine(other);
+            }
+        }
+        accs
+    }
+
+    /// Walk `candidates` tile by tile; every member scores a tile before
+    /// the next one is gathered.
+    fn fold<A: TileFold>(&self, candidates: &[EntityId], tile: usize) -> Vec<A> {
+        let len = self.model.query_len();
+        let mut accs = vec![A::default(); self.queries.len()];
+        let mut scores = vec![0.0f32; tile.min(candidates.len())];
+        for tile in candidates.chunks(tile) {
+            let scores = &mut scores[..tile.len()];
+            for (i, (query, acc)) in self.queries.iter().zip(&mut accs).enumerate() {
+                self.model.score_gathered(&self.q[i * len..(i + 1) * len], tile, scores);
+                acc.fold_tile(query, tile, scores);
+            }
+        }
+        accs
+    }
+}
+
+/// Evaluate `model` on `triples` using per-relation candidate samples: the
+/// filtered rank of every query's answer within its column's sample.
 ///
-/// The thread budget follows the two-level work plan
-/// ([`kg_core::parallel::two_level_split`]): with at least `threads`
-/// queries every thread ranks its own query; with fewer queries the spare
-/// threads chunk each query's candidate scoring across workers
-/// ([`kg_models::engine::score_answer_and_candidates_fanout`] — only for
-/// candidate lists long enough to repay the fan-out). Per-candidate
-/// arithmetic is independent, so ranks are bit-for-bit identical for
-/// every `threads`.
+/// Candidates are drawn per `(relation, side)` column, so queries are
+/// grouped by column and each column's candidate rows are gathered in
+/// L1-sized tiles that *every* query of the column scores while they are
+/// hot — a column serving hundreds of queries reads its rows from memory
+/// once, not once per query. Each query is prepared once
+/// ([`KgcModel::build_query`]); a tile costs one
+/// [`KgcModel::score_gathered`] per query.
+///
+/// The thread budget follows [`two_level_split`]: the column-sorted
+/// queries are cut into `outer` even pieces, and with fewer queries than
+/// threads the spare threads split a column's candidates between them.
+/// A candidate's score depends on the query and its row alone and the
+/// per-tile counts add up, so ranks are bit-for-bit identical for every
+/// `threads`.
 pub fn evaluate_sampled<F: KnownIndex + ?Sized>(
     model: &dyn KgcModel,
     triples: &[Triple],
@@ -69,31 +230,10 @@ pub fn evaluate_sampled<F: KnownIndex + ?Sized>(
     tie: TieBreak,
     threads: usize,
 ) -> EvalResult {
-    let queries = queries_of(triples);
-    let split = two_level_split(queries.len(), threads);
     let sw = Stopwatch::start();
-    let ranks = parallel_map_with(
-        queries.len(),
-        split.outer,
-        || (Vec::<EntityId>::new(), Vec::<f32>::new()),
-        |(to_score, scores), qi| {
-            let (triple, side) = queries[qi];
-            let candidates = samples.for_query(triple.relation, side);
-            // Scored list: answer first, then the shared candidate sample
-            // (buffer management lives in the engine module).
-            engine::score_answer_and_candidates_fanout(
-                model,
-                triple,
-                side,
-                candidates,
-                to_score,
-                scores,
-                split.inner,
-            );
-            let known = filter.known_answers(triple, side);
-            sampled_rank(side.answer(triple), candidates, scores, &known, tie)
-        },
-    );
+    let counts: Vec<PartialRankCounts> = grouped_pass(model, triples, filter, samples, threads);
+    let ranks: Vec<f64> =
+        counts.iter().map(|c| tie.rank(c.higher as usize, c.ties as usize)).collect();
     let seconds = sw.seconds();
     EvalResult { metrics: RankingMetrics::from_ranks(&ranks), ranks, seconds }
 }
@@ -120,16 +260,22 @@ pub fn evaluate_sampled_repeated<F: KnownIndex + ?Sized, R: rand::Rng>(
     let mut mrr = Vec::with_capacity(repeats);
     let mut hits10 = Vec::with_capacity(repeats);
     let mut seconds = Vec::with_capacity(repeats);
-    let num_entities = model.num_entities();
-    let num_relations = model.num_relations();
+    // One alias-table build serves every repeat.
+    let cache = match (strategy, matrix) {
+        (kg_recommend::SamplingStrategy::Probabilistic, Some(m)) => {
+            Some(kg_recommend::ProbabilisticCache::new(m))
+        }
+        _ => None,
+    };
     for _ in 0..repeats {
-        let samples = kg_recommend::sample_candidates(
+        let samples = kg_recommend::sample_candidates_cached(
             strategy,
-            num_entities,
-            num_relations,
+            model.num_entities(),
+            model.num_relations(),
             n_s,
             matrix,
             sets,
+            cache.as_ref(),
             rng,
         );
         let r = evaluate_sampled(model, triples, filter, &samples, tie, threads);
@@ -162,7 +308,6 @@ pub struct RepeatedEstimate {
 mod tests {
     use super::*;
     use kg_core::sample::seeded_rng;
-    use kg_core::triple::QuerySide;
     use kg_core::FilterIndex;
     use kg_recommend::{sample_candidates, SamplingStrategy};
 
@@ -261,9 +406,9 @@ mod tests {
 
     #[test]
     fn single_query_candidate_fanout_matches_serial() {
-        // One triple + a candidate sample wide enough to trigger the
-        // chunked scoring path: ranks must stay bit-for-bit serial.
-        let n = kg_models::engine::CANDIDATE_FANOUT_MIN * 2;
+        // One triple + a candidate sample wide enough to be split across
+        // the spare threads: ranks must stay bit-for-bit serial.
+        let n = FANOUT_MIN_CANDIDATES * 2;
         let scores: Vec<f32> = (0..n).map(|i| ((i * 31) % n) as f32 / n as f32).collect();
         let model = MockModel { n, tail_scores: scores };
         let triples = vec![Triple::new(0, 0, 7)];
@@ -272,7 +417,7 @@ mod tests {
             SamplingStrategy::Random,
             n,
             1,
-            kg_models::engine::CANDIDATE_FANOUT_MIN + 100,
+            FANOUT_MIN_CANDIDATES + 100,
             None,
             None,
             &mut seeded_rng(6),

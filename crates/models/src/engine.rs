@@ -17,7 +17,9 @@
 //!   [`ScoringEngine::top_k_fanout`] pass the full `0..|E|` range, so
 //!   in-process fan-out and remote shard endpoints share **exactly one
 //!   ranking code path** and one merge implementation, for every model
-//!   family.
+//!   family;
+//! * [`count_gathered`] is the same counter over gathered candidates, so
+//!   sampled evaluation counts under the one order too.
 //!
 //! No path scores or allocates an `|E|`-sized row: scratch is one chunk
 //! wide whatever the model.
@@ -191,50 +193,34 @@ pub fn partial_rank_counts(
     })
 }
 
-/// Candidate count below which [`score_answer_and_candidates_fanout`]
-/// stays serial: spawning a thread team costs more than scoring this few.
-pub const CANDIDATE_FANOUT_MIN: usize = 1024;
-
-/// Fill `ids`/`scores` with the answer followed by `candidates` and their
-/// scores — the sampled-evaluation scoring layout (`scores[0]` is the
-/// answer's score). Both buffers are cleared and reused, so callers keep
-/// per-thread scratch instead of allocating per query.
+/// Count strictly-higher and tied competitors among gathered candidates —
+/// the sampled counterpart of the range counter above, and the one place
+/// sampled evaluation compares scores.
 ///
-/// The query is prepared once; with `fanout > 1` and at least
-/// [`CANDIDATE_FANOUT_MIN`] ids the list is chunked across `fanout`
-/// workers (the sampled-evaluation latency path). Per-candidate arithmetic
-/// is independent of its neighbours, so the result is bit-for-bit the
-/// single-pass one.
-pub fn score_answer_and_candidates_fanout(
-    model: &dyn KgcModel,
-    triple: Triple,
-    side: QuerySide,
+/// `scores` is parallel to `candidates`; the answer itself and `known`
+/// (ascending) entities never compete. The score is compared first: a
+/// candidate that scores lower cannot change the rank, filtered or not, so
+/// only candidates at or above `s_true` pay for the `known` search.
+pub fn count_gathered(
+    scores: &[f32],
     candidates: &[EntityId],
-    ids: &mut Vec<EntityId>,
-    scores: &mut Vec<f32>,
-    fanout: usize,
-) {
-    ids.clear();
-    ids.push(side.answer(triple));
-    ids.extend_from_slice(candidates);
-    scores.clear();
-    scores.resize(ids.len(), 0.0);
-    let q = prepared_query(model, triple, side);
-    if fanout <= 1 || ids.len() < CANDIDATE_FANOUT_MIN {
-        model.score_gathered(&q, ids, scores);
-        return;
-    }
-    let (ids, q): (&[EntityId], &[f32]) = (ids, &q);
-    let chunks = ShardPlan::new(ids.len(), fanout);
-    std::thread::scope(|scope| {
-        let mut rest: &mut [f32] = scores;
-        for r in chunks.ranges() {
-            let (head, tail) = rest.split_at_mut(r.len());
-            let chunk = &ids[r];
-            scope.spawn(move || model.score_gathered(q, chunk, head));
-            rest = tail;
+    answer: EntityId,
+    s_true: f32,
+    known: &[EntityId],
+) -> PartialRankCounts {
+    debug_assert_eq!(scores.len(), candidates.len());
+    let mut acc = PartialRankCounts::ZERO;
+    for (&c, &s) in candidates.iter().zip(scores) {
+        let order = cmp_score(s, s_true);
+        if order == Ordering::Less || c == answer || known.binary_search(&c).is_ok() {
+            continue;
         }
-    });
+        match order {
+            Ordering::Greater => acc.higher += 1,
+            _ => acc.ties += 1,
+        }
+    }
+    acc
 }
 
 /// An owning handle bundling a model with its shard plan and scratch pool —
@@ -658,56 +644,9 @@ mod tests {
         assert_eq!(engine.top_k_fanout(triple, side, &known, 5, 4), serial_top);
         assert_eq!(concrete.take(), (1, 4), "fan-out top-k: 4 pieces");
 
-        // A shard server's sub-range partial, and the chunked candidate path.
+        // A shard server's sub-range partial.
         engine.partial_top_k(triple, side, &known, 5, 16..48, 2);
         assert_eq!(concrete.take(), (1, 2), "partial top-k over a sub-range");
-        let candidates: Vec<EntityId> =
-            (0..CANDIDATE_FANOUT_MIN as u32).map(|i| EntityId(i % 64)).collect();
-        let (mut ids, mut scores) = (Vec::new(), Vec::new());
-        let model: &dyn KgcModel = concrete.as_ref();
-        score_answer_and_candidates_fanout(
-            model,
-            triple,
-            side,
-            &candidates,
-            &mut ids,
-            &mut scores,
-            4,
-        );
-        assert_eq!(concrete.take(), (1, 0), "candidate fan-out");
-    }
-
-    #[test]
-    fn candidate_fanout_scores_identically_to_the_serial_pass() {
-        let model = build_model(ModelKind::TuckEr, 40, 3, 8, 11);
-        let model: &dyn KgcModel = model.as_ref();
-        let triple = Triple::new(7, 1, 13);
-        // Longer than CANDIDATE_FANOUT_MIN so the chunked path really runs.
-        let candidates: Vec<EntityId> =
-            (0..(CANDIDATE_FANOUT_MIN as u32 + 64)).map(|i| EntityId(i % 40)).collect();
-        for side in QuerySide::BOTH {
-            let (mut ids_a, mut scores_a) = (Vec::new(), Vec::new());
-            let (mut ids_b, mut scores_b) = (Vec::new(), Vec::new());
-            for (ids, scores, fanout) in
-                [(&mut ids_a, &mut scores_a, 1), (&mut ids_b, &mut scores_b, 4)]
-            {
-                score_answer_and_candidates_fanout(
-                    model,
-                    triple,
-                    side,
-                    &candidates,
-                    ids,
-                    scores,
-                    fanout,
-                );
-            }
-            assert_eq!(ids_a, ids_b);
-            assert_eq!(
-                scores_a.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                scores_b.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                "{side:?}: chunked candidate scoring diverged"
-            );
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `(h,r)` pair, an `Ω(f_s·|E|·|KG_test|) → Ω(f_s·|E|·2|R|)` reduction
 //! (Table 3).
 
-use kg_core::sample::{uniform_without_replacement, weighted_without_replacement, WeightedIndex};
+use kg_core::sample::{uniform_without_replacement_into, PickSet, WeightedIndex};
 use kg_core::triple::QuerySide;
 use kg_core::{DrColumn, EntityId, RelationId};
 use rand::Rng;
@@ -15,37 +15,24 @@ use rand::Rng;
 use crate::candidates::CandidateSets;
 use crate::score_matrix::ScoreMatrix;
 
-/// Precomputed per-column cumulative-weight indices for repeated
-/// probabilistic sampling: `O(nnz)` once, then `O(n_s log nnz)` per epoch
-/// instead of a full A-Res sweep over every nonzero score.
+/// One alias table ([`WeightedIndex`]) per column of a score matrix, for
+/// repeated probabilistic sampling: `O(nnz)` and 8 bytes per nonzero once,
+/// then `O(1)` per draw. A column's `n_s` candidates are a successive
+/// weighted sample without replacement — each pick proportional to its
+/// recommender score among the entities not picked yet — which is what
+/// the paper's Probabilistic strategy (§4.1) and A-Res both define.
 #[derive(Clone, Debug)]
 pub struct ProbabilisticCache {
     columns: Vec<WeightedIndex>,
 }
 
 impl ProbabilisticCache {
-    /// Build the per-column indices from a score matrix.
+    /// Build the per-column tables from a score matrix.
     pub fn new(matrix: &ScoreMatrix) -> Self {
         let columns = (0..matrix.num_columns())
             .map(|c| WeightedIndex::new(matrix.column(DrColumn(c as u32)).1))
             .collect();
         ProbabilisticCache { columns }
-    }
-
-    /// Draw up to `n_s` distinct entities from column `c`, weighted.
-    pub fn sample_column<R: Rng>(
-        &self,
-        matrix: &ScoreMatrix,
-        c: DrColumn,
-        n_s: usize,
-        rng: &mut R,
-    ) -> Vec<EntityId> {
-        let (entities, _) = matrix.column(c);
-        self.columns[c.index()]
-            .sample_distinct(rng, n_s)
-            .into_iter()
-            .map(|p| EntityId(entities[p]))
-            .collect()
     }
 
     /// One weighted draw from column `c` (used by KP's corruption step).
@@ -100,7 +87,10 @@ impl SamplingStrategy {
 #[derive(Clone, Debug)]
 pub struct SampledCandidates {
     num_relations: usize,
-    per_column: Vec<Vec<EntityId>>,
+    /// Every column's candidates back to back; column `c` is
+    /// `ids[offsets[c]..offsets[c + 1]]`.
+    ids: Vec<EntityId>,
+    offsets: Vec<usize>,
     strategy: SamplingStrategy,
     sample_size: usize,
 }
@@ -108,16 +98,15 @@ pub struct SampledCandidates {
 impl SampledCandidates {
     /// The candidates answering `side` queries of relation `r`.
     pub fn for_query(&self, r: RelationId, side: QuerySide) -> &[EntityId] {
-        let c = match side {
+        self.column(match side {
             QuerySide::Tail => DrColumn::range(r, self.num_relations),
             QuerySide::Head => DrColumn::domain(r),
-        };
-        &self.per_column[c.index()]
+        })
     }
 
     /// The candidates of a raw column.
     pub fn column(&self, c: DrColumn) -> &[EntityId] {
-        &self.per_column[c.index()]
+        &self.ids[self.offsets[c.index()]..self.offsets[c.index() + 1]]
     }
 
     /// Which strategy produced this sample.
@@ -132,7 +121,7 @@ impl SampledCandidates {
 
     /// Total entities drawn across all columns (the Table 3 quantity).
     pub fn total_drawn(&self) -> usize {
-        self.per_column.iter().map(Vec::len).sum()
+        self.ids.len()
     }
 
     /// Number of relations.
@@ -146,8 +135,10 @@ impl SampledCandidates {
 /// * `Random` needs only `num_entities`;
 /// * `Static` draws uniformly from `sets` (saturating at the set size);
 /// * `Probabilistic` draws from `matrix` scores without replacement
-///   (exact A-Res sweep; prefer [`sample_candidates_cached`] when sampling
-///   repeatedly from the same matrix).
+///   (saturating at the column's positive scores). This builds each
+///   column's alias table for the one draw, `O(nnz)`; prefer
+///   [`sample_candidates_cached`] when sampling repeatedly from the same
+///   matrix — for a seed, the two draw the same candidates.
 pub fn sample_candidates<R: Rng>(
     strategy: SamplingStrategy,
     num_entities: usize,
@@ -174,38 +165,43 @@ pub fn sample_candidates_cached<R: Rng>(
     rng: &mut R,
 ) -> SampledCandidates {
     let nc = 2 * num_relations;
-    let mut per_column = Vec::with_capacity(nc);
+    let mut ids = Vec::with_capacity(nc * n_s.min(num_entities));
+    let mut offsets = Vec::with_capacity(nc + 1);
+    offsets.push(0);
+    // Positions picked in the current column, and their duplicate filter.
+    let mut picks: Vec<u32> = Vec::with_capacity(n_s.min(num_entities));
+    let mut seen = PickSet::new();
     for c in 0..nc {
         let col = DrColumn(c as u32);
-        let drawn: Vec<EntityId> = match strategy {
-            SamplingStrategy::Random => uniform_without_replacement(rng, num_entities, n_s)
-                .into_iter()
-                .map(EntityId)
-                .collect(),
+        picks.clear();
+        match strategy {
+            SamplingStrategy::Random => {
+                uniform_without_replacement_into(rng, num_entities, n_s, &mut seen, &mut picks);
+                ids.extend(picks.iter().map(|&p| EntityId(p)));
+            }
             SamplingStrategy::Static => {
                 let set = sets.expect("Static sampling requires candidate sets").column(col);
-                uniform_without_replacement(rng, set.len(), n_s)
-                    .into_iter()
-                    .map(|i| EntityId(set[i as usize]))
-                    .collect()
+                uniform_without_replacement_into(rng, set.len(), n_s, &mut seen, &mut picks);
+                ids.extend(picks.iter().map(|&p| EntityId(set[p as usize])));
             }
             SamplingStrategy::Probabilistic => {
                 let m = matrix.expect("Probabilistic sampling requires a score matrix");
-                match cache {
-                    Some(cache) => cache.sample_column(m, col, n_s, rng),
+                let (entities, scores) = m.column(col);
+                let built;
+                let table = match cache {
+                    Some(cache) => &cache.columns[c],
                     None => {
-                        let (entities, scores) = m.column(col);
-                        weighted_without_replacement(rng, scores, n_s)
-                            .into_iter()
-                            .map(|p| EntityId(entities[p]))
-                            .collect()
+                        built = WeightedIndex::new(scores);
+                        &built
                     }
-                }
+                };
+                table.sample_distinct(rng, n_s, &mut seen, &mut picks);
+                ids.extend(picks.iter().map(|&p| EntityId(entities[p as usize])));
             }
-        };
-        per_column.push(drawn);
+        }
+        offsets.push(ids.len());
     }
-    SampledCandidates { num_relations, per_column, strategy, sample_size: n_s }
+    SampledCandidates { num_relations, ids, offsets, strategy, sample_size: n_s }
 }
 
 #[cfg(test)]
@@ -335,12 +331,84 @@ mod tests {
         let mut rng = seeded_rng(10);
         let mut count2 = 0usize;
         for _ in 0..300 {
-            let s = cache.sample_column(&m, DrColumn(0), 1, &mut rng);
-            if s[0] == EntityId(2) {
+            let s = sample_candidates_cached(
+                SamplingStrategy::Probabilistic,
+                10,
+                1,
+                1,
+                Some(&m),
+                None,
+                Some(&cache),
+                &mut rng,
+            );
+            if s.column(DrColumn(0))[0] == EntityId(2) {
                 count2 += 1;
             }
         }
         assert!(count2 > 150, "heavy entity drawn only {count2}/300");
+    }
+
+    #[test]
+    fn random_and_static_draws_are_pinned_to_the_parent_commit() {
+        // Candidate sets are protocol (Ott et al.: conclusions flip on
+        // them), so the flat buffer and the bitset filter must not move a
+        // Random or Static draw: values recorded at the parent commit.
+        // Columns of 10, 1, 3 and 16 seen entities cover Floyd's collision
+        // branch and both saturation cases.
+        let mut triples: Vec<Triple> = (0..10).map(|h| Triple::new(h, 0, 20 + h % 3)).collect();
+        triples.extend((10..26).map(|t| Triple::new(5, 1, t)));
+        let store = TripleStore::from_triples(triples, 30, 2);
+        let sets = CandidateSets::from_seen(&SeenSets::from_store(&store));
+        let golden: [(SamplingStrategy, [&[u32]; 4]); 2] = [
+            (
+                SamplingStrategy::Random,
+                [
+                    &[21, 20, 26, 16, 7, 29],
+                    &[3, 0, 21, 11, 19, 10],
+                    &[7, 9, 2, 23, 28, 19],
+                    &[23, 11, 1, 12, 27, 29],
+                ],
+            ),
+            (
+                SamplingStrategy::Static,
+                [&[4, 5, 6, 7, 2, 9], &[5], &[20, 21, 22], &[11, 10, 20, 15, 24, 25]],
+            ),
+        ];
+        for (strategy, columns) in golden {
+            let s = sample_candidates(strategy, 30, 2, 6, None, Some(&sets), &mut seeded_rng(11));
+            for (c, want) in columns.into_iter().enumerate() {
+                let got: Vec<u32> = s.column(DrColumn(c as u32)).iter().map(|e| e.0).collect();
+                assert_eq!(got, want, "{strategy:?} column {c}");
+            }
+            assert_eq!(s.total_drawn(), columns.iter().map(|c| c.len()).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn probabilistic_draws_do_not_depend_on_the_cache() {
+        // One sampler: with or without a prebuilt cache a seed draws the
+        // same candidates, and a column saturates at its positive scores.
+        let m = matrix();
+        let cache = ProbabilisticCache::new(&m);
+        for n_s in [1, 2, 3, 9] {
+            let draw = |cache| {
+                sample_candidates_cached(
+                    SamplingStrategy::Probabilistic,
+                    10,
+                    1,
+                    n_s,
+                    Some(&m),
+                    None,
+                    cache,
+                    &mut seeded_rng(21),
+                )
+            };
+            let (cached, uncached) = (draw(Some(&cache)), draw(None));
+            for c in [DrColumn(0), DrColumn(1)] {
+                assert_eq!(cached.column(c), uncached.column(c), "n_s={n_s} {c:?}");
+                assert_eq!(cached.column(c).len(), n_s.min(m.column(c).0.len()));
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
 use kg_core::ids::{EntityId, RelationId};
@@ -21,7 +21,8 @@ use kg_core::{ApplyOutcome, DeltaKeys, FilterIndex, GraphDelta, LiveGraph, Tripl
 use kg_eval::{EvalResult, TieBreak};
 use kg_models::{KgcModel, Precision, QuantizedModel, ScoringEngine};
 use kg_recommend::{
-    sample_candidates, CandidateSets, SampledCandidates, SamplingStrategy, ScoreMatrix,
+    sample_candidates_cached, CandidateSets, ProbabilisticCache, SampledCandidates,
+    SamplingStrategy, ScoreMatrix,
 };
 
 use crate::batch::{ScoreBatcher, TopKBatcher};
@@ -212,12 +213,21 @@ impl WorkerShard {
     }
 }
 
+/// A recommender score matrix and the Probabilistic sampler over it. The
+/// sampler (8 bytes per nonzero) is built by the first Probabilistic
+/// request, so a deployment that never asks for one never pays for it, and
+/// it rides with the matrix across hot-reloads.
+struct Recommender {
+    matrix: Arc<ScoreMatrix>,
+    sampler: OnceLock<ProbabilisticCache>,
+}
+
 /// One servable model and everything needed to answer queries about it.
 pub struct ModelEntry {
     name: String,
     engine: Arc<ScoringEngine>,
     live: Arc<LiveGraph>,
-    matrix: Option<Arc<ScoreMatrix>>,
+    recommender: Option<Arc<Recommender>>,
     sets: Option<Arc<CandidateSets>>,
     batcher: ScoreBatcher,
     topk_batcher: TopKBatcher,
@@ -353,7 +363,7 @@ impl ModelEntry {
         match strategy {
             SamplingStrategy::Random => true,
             SamplingStrategy::Static => self.sets.is_some(),
-            SamplingStrategy::Probabilistic => self.matrix.is_some(),
+            SamplingStrategy::Probabilistic => self.recommender.is_some(),
         }
     }
 
@@ -370,22 +380,31 @@ impl ModelEntry {
                 key.strategy.name()
             ));
         }
-        let mut cache = self.samples.lock().unwrap();
-        if let Some(hit) = cache.get(key) {
-            return Ok((Arc::clone(hit), true));
+        let hit = self.samples.lock().unwrap().get(key).map(Arc::clone);
+        if let Some(hit) = hit {
+            return Ok((hit, true));
         }
-        let mut rng = seeded_rng(key.seed);
-        let drawn = sample_candidates(
+        // Drawn with the cache unlocked, so concurrent misses draw in
+        // parallel instead of queueing behind one draw; two racing on one
+        // key insert byte-identical samples (the draw is seeded).
+        let (matrix, sampler) = match (&self.recommender, key.strategy) {
+            (Some(r), SamplingStrategy::Probabilistic) => (
+                Some(r.matrix.as_ref()),
+                Some(r.sampler.get_or_init(|| ProbabilisticCache::new(&r.matrix))),
+            ),
+            _ => (None, None),
+        };
+        let drawn = Arc::new(sample_candidates_cached(
             key.strategy,
             self.model().num_entities(),
             self.model().num_relations(),
             key.n_s,
-            self.matrix.as_deref(),
+            matrix,
             self.sets.as_deref(),
-            &mut rng,
-        );
-        let drawn = Arc::new(drawn);
-        cache.insert(key.clone(), Arc::clone(&drawn));
+            sampler,
+            &mut seeded_rng(key.seed),
+        ));
+        self.samples.lock().unwrap().insert(key.clone(), Arc::clone(&drawn));
         Ok((drawn, false))
     }
 
@@ -556,7 +575,9 @@ impl ModelRegistry {
         matrix: Option<Arc<ScoreMatrix>>,
         sets: Option<Arc<CandidateSets>>,
     ) -> Arc<ModelEntry> {
-        self.register_live(name, model, Arc::new(LiveGraph::new(filter)), matrix, sets)
+        let recommender =
+            matrix.map(|matrix| Arc::new(Recommender { matrix, sampler: OnceLock::new() }));
+        self.register_live(name, model, Arc::new(LiveGraph::new(filter)), recommender, sets)
     }
 
     /// Register a model against an existing [`LiveGraph`] — the hot-reload
@@ -568,7 +589,7 @@ impl ModelRegistry {
         name: impl Into<String>,
         model: Arc<dyn KgcModel>,
         live: Arc<LiveGraph>,
-        matrix: Option<Arc<ScoreMatrix>>,
+        recommender: Option<Arc<Recommender>>,
         sets: Option<Arc<CandidateSets>>,
     ) -> Arc<ModelEntry> {
         let name = name.into();
@@ -592,7 +613,7 @@ impl ModelRegistry {
             ),
             engine,
             live,
-            matrix,
+            recommender,
             sets,
             samples: Mutex::new(LruCache::new(SAMPLE_CACHE_CAPACITY)),
             evals: Mutex::new(LruCache::new(EVAL_CACHE_CAPACITY)),
@@ -669,7 +690,7 @@ impl ModelRegistry {
         precision: Option<Precision>,
     ) -> Result<Arc<ModelEntry>, kg_core::KgError> {
         let model = self.load_serving_model(path, precision)?;
-        let (live, matrix, sets) = match self.get(name) {
+        let (live, recommender, sets) = match self.get(name) {
             Some(old) => {
                 let (ne, nr) = (old.model().num_entities(), old.model().num_relations());
                 if model.num_entities() != ne || model.num_relations() != nr {
@@ -680,11 +701,11 @@ impl ModelRegistry {
                         model.num_relations(),
                     )));
                 }
-                (Arc::clone(&old.live), old.matrix.clone(), old.sets.clone())
+                (Arc::clone(&old.live), old.recommender.clone(), old.sets.clone())
             }
             None => (Arc::new(LiveGraph::new(Arc::new(FilterIndex::new()))), None, None),
         };
-        Ok(self.register_live(name, model, live, matrix, sets))
+        Ok(self.register_live(name, model, live, recommender, sets))
     }
 
     /// Look up an entry by name.
@@ -811,7 +832,7 @@ mod tests {
         assert!(!hit, "LRU seed 1 was evicted and must be redrawn");
         // The redraw is seeded, so eviction never changes what `/eval`
         // computes — only how fast.
-        let fresh = sample_candidates(
+        let fresh = kg_recommend::sample_candidates(
             SamplingStrategy::Random,
             entry.model().num_entities(),
             entry.model().num_relations(),
@@ -828,6 +849,44 @@ mod tests {
                     "redraw after eviction must be byte-identical to a fresh draw"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn probabilistic_sampler_is_built_on_first_use_and_draws_like_the_library() {
+        let registry = ModelRegistry::new();
+        let model = build_model(ModelKind::DistMult, 20, 2, 8, 3);
+        let columns = (0..4u32)
+            .map(|c| (c..20).step_by(2).map(|e| (e, 1.0 + ((e + c) % 5) as f32)).collect())
+            .collect();
+        let matrix = Arc::new(ScoreMatrix::from_columns(20, 2, columns));
+        let entry = registry.register_with_artifacts(
+            "tiny",
+            Arc::from(model as Box<dyn KgcModel>),
+            Arc::new(FilterIndex::new()),
+            Some(Arc::clone(&matrix)),
+            None,
+        );
+        let sampler = || entry.recommender.as_ref().unwrap().sampler.get();
+        let key = |strategy| SampleKey { strategy, n_s: 4, seed: 5 };
+        entry.samples_for(&key(SamplingStrategy::Random)).unwrap();
+        assert!(sampler().is_none(), "only a Probabilistic request pays for the sampler");
+        let (served, _) = entry.samples_for(&key(SamplingStrategy::Probabilistic)).unwrap();
+        assert!(sampler().is_some());
+        // Serving and offline evaluation sample through one code path.
+        let library = kg_recommend::sample_candidates(
+            SamplingStrategy::Probabilistic,
+            20,
+            2,
+            4,
+            Some(&matrix),
+            None,
+            &mut seeded_rng(5),
+        );
+        for c in 0..4 {
+            let c = kg_core::DrColumn(c);
+            assert_eq!(served.column(c), library.column(c));
+            assert_eq!(served.column(c).len(), 4);
         }
     }
 
