@@ -4,9 +4,7 @@
 //! generating them once per process keeps `repro all` tractable.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use kg_datasets::{generate, preset, Dataset, PresetId, Scale};
 use kg_eval::harness::{run_train_eval_with_matrix, ExtraEstimator, HarnessConfig, TrainEvalRun};
@@ -117,7 +115,7 @@ impl Ctx {
 
     /// Dataset assets (generated + L-WD fitted), cached.
     pub fn assets(&self, id: PresetId) -> Arc<DatasetAssets> {
-        if let Some(a) = self.datasets.lock().get(&id) {
+        if let Some(a) = self.datasets.lock().unwrap().get(&id) {
             return a.clone();
         }
         self.log(&format!("generating {} ({:?} scale)…", id.name(), self.scale));
@@ -134,7 +132,7 @@ impl Ctx {
         let seen = SeenSets::from_store(&dataset.train);
         let static_sets = Arc::new(CandidateSets::static_sets(&lwd, &seen));
         let assets = Arc::new(DatasetAssets { dataset, lwd, static_sets });
-        self.datasets.lock().insert(id, assets.clone());
+        self.datasets.lock().unwrap().insert(id, assets.clone());
         assets
     }
 
@@ -175,7 +173,7 @@ impl Ctx {
     /// All training runs for a dataset (one per model in [`models_for`]),
     /// with the three KP estimators attached as extras. Cached.
     pub fn runs(&self, id: PresetId) -> Arc<Vec<CachedRun>> {
-        if let Some(r) = self.runs.lock().get(&id) {
+        if let Some(r) = self.runs.lock().unwrap().get(&id) {
             return r.clone();
         }
         let assets = self.assets(id);
@@ -225,7 +223,7 @@ impl Ctx {
             cached.push(CachedRun { run, model: Arc::new(model), kind });
         }
         let cached = Arc::new(cached);
-        self.runs.lock().insert(id, cached.clone());
+        self.runs.lock().unwrap().insert(id, cached.clone());
         cached
     }
 }

@@ -701,6 +701,20 @@ mod tests {
                         let tol = 1e-3 * (1.0 + want.abs());
                         assert!((got - want).abs() <= tol, "{p:?} {c:?} row {i}: {got} vs {want}");
                     }
+                    if c == Combine::Dot {
+                        // Against the exact f32 row the error stays inside
+                        // the analytic bound Σ_k |q_k| · |dequant_k − f32_k|
+                        // (with slack for accumulation order).
+                        let orig = &data[i * dim..(i + 1) * dim];
+                        let exact = super::super::scalar::combine_one(c, &q, orig);
+                        let bound: f32 = q
+                            .iter()
+                            .zip(row.iter().zip(orig))
+                            .map(|(qk, (d, x))| qk.abs() * (d - x).abs())
+                            .sum();
+                        let err = (got - exact).abs();
+                        assert!(err <= bound * 1.5 + 1e-4, "{p:?} row {i}: {err} > bound {bound}");
+                    }
                 }
                 // combine_one goes through the same kernels.
                 assert_eq!(t.combine_one(c, &q, 3).to_bits(), out[3].to_bits());

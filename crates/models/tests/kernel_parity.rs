@@ -16,8 +16,11 @@ use kg_core::{EntityId, RelationId, Triple};
 use kg_models::io::snapshot_model;
 use kg_models::kernels::{self, Combine, Isa};
 use kg_models::trainer::{train_epoch, TrainConfig};
-use kg_models::{build_model, ModelKind, Precision, QuantizedModel, QuantizedTable};
+use kg_models::{
+    build_model, KgcModel, ModelKind, Precision, QuantizedModel, QuantizedTable, ScoringEngine,
+};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// f32 values including signed zeros, huge magnitudes (overflow to inf in
 /// NegL2), subnormals, and infinities. NaN *inputs* are excluded — tables
@@ -124,7 +127,7 @@ fn all_families_bit_identical_across_forced_isas() {
             ModelKind::Rescal | ModelKind::TuckEr => 8,
             _ => 12,
         };
-        let model = build_model(kind, n, 3, dim, 1234);
+        let model: Arc<dyn KgcModel> = Arc::from(build_model(kind, n, 3, dim, 1234) as Box<_>);
         let run = |isa: Isa| {
             assert_eq!(kernels::force(isa), isa, "{} unavailable on this host", isa.name());
             let mut tails = vec![0.0f32; n];
@@ -139,7 +142,14 @@ fn all_families_bit_identical_across_forced_isas() {
             model.score_rows(&q, 5..19, &mut range);
             model.score_candidates(tail_query, QuerySide::Tail, &cands, &mut cand);
             let point = model.score(EntityId(1), RelationId(0), EntityId(3));
-            (tails, heads, range, cand, point)
+            let top = ScoringEngine::new(Arc::clone(&model), 3).top_k(
+                tail_query,
+                QuerySide::Tail,
+                &[EntityId(4)],
+                5,
+            );
+            let top: Vec<(u32, u32)> = top.into_iter().map(|(e, s)| (e, s.to_bits())).collect();
+            (tails, heads, range, cand, point, top)
         };
         let scalar = run(Isa::Scalar);
         let fast = run(best);
@@ -150,6 +160,7 @@ fn all_families_bit_identical_across_forced_isas() {
         assert_eq!(bits(&scalar.2), bits(&fast.2), "{}: range scoring diverged", kind.name());
         assert_eq!(bits(&scalar.3), bits(&fast.3), "{}: candidates diverged", kind.name());
         assert_eq!(scalar.4.to_bits(), fast.4.to_bits(), "{}: point score", kind.name());
+        assert_eq!(scalar.5, fast.5, "{}: engine top-k diverged", kind.name());
         // The range slice must also equal the full pass (shard parity).
         assert_eq!(bits(&fast.2), bits(&fast.0[5..19]), "{}: range ≠ full slice", kind.name());
     }

@@ -7,35 +7,37 @@
 //! Why batch at all: each HTTP request alone would spin up a scoped thread
 //! team for a handful of triples; under concurrent load that is one team
 //! per request fighting over cores. Coalescing amortises the fan-out across
-//! every request that arrives within the batching window, which is exactly
-//! the "many users, small queries" regime the ROADMAP targets.
+//! every request that is already waiting when a pass starts.
 //!
-//! Leadership protocol (all under one mutex, so the ordering argument is
-//! airtight): a submitter that finds no active leader becomes the leader,
-//! sleeps for the window, then drains *everything* pending and scores it.
-//! A submitter that finds a leader active just enqueues and waits on its
-//! job's condvar. Because enqueue and drain are serialised by the same
-//! mutex, a job is either drained by the current leader or observes
-//! `leader_active == false` and elects itself — no job can strand. A
-//! *panicking* pass cannot strand followers either: the leader poisons
-//! every drained slot before re-raising, so each waiter fails its own
-//! request instead of blocking a pool worker forever.
+//! Protocol — batch what is waiting, never wait to batch (group commit).
+//! One pass runs at a time per batcher, because a pass already owns every
+//! scoring thread of the model and a second concurrent pass could only
+//! oversubscribe them. A submitter that finds no pass running leads
+//! **immediately**: it drains everything pending (at least itself), runs
+//! the pass, scatters the results, then hands leadership to the oldest job
+//! that queued up meanwhile — or clears the flag when nothing did. A
+//! submitter that finds a pass running enqueues and waits on its job's
+//! condvar, so the arrivals during pass *k* are exactly the batch of pass
+//! *k + 1*. There is no timer and nothing to tune: a lone client is never
+//! delayed, and batches grow only as fast as passes are slow.
 //!
-//! The batching window is **adaptive**: when a batch actually coalesced
-//! (≥ 2 jobs) and absorbed at least a growth threshold of work
-//! ([`WINDOW_GROW_TRIPLES`] triples for `/score`,
-//! [`TOPK_WINDOW_GROW_QUERIES`] queries for `/topk`), the window doubles
-//! (up to [`WINDOW_GROWTH_CAP`]× the configured base — deeper coalescing
-//! under load), and an idle batch that coalesced nothing halves it back
-//! toward the base, keeping single-client latency tight. Growth requires
-//! real coalescing so that one client sending large sequential batches
-//! never ratchets up a sleep that cannot help it. The current windows are
-//! exported per model as `kg_serve_score_batch_window_us` and
-//! `kg_serve_topk_batch_window_us` in `/metrics`.
+//! The trade: a small job that arrives behind a long pass waits for that
+//! one pass to finish (it is served by the very next one) instead of
+//! running beside it on the same, already busy, threads.
+//!
+//! Why nothing strands (enqueue, drain and hand-off are serialised by one
+//! mutex): a job either observes `pass_running == false` and leads, or is
+//! pending at the running leader's hand-off, which promotes the oldest
+//! pending job; the promoted leader drains *everything* pending, so a job
+//! enqueued before pass *k* ends is answered by pass *k + 1* at the latest.
+//! A *panicking* pass cannot strand anyone either: the leader poisons every
+//! slot it drained, hands leadership on exactly as after a clean pass, and
+//! only then re-raises — its own batch fails request by request, the jobs
+//! queued behind it are served.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use kg_core::ids::{EntityId, RelationId};
 use kg_core::parallel::{parallel_map_indexed, two_level_split};
@@ -46,12 +48,6 @@ use kg_models::ScoringEngine;
 use crate::http_metrics::HttpMetrics;
 use crate::registry::LruCache;
 
-/// Triples in one coalesced batch at which the window widens.
-pub const WINDOW_GROW_TRIPLES: usize = 64;
-
-/// Upper bound of the adaptive window, as a multiple of the base window.
-pub const WINDOW_GROWTH_CAP: u64 = 8;
-
 /// What one job's wait ends with.
 enum Outcome<O> {
     /// The job's slice of the batch results, in input order.
@@ -59,6 +55,9 @@ enum Outcome<O> {
     /// The batch's execution pass panicked; the waiter must fail its own
     /// request rather than wait forever.
     Poisoned,
+    /// The previous leader handed leadership on: this job's submitter runs
+    /// the next pass (the job itself is still pending and joins it).
+    Lead,
 }
 
 /// One request's slot: filled by whichever thread leads the batch.
@@ -67,35 +66,39 @@ struct JobSlot<O> {
     ready: Condvar,
 }
 
+impl<O> JobSlot<O> {
+    fn wake(&self, outcome: Outcome<O>) {
+        *self.result.lock().unwrap() = Some(outcome);
+        self.ready.notify_all();
+    }
+}
+
 struct Pending<I, O> {
     items: Vec<I>,
     slot: Arc<JobSlot<O>>,
 }
 
 struct CoreState<I, O> {
+    /// Jobs not yet drained into a pass, oldest first.
     pending: Vec<Pending<I, O>>,
-    leader_active: bool,
+    /// A leader exists: it is running a pass or has been promoted to.
+    pass_running: bool,
 }
 
 /// The shared coalescing machinery behind [`ScoreBatcher`] and
-/// [`TopKBatcher`]: leadership election, the adaptive window, flattening
-/// jobs into one work list, scattering results back, and poisoning every
-/// waiter when the execution pass panics (so a panic costs the coalesced
-/// requests, never pool workers stuck in an eternal condvar wait).
+/// [`TopKBatcher`]: leadership and its hand-off, flattening jobs into one
+/// work list, scattering results back, and poisoning every waiter when the
+/// execution pass panics (so a panic costs the coalesced requests, never
+/// pool workers stuck in an eternal condvar wait).
 struct BatchCore<I, O> {
     state: Mutex<CoreState<I, O>>,
-    base_window_us: u64,
-    window_us: AtomicU64,
     batches_run: AtomicU64,
 }
 
-impl<I: Copy, O: Clone> BatchCore<I, O> {
-    fn new(window: Duration) -> Self {
-        let base_window_us = window.as_micros() as u64;
+impl<I: Copy, O> BatchCore<I, O> {
+    fn new() -> Self {
         BatchCore {
-            state: Mutex::new(CoreState { pending: Vec::new(), leader_active: false }),
-            base_window_us,
-            window_us: AtomicU64::new(base_window_us),
+            state: Mutex::new(CoreState { pending: Vec::new(), pass_running: false }),
             batches_run: AtomicU64::new(0),
         }
     }
@@ -104,14 +107,16 @@ impl<I: Copy, O: Clone> BatchCore<I, O> {
         self.batches_run.load(Ordering::Relaxed)
     }
 
-    fn current_window_us(&self) -> u64 {
-        self.window_us.load(Ordering::Relaxed)
+    /// Jobs enqueued and not yet drained into a pass.
+    #[cfg(test)]
+    fn pending_jobs(&self) -> usize {
+        self.state.lock().unwrap().pending.len()
     }
 
-    /// Run `items` through the batcher: coalesce with concurrent
-    /// submissions, execute the merged work list with `run` (exactly one
-    /// output per input item), report each completed batch's `(jobs,
-    /// items)` to `after` (metrics + window adaptation). Blocks until the
+    /// Run `items` through the batcher: coalesce with every submission
+    /// waiting when the pass starts, execute the merged work list with
+    /// `run` (exactly one output per input item), report each completed
+    /// batch's `(jobs, items)` to `after` (metrics). Blocks until the
     /// batch containing this job has been executed; panics if the batch's
     /// `run` panicked (on the leader the original panic resumes, on
     /// followers a poisoned-batch panic is raised).
@@ -124,172 +129,164 @@ impl<I: Copy, O: Clone> BatchCore<I, O> {
             return Vec::new();
         }
         let slot = Arc::new(JobSlot { result: Mutex::new(None), ready: Condvar::new() });
-        let is_leader = {
+        let mut leads = {
             let mut state = self.state.lock().unwrap();
             state.pending.push(Pending { items, slot: Arc::clone(&slot) });
-            if state.leader_active {
-                false
-            } else {
-                state.leader_active = true;
-                true
-            }
+            !std::mem::replace(&mut state.pass_running, true)
         };
-
-        if is_leader {
-            // Give concurrent submitters a chance to join this batch.
-            let window_us = self.window_us.load(Ordering::Relaxed);
-            if window_us > 0 {
-                std::thread::sleep(Duration::from_micros(window_us));
+        loop {
+            if leads {
+                // Fills this job's own slot along with the rest of the
+                // batch, so the wait below returns at once.
+                self.lead(&run, &after);
             }
-            let batch = {
-                let mut state = self.state.lock().unwrap();
-                state.leader_active = false;
-                std::mem::take(&mut state.pending)
-            };
-            let flat: Vec<I> = batch.iter().flat_map(|job| job.items.iter().copied()).collect();
-            // The execution pass runs under catch_unwind so a panicking
-            // model can never leave followers waiting on slots that no
-            // one will ever fill. A wrong-length result is routed through
-            // the same poison path: letting it slice-panic mid-scatter
-            // would strand exactly the slots not yet filled.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&flat)))
-                .and_then(|outputs| {
-                    if outputs.len() == flat.len() {
-                        Ok(outputs)
-                    } else {
-                        Err(Box::new(format!(
-                            "batch run returned {} outputs for {} items",
-                            outputs.len(),
-                            flat.len()
-                        )) as Box<dyn std::any::Any + Send>)
-                    }
-                });
-            match outcome {
-                Ok(outputs) => {
-                    self.batches_run.fetch_add(1, Ordering::Relaxed);
-                    let mut offset = 0usize;
-                    for job in &batch {
-                        let n = job.items.len();
-                        let mut result = job.slot.result.lock().unwrap();
-                        // PANIC-OK: the Ok arm guarantees
-                        // `outputs.len() == flat.len()` = sum of all job
-                        // item counts, so every `offset..offset + n` is in
-                        // bounds by construction.
-                        *result = Some(Outcome::Done(outputs[offset..offset + n].to_vec()));
-                        job.slot.ready.notify_all();
-                        offset += n;
-                    }
-                    after(batch.len(), flat.len());
-                }
-                Err(payload) => {
-                    for job in &batch {
-                        let mut result = job.slot.result.lock().unwrap();
-                        *result = Some(Outcome::Poisoned);
-                        job.slot.ready.notify_all();
-                    }
-                    // `leader_active` was already reset before the run, so
-                    // the next submission elects a fresh leader.
-                    std::panic::resume_unwind(payload);
-                }
+            let mut result = slot.result.lock().unwrap();
+            while result.is_none() {
+                // PANIC-OK: condvar wait only errors on mutex poisoning,
+                // i.e. a panic that already happened elsewhere — rethrowing
+                // it here adds no new panic surface.
+                result = slot.ready.wait(result).unwrap();
             }
-        }
-
-        let mut result = slot.result.lock().unwrap();
-        while result.is_none() {
-            // PANIC-OK: condvar wait only errors on mutex poisoning, i.e. a
-            // panic that already happened elsewhere — rethrowing it here
-            // adds no new panic surface.
-            result = slot.ready.wait(result).unwrap();
-        }
-        // PANIC-OK: the loop above exits only when the slot was filled.
-        match result.take().unwrap() {
-            Outcome::Done(out) => out,
-            Outcome::Poisoned => {
-                // PANIC-OK: deliberate panic propagation — the leader's
-                // execution pass panicked and `resume_unwind` already tore
-                // down that request; followers must fail too, not hang.
-                panic!("coalesced batch panicked in another request's execution pass")
+            // PANIC-OK: the loop above exits only when the slot was filled.
+            match result.take().unwrap() {
+                Outcome::Done(out) => return out,
+                Outcome::Poisoned => {
+                    // PANIC-OK: deliberate panic propagation — the leader's
+                    // execution pass panicked and `resume_unwind` already
+                    // tore down that request; followers must fail too, not
+                    // hang.
+                    panic!("coalesced batch panicked in another request's execution pass")
+                }
+                Outcome::Lead => leads = true,
             }
         }
     }
 
-    /// Adapt the window to the batch just executed: widen under load (the
-    /// next window catches more stragglers), shrink back toward the base
-    /// when traffic is idle. Growth requires the batch to have actually
-    /// coalesced ≥ 2 jobs *and* absorbed `grow_threshold` work units — a
-    /// single client's big sequential batches gain nothing from a longer
-    /// sleep. `on_change` observes the new window (the metrics gauge).
-    /// No-op for zero-base batchers.
-    fn adapt_window(
-        &self,
-        jobs: usize,
-        units: usize,
-        grow_threshold: usize,
-        on_change: impl Fn(u64),
-    ) {
-        if self.base_window_us == 0 {
-            return;
+    /// One pass as leader: drain everything pending, run it, wake every
+    /// drained job with its results (or poison), pass leadership on.
+    fn lead<R, A>(&self, run: &R, after: &A)
+    where
+        R: Fn(&[I]) -> Vec<O>,
+        A: Fn(usize, usize),
+    {
+        let batch = std::mem::take(&mut self.state.lock().unwrap().pending);
+        let flat: Vec<I> = batch.iter().flat_map(|job| job.items.iter().copied()).collect();
+        // The execution pass runs under catch_unwind so a panicking model
+        // can never leave followers waiting on slots that no one will ever
+        // fill. A wrong-length result is routed through the same poison
+        // path: scattering it would hand some job another job's outputs.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&flat)))
+            .and_then(|outputs| {
+                if outputs.len() == flat.len() {
+                    Ok(outputs)
+                } else {
+                    Err(Box::new(format!(
+                        "batch run returned {} outputs for {} items",
+                        outputs.len(),
+                        flat.len()
+                    )) as Box<dyn std::any::Any + Send>)
+                }
+            });
+        let failed = match outcome {
+            Ok(outputs) => {
+                self.batches_run.fetch_add(1, Ordering::Relaxed);
+                let mut outputs = outputs.into_iter();
+                for job in &batch {
+                    let out = outputs.by_ref().take(job.items.len()).collect();
+                    job.slot.wake(Outcome::Done(out));
+                }
+                None
+            }
+            Err(payload) => {
+                for job in &batch {
+                    job.slot.wake(Outcome::Poisoned);
+                }
+                Some(payload)
+            }
+        };
+        // Leadership moves on before anything else that could unwind: the
+        // jobs queued behind a panicking pass are served, not stranded.
+        self.hand_off();
+        match failed {
+            None => after(batch.len(), flat.len()),
+            Some(payload) => std::panic::resume_unwind(payload),
         }
-        let cap = self.base_window_us * WINDOW_GROWTH_CAP;
-        let cur = self.window_us.load(Ordering::Relaxed);
-        let next = if jobs >= 2 && units >= grow_threshold {
-            (cur * 2).min(cap)
-        } else if jobs <= 1 {
-            (cur / 2).max(self.base_window_us)
+    }
+
+    /// Promote the oldest job that queued up during the pass, or clear the
+    /// flag so the next submitter leads.
+    fn hand_off(&self) {
+        let next = {
+            let mut state = self.state.lock().unwrap();
+            let next = state.pending.first().map(|job| Arc::clone(&job.slot));
+            state.pass_running = next.is_some();
+            next
+        };
+        // Signalled after the state guard is gone (no nested lock). The
+        // promoted job stays pending, and `pass_running` stays set, so
+        // arrivals in between simply join the pass it is about to lead.
+        if let Some(slot) = next {
+            slot.wake(Outcome::Lead);
+        }
+    }
+}
+
+/// One ranked pass over `queries`, shared by `/topk` batches and the
+/// `/shard/*` endpoints: **one** [`LiveGraph`] snapshot serves every query
+/// (a pass sees a single graph version even if deltas land while it runs),
+/// queries spread across `threads` workers with spare threads handed to
+/// each query's own fan-out ([`two_level_split`]). `target` names a
+/// query's `(triple, side, filtered)`; `rank` is the per-query engine call,
+/// given the known answers to remove (empty when unfiltered) and its
+/// inner thread budget.
+pub(crate) fn ranked_pass<Q: Sync, T: Send + Default + Clone>(
+    live: &LiveGraph,
+    threads: usize,
+    queries: &[Q],
+    target: impl Fn(&Q) -> (Triple, QuerySide, bool) + Sync,
+    rank: impl Fn(&Q, &[EntityId], usize) -> T + Sync,
+) -> Vec<T> {
+    let snapshot = live.snapshot();
+    let split = two_level_split(queries.len(), threads);
+    parallel_map_indexed(queries.len(), split.outer, |i| {
+        // PANIC-OK: `i < queries.len()` by parallel_map_indexed's contract.
+        let q = &queries[i];
+        let (triple, side, filtered) = target(q);
+        let known = if filtered {
+            snapshot.known_answers(triple, side)
         } else {
-            cur
+            // PANIC-OK: full-range slice of an empty array literal —
+            // cannot be out of bounds.
+            Cow::Borrowed(&[][..])
         };
-        if next != cur {
-            self.window_us.store(next, Ordering::Relaxed);
-            on_change(next);
-        }
-    }
+        rank(q, &known, split.inner)
+    })
 }
 
 /// Coalesces concurrent score requests for one model.
 pub struct ScoreBatcher {
     engine: Arc<ScoringEngine>,
-    name: String,
     core: BatchCore<Triple, f32>,
     threads: usize,
     metrics: Option<Arc<HttpMetrics>>,
 }
 
 impl ScoreBatcher {
-    /// Batcher over `engine`, waiting an adaptive window (starting at
-    /// `window`) for stragglers and scoring with `threads` workers. Batch
-    /// sizes and the current window are recorded into `metrics` when
-    /// provided — held by the batcher itself so every coalesced batch is
-    /// observed no matter which submitter ends up leading it. A zero base
-    /// window disables both sleeping and adaptation.
+    /// Batcher over `engine`, scoring with `threads` workers. Batch sizes
+    /// are recorded into `metrics` when provided — held by the batcher
+    /// itself so every coalesced batch is observed no matter which
+    /// submitter ends up leading it.
     pub fn new(
         engine: Arc<ScoringEngine>,
-        name: impl Into<String>,
-        window: Duration,
         threads: usize,
         metrics: Option<Arc<HttpMetrics>>,
     ) -> Self {
-        let name = name.into();
-        if let Some(m) = &metrics {
-            m.set_score_window(&name, window.as_micros() as u64);
-        }
-        ScoreBatcher {
-            engine,
-            name,
-            core: BatchCore::new(window),
-            threads: threads.max(1),
-            metrics,
-        }
+        ScoreBatcher { engine, core: BatchCore::new(), threads: threads.max(1), metrics }
     }
 
     /// Number of scoring passes executed so far.
     pub fn batches_run(&self) -> u64 {
         self.core.batches_run()
-    }
-
-    /// The adaptive batching window currently in effect, in microseconds.
-    pub fn current_window_us(&self) -> u64 {
-        self.core.current_window_us()
     }
 
     /// Score `triples`, coalescing with any concurrent submissions.
@@ -310,25 +307,10 @@ impl ScoreBatcher {
                 if let Some(m) = &self.metrics {
                     m.observe_batch(jobs, triples);
                 }
-                self.adapt_window(jobs, triples);
             },
         )
     }
-
-    fn adapt_window(&self, jobs: usize, triples: usize) {
-        self.core.adapt_window(jobs, triples, WINDOW_GROW_TRIPLES, |next| {
-            if let Some(m) = &self.metrics {
-                m.set_score_window(&self.name, next);
-            }
-        });
-    }
 }
-
-/// Queries in one coalesced top-k batch at which the window widens. Much
-/// lower than [`WINDOW_GROW_TRIPLES`]: a top-k query is a full ranking
-/// pass (`O(|E|)`), so even a handful absorbed per batch repays a longer
-/// wait.
-pub const TOPK_WINDOW_GROW_QUERIES: usize = 4;
 
 /// One top-k query as the batcher executes it: parse-validated by the
 /// router, with `k` and the filtered flag resolved per request (jobs with
@@ -388,16 +370,11 @@ struct CachedTopK {
 /// multi-query fan-out pass.
 ///
 /// Same [`BatchCore`] leadership protocol as [`ScoreBatcher`], but the
-/// merged batch is executed through the two-level work plan
-/// ([`kg_core::parallel::two_level_split`]): the coalesced queries are
-/// spread across worker threads, and any spare threads fan each query's
-/// entity shards out via [`ScoringEngine::top_k_fanout`]. One concurrent
-/// query → pure shard fan-out; `threads`+ concurrent queries → pure
-/// query-parallelism; anything between gets both levels. The adaptive
-/// window mirrors the `/score` batcher's (grow on real coalescing of
-/// [`TOPK_WINDOW_GROW_QUERIES`]+ queries, decay when idle, capped at
-/// [`WINDOW_GROWTH_CAP`]× the base) and is exported per model as
-/// `kg_serve_topk_batch_window_us`.
+/// merged batch is executed as one [`ranked_pass`]: the coalesced queries
+/// are spread across worker threads, and any spare threads fan each
+/// query's entity shards out via [`ScoringEngine::top_k_fanout`]. One
+/// concurrent query → pure shard fan-out; `threads`+ concurrent queries →
+/// pure query-parallelism; anything between gets both levels.
 ///
 /// ## Live graphs
 ///
@@ -417,7 +394,6 @@ struct CachedTopK {
 pub struct TopKBatcher {
     engine: Arc<ScoringEngine>,
     live: Arc<LiveGraph>,
-    name: String,
     core: BatchCore<TopKQuery, Vec<(u32, f32)>>,
     cache: Mutex<LruCache<TopKCacheKey, CachedTopK>>,
     threads: usize,
@@ -427,25 +403,17 @@ pub struct TopKBatcher {
 impl TopKBatcher {
     /// Batcher running top-k passes for `engine`, removing known answers
     /// of filtered queries via snapshots of `live`, with `threads` total
-    /// workers per pass. A zero base window disables sleeping and
-    /// adaptation.
+    /// workers per pass.
     pub fn new(
         engine: Arc<ScoringEngine>,
         live: Arc<LiveGraph>,
-        name: impl Into<String>,
-        window: Duration,
         threads: usize,
         metrics: Option<Arc<HttpMetrics>>,
     ) -> Self {
-        let name = name.into();
-        if let Some(m) = &metrics {
-            m.set_topk_window(&name, window.as_micros() as u64);
-        }
         TopKBatcher {
             engine,
             live,
-            name,
-            core: BatchCore::new(window),
+            core: BatchCore::new(),
             cache: Mutex::new(LruCache::new(TOPK_CACHE_CAPACITY)),
             threads: threads.max(1),
             metrics,
@@ -455,11 +423,6 @@ impl TopKBatcher {
     /// Number of top-k passes executed so far.
     pub fn batches_run(&self) -> u64 {
         self.core.batches_run()
-    }
-
-    /// The adaptive batching window currently in effect, in microseconds.
-    pub fn current_window_us(&self) -> u64 {
-        self.core.current_window_us()
     }
 
     /// Cached query results currently held (tests and `/healthz`).
@@ -543,41 +506,23 @@ impl TopKBatcher {
     fn run_batch(&self, queries: Vec<TopKQuery>) -> TopKResults {
         self.core.submit(
             queries,
-            // The single two-level pass over every query of every
-            // coalesced job: queries across workers, spare workers into
-            // shard fan-out. One snapshot serves the whole pass.
+            // One ranked pass (one snapshot) over every query of every
+            // coalesced job.
             |flat| {
-                let snap = self.live.snapshot();
-                let split = two_level_split(flat.len(), self.threads);
-                parallel_map_indexed(flat.len(), split.outer, |i| {
-                    // PANIC-OK: `i < flat.len()` by parallel_map_indexed's
-                    // contract.
-                    let q = flat[i];
-                    let known = if q.filtered {
-                        snap.known_answers(q.triple, q.side)
-                    } else {
-                        // PANIC-OK: full-range slice of an empty array
-                        // literal — cannot be out of bounds.
-                        std::borrow::Cow::Borrowed(&[][..])
-                    };
-                    self.engine.top_k_fanout(q.triple, q.side, &known, q.k, split.inner)
-                })
+                ranked_pass(
+                    &self.live,
+                    self.threads,
+                    flat,
+                    |q| (q.triple, q.side, q.filtered),
+                    |q, known, inner| self.engine.top_k_fanout(q.triple, q.side, known, q.k, inner),
+                )
             },
             |jobs, queries| {
                 if let Some(m) = &self.metrics {
                     m.observe_topk_batch(jobs, queries);
                 }
-                self.adapt_window(jobs, queries);
             },
         )
-    }
-
-    fn adapt_window(&self, jobs: usize, queries: usize) {
-        self.core.adapt_window(jobs, queries, TOPK_WINDOW_GROW_QUERIES, |next| {
-            if let Some(m) = &self.metrics {
-                m.set_topk_window(&self.name, next);
-            }
-        });
     }
 }
 
@@ -586,6 +531,7 @@ mod tests {
     use super::*;
     use kg_core::EntityId;
     use kg_models::KgcModel;
+    use std::sync::mpsc;
 
     struct Linear {
         n: usize,
@@ -637,18 +583,18 @@ mod tests {
         }
     }
 
-    fn batcher(window_us: u64) -> Arc<ScoreBatcher> {
-        batcher_with(window_us, None)
+    fn batcher() -> Arc<ScoreBatcher> {
+        batcher_with(None)
     }
 
-    fn batcher_with(window_us: u64, metrics: Option<Arc<HttpMetrics>>) -> Arc<ScoreBatcher> {
+    fn batcher_with(metrics: Option<Arc<HttpMetrics>>) -> Arc<ScoreBatcher> {
         let engine = Arc::new(ScoringEngine::new(Arc::new(Linear { n: 50 }), 1));
-        Arc::new(ScoreBatcher::new(engine, "linear", Duration::from_micros(window_us), 2, metrics))
+        Arc::new(ScoreBatcher::new(engine, 2, metrics))
     }
 
     #[test]
     fn single_job_scores_in_order() {
-        let b = batcher(0);
+        let b = batcher();
         let triples = vec![Triple::new(1, 2, 3), Triple::new(4, 0, 9)];
         let scores = b.submit(triples);
         assert_eq!(scores, vec![10_203.0, 40_009.0]);
@@ -657,7 +603,7 @@ mod tests {
 
     #[test]
     fn empty_job_is_free() {
-        let b = batcher(0);
+        let b = batcher();
         assert!(b.submit(Vec::new()).is_empty());
         assert_eq!(b.batches_run(), 0);
     }
@@ -665,7 +611,7 @@ mod tests {
     #[test]
     fn concurrent_jobs_coalesce_and_split_correctly() {
         let metrics = Arc::new(HttpMetrics::new());
-        let b = batcher_with(3_000, Some(Arc::clone(&metrics)));
+        let b = batcher_with(Some(Arc::clone(&metrics)));
         let mut handles = Vec::new();
         for worker in 0..8u32 {
             let b = Arc::clone(&b);
@@ -694,7 +640,7 @@ mod tests {
 
     #[test]
     fn sequential_jobs_never_strand() {
-        let b = batcher(100);
+        let b = batcher();
         for i in 0..20u32 {
             let scores = b.submit(vec![Triple::new(i % 5, 0, i % 7)]);
             assert_eq!(scores.len(), 1);
@@ -702,66 +648,22 @@ mod tests {
         assert_eq!(b.batches_run(), 20);
     }
 
-    #[test]
-    fn window_widens_under_load_and_shrinks_when_idle() {
-        let metrics = Arc::new(HttpMetrics::new());
-        let b = batcher_with(50, Some(Arc::clone(&metrics)));
-        assert_eq!(b.current_window_us(), 50);
-        // A genuinely coalesced, large batch widens the window.
-        b.adapt_window(3, WINDOW_GROW_TRIPLES);
-        assert_eq!(b.current_window_us(), 100);
-        // Repeated load saturates at the cap.
-        for _ in 0..10 {
-            b.adapt_window(4, WINDOW_GROW_TRIPLES * 2);
-        }
-        assert_eq!(b.current_window_us(), 50 * WINDOW_GROWTH_CAP);
-        // Idle uncoalesced batches decay back to the base.
-        for _ in 0..10 {
-            b.adapt_window(1, 1);
-        }
-        assert_eq!(b.current_window_us(), 50);
-        // The current window is exported in the metrics text.
-        assert!(
-            metrics.render().contains("kg_serve_score_batch_window_us{model=\"linear\"} 50"),
-            "{}",
-            metrics.render()
-        );
-        // End to end: submitting through the real path keeps the invariants.
-        b.submit(vec![Triple::new(1, 0, 1)]);
-        assert_eq!(b.current_window_us(), 50);
-    }
-
-    #[test]
-    fn single_client_big_batches_never_widen_the_window() {
-        // One job per batch (no coalescing): a longer sleep cannot help, so
-        // the window must not ratchet up no matter the triple count.
-        let b = batcher_with(50, None);
-        for _ in 0..5 {
-            let big: Vec<Triple> = (0..200u32).map(|i| Triple::new(i % 5, 0, i % 7)).collect();
-            b.submit(big);
-        }
-        assert_eq!(b.current_window_us(), 50);
-    }
-
-    #[test]
-    fn zero_base_window_never_adapts() {
-        let b = batcher(0);
-        b.adapt_window(8, 10_000);
-        assert_eq!(b.current_window_us(), 0, "zero window means no sleeping, ever");
-        let big: Vec<Triple> = (0..200u32).map(|i| Triple::new(i % 5, 0, i % 7)).collect();
-        b.submit(big);
-        assert_eq!(b.current_window_us(), 0);
-    }
-
-    /// Delegates to [`Linear`] but panics when scoring head 13 — the
-    /// poison pill for the batch-poisoning regression test.
-    struct PanicOnHead13 {
+    /// Delegates to [`Linear`] after running `hook` on the query triple —
+    /// where a test makes a pass panic or holds it open.
+    struct Hooked {
         inner: Linear,
+        hook: Box<dyn Fn(Triple) + Send + Sync>,
     }
 
-    impl KgcModel for PanicOnHead13 {
+    impl Hooked {
+        fn engine(hook: Box<dyn Fn(Triple) + Send + Sync>, shards: usize) -> Arc<ScoringEngine> {
+            Arc::new(ScoringEngine::new(Arc::new(Hooked { inner: Linear { n: 50 }, hook }), shards))
+        }
+    }
+
+    impl KgcModel for Hooked {
         fn name(&self) -> &'static str {
-            "PanicOnHead13"
+            "Hooked"
         }
         fn dim(&self) -> usize {
             self.inner.dim()
@@ -776,7 +678,7 @@ mod tests {
             self.inner.query_len()
         }
         fn build_query(&self, triple: Triple, side: QuerySide, q: &mut [f32]) {
-            assert_ne!(triple.head.0, 13, "poison triple");
+            (self.hook)(triple);
             self.inner.build_query(triple, side, q)
         }
         fn score_rows(&self, q: &[f32], rows: std::ops::Range<usize>, out: &mut [f32]) {
@@ -794,9 +696,8 @@ mod tests {
         // forever (one stuck pool worker + connection permit each). Now
         // the leader poisons every drained slot before re-raising, so
         // each submitter fails its own request and the batcher recovers.
-        let engine =
-            Arc::new(ScoringEngine::new(Arc::new(PanicOnHead13 { inner: Linear { n: 50 } }), 1));
-        let b = Arc::new(ScoreBatcher::new(engine, "poison", Duration::from_millis(5), 2, None));
+        let poison = Box::new(|t: Triple| assert_ne!(t.head.0, 13, "poison triple"));
+        let b = Arc::new(ScoreBatcher::new(Hooked::engine(poison, 1), 2, None));
         let mut handles = Vec::new();
         for worker in 0..6u32 {
             let b = Arc::clone(&b);
@@ -818,27 +719,267 @@ mod tests {
         assert_eq!(b.submit(vec![Triple::new(1, 2, 3)]), vec![10_203.0]);
     }
 
+    /// Head of the triple that holds its pass at the [`gate`].
+    const GATE_HEAD: u32 = 49;
+
+    /// What a test tells the pass held at the gate to do next.
+    enum Release {
+        Proceed,
+        Panic,
+    }
+
+    /// The test's side of a [`gate`].
+    struct Gate {
+        entered: mpsc::Receiver<()>,
+        release: mpsc::Sender<Release>,
+    }
+
+    impl Gate {
+        /// Block until a pass is held at the gate.
+        fn await_pass(&self) {
+            self.entered.recv().unwrap();
+        }
+
+        fn release(&self, how: Release) {
+            self.release.send(how).unwrap();
+        }
+    }
+
+    /// A [`Hooked`] hook that, on a triple with head [`GATE_HEAD`], reports
+    /// in and then blocks until the test releases it: the pass containing
+    /// that triple stays open exactly as long as the test wants, so "while
+    /// a pass is running" is a state the test is in, not a race it hopes
+    /// to win.
+    fn gate() -> (Box<dyn Fn(Triple) + Send + Sync>, Gate) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let hook = move |t: Triple| {
+            if t.head.0 != GATE_HEAD {
+                return;
+            }
+            entered_tx.lock().unwrap().send(()).unwrap();
+            if let Release::Panic = release_rx.lock().unwrap().recv().unwrap() {
+                panic!("pass released with Release::Panic");
+            }
+        };
+        (Box::new(hook), Gate { entered, release })
+    }
+
+    fn gated_batcher() -> (Arc<ScoreBatcher>, Gate, Arc<HttpMetrics>) {
+        let (hook, gate) = gate();
+        let metrics = Arc::new(HttpMetrics::new());
+        let b = ScoreBatcher::new(Hooked::engine(hook, 1), 2, Some(Arc::clone(&metrics)));
+        (Arc::new(b), gate, metrics)
+    }
+
+    fn gated_job() -> Vec<Triple> {
+        vec![Triple::new(GATE_HEAD, 0, 1)]
+    }
+
+    /// Ungated job `i`: one to three triples, distinct per `i`.
+    fn job(i: u32) -> Vec<Triple> {
+        (0..=i % 3).map(|j| Triple::new(i % 40, j, i + j)).collect()
+    }
+
+    fn assert_scored(triples: &[Triple], scores: &[f32]) {
+        let want: Vec<f32> = triples
+            .iter()
+            .map(|t| t.head.0 as f32 * 10_000.0 + t.relation.0 as f32 * 100.0 + t.tail.0 as f32)
+            .collect();
+        assert_eq!(scores, want, "job result misaligned for {triples:?}");
+    }
+
+    type Submitted = (Vec<Triple>, std::thread::JoinHandle<Vec<f32>>);
+
+    /// Submit each of `jobs` from its own thread.
+    fn spawn_jobs(b: &Arc<ScoreBatcher>, jobs: Vec<Vec<Triple>>) -> Vec<Submitted> {
+        jobs.into_iter()
+            .map(|triples| {
+                let b = Arc::clone(b);
+                let job = triples.clone();
+                (triples, std::thread::spawn(move || b.submit(job)))
+            })
+            .collect()
+    }
+
+    /// [`spawn_jobs`] while a pass is held at the gate; returns once every
+    /// job is enqueued behind that pass.
+    fn queue_behind(b: &Arc<ScoreBatcher>, jobs: Vec<Vec<Triple>>) -> Vec<Submitted> {
+        assert_eq!(b.core.pending_jobs(), 0, "the held pass drained the queue");
+        let n = jobs.len();
+        let submitted = spawn_jobs(b, jobs);
+        while b.core.pending_jobs() < n {
+            std::thread::yield_now();
+        }
+        submitted
+    }
+
+    fn assert_all_served(submitted: Vec<Submitted>) {
+        for (triples, handle) in submitted {
+            assert_scored(&triples, &handle.join().expect("job served, not poisoned"));
+        }
+    }
+
+    /// The value of an unlabelled counter in a `/metrics` rendering.
+    fn series(metrics: &HttpMetrics, name: &str) -> u64 {
+        let text = metrics.render();
+        let line = text.lines().find(|l| l.split(' ').next() == Some(name));
+        line.and_then(|l| l.rsplit(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no series {name} in:\n{text}"))
+    }
+
+    #[test]
+    fn arrivals_during_a_pass_are_answered_together_by_the_next_pass() {
+        let (b, gate, metrics) = gated_batcher();
+        let first = spawn_jobs(&b, vec![gated_job()]);
+        gate.await_pass();
+        let queued = queue_behind(&b, (0..5).map(job).collect());
+        gate.release(Release::Proceed);
+        assert_all_served(first);
+        assert_all_served(queued);
+        assert_eq!(b.batches_run(), 2, "five queued jobs, one pass");
+        assert_eq!(series(&metrics, "kg_serve_score_batches_total"), 2);
+        assert_eq!(series(&metrics, "kg_serve_score_batch_jobs_total"), 6);
+    }
+
+    #[test]
+    fn a_queued_job_waits_for_one_pass_at_most() {
+        let (b, gate, metrics) = gated_batcher();
+        let first = spawn_jobs(&b, vec![gated_job()]);
+        gate.await_pass();
+        // Pass 2's batch; the gated job in it holds pass 2 open in turn.
+        let mut second: Vec<Vec<Triple>> = (0..4).map(job).collect();
+        second.push(gated_job());
+        let second = queue_behind(&b, second);
+        gate.release(Release::Proceed);
+        gate.await_pass();
+        // `queue_behind` asserts the queue is empty: pass 2 took everything
+        // that was enqueued before pass 1 ended.
+        let third = queue_behind(&b, (4..7).map(job).collect());
+        gate.release(Release::Proceed);
+        assert_all_served(first);
+        assert_all_served(second);
+        assert_all_served(third);
+        assert_eq!(b.batches_run(), 3);
+        assert_eq!(series(&metrics, "kg_serve_score_batch_jobs_total"), 1 + 5 + 3);
+    }
+
+    #[test]
+    fn a_panicking_pass_hands_its_queue_to_a_promoted_leader() {
+        let (b, gate, _) = gated_batcher();
+        let mut first = spawn_jobs(&b, vec![gated_job()]);
+        gate.await_pass();
+        let queued = queue_behind(&b, (0..5).map(job).collect());
+        gate.release(Release::Panic);
+        assert!(first.remove(0).1.join().is_err(), "the panicking pass fails its own submitter");
+        assert_all_served(queued);
+        assert_eq!(b.batches_run(), 1, "one clean pass served all five");
+        // Leadership was released, not leaked: a fresh submit leads itself.
+        assert_eq!(b.submit(vec![Triple::new(1, 2, 3)]), vec![10_203.0]);
+    }
+
+    #[test]
+    fn a_promoted_leader_that_panics_poisons_only_its_own_batch() {
+        let (b, gate, _) = gated_batcher();
+        let first = spawn_jobs(&b, vec![gated_job()]);
+        gate.await_pass();
+        // Pass 2: two jobs led by a promoted leader, panicking at the gate.
+        let doomed = queue_behind(&b, vec![job(0), gated_job()]);
+        gate.release(Release::Proceed);
+        assert_all_served(first);
+        gate.await_pass();
+        let queued = queue_behind(&b, (1..4).map(job).collect());
+        gate.release(Release::Panic);
+        for (_, handle) in doomed {
+            assert!(handle.join().is_err(), "leader re-raises, follower is poisoned");
+        }
+        assert_all_served(queued);
+        assert_eq!(b.batches_run(), 2, "passes 1 and 3 were clean");
+        assert_eq!(b.submit(vec![Triple::new(1, 2, 3)]), vec![10_203.0]);
+    }
+
+    #[test]
+    fn many_threads_of_sequential_submits_are_each_answered_exactly_once() {
+        let metrics = Arc::new(HttpMetrics::new());
+        let b = batcher_with(Some(Arc::clone(&metrics)));
+        let workers: Vec<_> = (0..8u32)
+            .map(|w| {
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || {
+                    for i in 0..200 {
+                        let triples = job(w * 200 + i);
+                        assert_scored(&triples, &b.submit(triples.clone()));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(series(&metrics, "kg_serve_score_batch_jobs_total"), 1600);
+        let triples: usize = (0..1600).map(|i| job(i).len()).sum();
+        assert_eq!(series(&metrics, "kg_serve_score_batch_triples_total"), triples as u64);
+        assert_eq!(b.core.pending_jobs(), 0);
+    }
+
+    fn base_filter() -> Arc<kg_core::FilterIndex> {
+        let triples: Vec<Triple> = (0..20u32).map(|i| Triple::new(i % 50, i % 4, i + 5)).collect();
+        Arc::new(kg_core::FilterIndex::from_slices(&[&triples]))
+    }
+
     fn topk_batcher_with(
-        window_us: u64,
         metrics: Option<Arc<HttpMetrics>>,
     ) -> (Arc<TopKBatcher>, Arc<ScoringEngine>, Arc<kg_core::FilterIndex>) {
         let engine = Arc::new(ScoringEngine::new(Arc::new(Linear { n: 50 }), 5));
-        let triples: Vec<Triple> = (0..20u32).map(|i| Triple::new(i % 50, i % 4, i + 5)).collect();
-        let filter = Arc::new(kg_core::FilterIndex::from_slices(&[&triples]));
+        let filter = base_filter();
         let b = Arc::new(TopKBatcher::new(
             Arc::clone(&engine),
             Arc::new(LiveGraph::new(Arc::clone(&filter))),
-            "linear",
-            Duration::from_micros(window_us),
             4,
             metrics,
         ));
         (b, engine, filter)
     }
 
+    /// Top-k job `i`: one to three queries of mixed side and `k`, filtered
+    /// for even `i`.
+    fn topk_job(i: u32) -> Vec<TopKQuery> {
+        (0..=(i % 3))
+            .map(|j| TopKQuery {
+                triple: Triple::new(i % 40, (j + i) % 4, 0),
+                side: if j % 2 == 0 { QuerySide::Tail } else { QuerySide::Head },
+                k: 1 + (i as usize + j as usize) % 9,
+                filtered: i.is_multiple_of(2),
+            })
+            .collect()
+    }
+
+    fn spawn_topk(
+        b: &Arc<TopKBatcher>,
+        queries: Vec<TopKQuery>,
+    ) -> (Vec<TopKQuery>, std::thread::JoinHandle<TopKResults>) {
+        let (b, job) = (Arc::clone(b), queries.clone());
+        (queries, std::thread::spawn(move || b.submit(job)))
+    }
+
+    /// Every result equals what `engine` ranks for that query alone.
+    fn assert_topk(
+        engine: &ScoringEngine,
+        filter: &kg_core::FilterIndex,
+        queries: &[TopKQuery],
+        results: &TopKResults,
+    ) {
+        assert_eq!(results.len(), queries.len());
+        for (q, got) in queries.iter().zip(results) {
+            let known = if q.filtered { filter.known_answers(q.triple, q.side) } else { &[][..] };
+            assert_eq!(got, &engine.top_k(q.triple, q.side, known, q.k), "{q:?}");
+        }
+    }
+
     #[test]
     fn topk_single_job_matches_the_engine() {
-        let (b, engine, filter) = topk_batcher_with(0, None);
+        let (b, engine, filter) = topk_batcher_with(None);
         let queries = vec![
             TopKQuery { triple: Triple::new(3, 1, 0), side: QuerySide::Tail, k: 7, filtered: true },
             TopKQuery {
@@ -862,30 +1003,10 @@ mod tests {
     #[test]
     fn topk_concurrent_jobs_coalesce_with_mixed_k_and_filtering() {
         let metrics = Arc::new(HttpMetrics::new());
-        let (b, engine, filter) = topk_batcher_with(3_000, Some(Arc::clone(&metrics)));
-        let mut handles = Vec::new();
-        for worker in 0..8u32 {
-            let b = Arc::clone(&b);
-            handles.push(std::thread::spawn(move || {
-                let queries: Vec<TopKQuery> = (0..=(worker % 3))
-                    .map(|i| TopKQuery {
-                        triple: Triple::new(worker, (i + worker) % 4, 0),
-                        side: if i % 2 == 0 { QuerySide::Tail } else { QuerySide::Head },
-                        k: 1 + (worker as usize + i as usize) % 9,
-                        filtered: worker % 2 == 0,
-                    })
-                    .collect();
-                (queries.clone(), b.submit(queries))
-            }));
-        }
-        for h in handles {
-            let (queries, results) = h.join().unwrap();
-            assert_eq!(results.len(), queries.len());
-            for (q, got) in queries.iter().zip(&results) {
-                let known =
-                    if q.filtered { filter.known_answers(q.triple, q.side) } else { &[][..] };
-                assert_eq!(got, &engine.top_k(q.triple, q.side, known, q.k), "{q:?}");
-            }
+        let (b, engine, filter) = topk_batcher_with(Some(Arc::clone(&metrics)));
+        let submitted: Vec<_> = (0..8).map(|worker| spawn_topk(&b, topk_job(worker))).collect();
+        for (queries, handle) in submitted {
+            assert_topk(&engine, &filter, &queries, &handle.join().unwrap());
         }
         assert!(b.batches_run() <= 8, "concurrent jobs coalesced into fewer passes");
         assert!(
@@ -902,14 +1023,8 @@ mod tests {
         let triples: Vec<Triple> = (0..20u32).map(|i| Triple::new(i % 50, i % 4, i + 5)).collect();
         let filter = Arc::new(kg_core::FilterIndex::from_slices(&[&triples]));
         let live = Arc::new(LiveGraph::new(filter));
-        let b = TopKBatcher::new(
-            Arc::clone(&engine),
-            Arc::clone(&live),
-            "linear",
-            Duration::ZERO,
-            2,
-            Some(Arc::clone(&metrics)),
-        );
+        let b =
+            TopKBatcher::new(Arc::clone(&engine), Arc::clone(&live), 2, Some(Arc::clone(&metrics)));
         let q =
             TopKQuery { triple: Triple::new(3, 1, 0), side: QuerySide::Tail, k: 5, filtered: true };
         let other =
@@ -944,14 +1059,7 @@ mod tests {
         let engine = Arc::new(ScoringEngine::new(Arc::new(Linear { n: 50 }), 1));
         let filter = Arc::new(kg_core::FilterIndex::from_slices(&[&[Triple::new(1, 0, 2)][..]]));
         let live = Arc::new(LiveGraph::new(filter));
-        let b = TopKBatcher::new(
-            Arc::clone(&engine),
-            Arc::clone(&live),
-            "linear",
-            Duration::ZERO,
-            1,
-            None,
-        );
+        let b = TopKBatcher::new(Arc::clone(&engine), Arc::clone(&live), 1, None);
         let q =
             TopKQuery { triple: Triple::new(1, 0, 0), side: QuerySide::Tail, k: 3, filtered: true };
         b.submit(vec![q]);
@@ -972,28 +1080,98 @@ mod tests {
         assert_eq!(b.batches_run(), 2, "unfiltered entry re-stamped, no extra pass");
     }
 
-    #[test]
-    fn topk_window_adapts_like_the_score_batcher() {
+    /// A top-k batcher over `threads` workers whose passes stop at the
+    /// [`gate`], with its live graph and metrics.
+    fn gated_topk_batcher(
+        threads: usize,
+    ) -> (Arc<TopKBatcher>, Gate, Arc<LiveGraph>, Arc<HttpMetrics>) {
+        let (hook, gate) = gate();
+        let live = Arc::new(LiveGraph::new(base_filter()));
         let metrics = Arc::new(HttpMetrics::new());
-        let (b, _, _) = topk_batcher_with(50, Some(Arc::clone(&metrics)));
-        assert_eq!(b.current_window_us(), 50);
-        b.adapt_window(2, TOPK_WINDOW_GROW_QUERIES);
-        assert_eq!(b.current_window_us(), 100, "coalesced batches widen the window");
-        for _ in 0..10 {
-            b.adapt_window(3, TOPK_WINDOW_GROW_QUERIES * 2);
-        }
-        assert_eq!(b.current_window_us(), 50 * WINDOW_GROWTH_CAP);
-        for _ in 0..10 {
-            b.adapt_window(1, 1);
-        }
-        assert_eq!(b.current_window_us(), 50, "idle batches decay back to the base");
-        // One job per batch never widens, no matter how many queries.
-        b.adapt_window(1, 100);
-        assert_eq!(b.current_window_us(), 50);
-        assert!(
-            metrics.render().contains("kg_serve_topk_batch_window_us{model=\"linear\"} 50"),
-            "{}",
-            metrics.render()
+        let b = TopKBatcher::new(
+            Hooked::engine(hook, 5),
+            Arc::clone(&live),
+            threads,
+            Some(Arc::clone(&metrics)),
         );
+        (Arc::new(b), gate, live, metrics)
+    }
+
+    fn gated_query() -> TopKQuery {
+        TopKQuery {
+            triple: Triple::new(GATE_HEAD, 0, 0),
+            side: QuerySide::Tail,
+            k: 3,
+            filtered: false,
+        }
+    }
+
+    #[test]
+    fn topk_arrivals_during_a_pass_share_the_next_pass() {
+        let (b, gate, _, metrics) = gated_topk_batcher(4);
+        let (_, reference, filter) = topk_batcher_with(None);
+        let first = spawn_topk(&b, vec![gated_query()]);
+        gate.await_pass();
+        let queued: Vec<_> = (0..5).map(|i| spawn_topk(&b, topk_job(i))).collect();
+        while b.core.pending_jobs() < 5 {
+            std::thread::yield_now();
+        }
+        gate.release(Release::Proceed);
+        first.1.join().unwrap();
+        for (queries, handle) in queued {
+            assert_topk(&reference, &filter, &queries, &handle.join().unwrap());
+        }
+        assert_eq!(b.batches_run(), 2, "mixed k and filtering, one pass");
+        assert_eq!(series(&metrics, "kg_serve_topk_batch_jobs_total"), 6);
+    }
+
+    #[test]
+    fn topk_pass_reads_one_snapshot_and_never_caches_across_a_delta() {
+        // One worker: the pass ranks the gated query first, `q` after it.
+        let (b, gate, live, _) = gated_topk_batcher(1);
+        let (_, reference, filter) = topk_batcher_with(None);
+        let q =
+            TopKQuery { triple: Triple::new(3, 1, 0), side: QuerySide::Tail, k: 5, filtered: true };
+        let (_, handle) = spawn_topk(&b, vec![gated_query(), q]);
+        gate.await_pass();
+        // While the pass is held, the graph learns that (3, r1, 48) is true.
+        let outcome = live.apply(&kg_core::GraphDelta::new(vec![Triple::new(3, 1, 48)], vec![]));
+        b.invalidate(&outcome.keys, outcome.version);
+        gate.release(Release::Proceed);
+        let results = handle.join().unwrap();
+        // `q` was ranked after the delta landed, yet against the snapshot
+        // the pass took when it started.
+        assert_topk(&reference, &filter, &[q], &results[1..].to_vec());
+        assert!(results[1].iter().any(|&(e, _)| e == 48), "{:?}", results[1]);
+        assert_eq!(b.cached_results(), 0, "the version moved mid-pass: nothing is cached");
+        let after = b.submit(vec![q]);
+        assert!(!after[0].iter().any(|&(e, _)| e == 48), "{:?}", after[0]);
+        assert_eq!(b.cached_results(), 1);
+    }
+
+    #[test]
+    fn topk_many_threads_of_sequential_submits_are_each_answered_exactly_once() {
+        let metrics = Arc::new(HttpMetrics::new());
+        let (b, engine, filter) = topk_batcher_with(Some(Arc::clone(&metrics)));
+        let workers: Vec<_> = (0..4u32)
+            .map(|w| {
+                let (b, engine, filter) =
+                    (Arc::clone(&b), Arc::clone(&engine), Arc::clone(&filter));
+                std::thread::spawn(move || {
+                    for i in 0..100 {
+                        let queries = topk_job(w * 100 + i);
+                        assert_topk(&engine, &filter, &queries, &b.submit(queries.clone()));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        let queries: usize = (0..400).map(|i| topk_job(i).len()).sum();
+        let misses = series(&metrics, "kg_serve_topk_cache_misses_total");
+        assert_eq!(series(&metrics, "kg_serve_topk_cache_hits_total") + misses, queries as u64);
+        assert_eq!(series(&metrics, "kg_serve_topk_batch_queries_total"), misses);
+        assert_eq!(b.core.pending_jobs(), 0);
     }
 }

@@ -92,10 +92,6 @@ struct MonitorGauges {
 pub struct HttpMetrics {
     endpoints: Mutex<HashMap<String, EndpointStats>>,
     batches: Mutex<BatchStats>,
-    /// Current adaptive `/score` batching window per model, microseconds.
-    windows: Mutex<HashMap<String, u64>>,
-    /// Current adaptive `/topk` batching window per model, microseconds.
-    topk_windows: Mutex<HashMap<String, u64>>,
     /// Coalesced `/topk` batches executed.
     topk_batches: AtomicU64,
     /// Requests absorbed into `/topk` batches.
@@ -160,8 +156,6 @@ impl HttpMetrics {
         HttpMetrics {
             endpoints: Mutex::new(HashMap::new()),
             batches: Mutex::new(BatchStats::default()),
-            windows: Mutex::new(HashMap::new()),
-            topk_windows: Mutex::new(HashMap::new()),
             topk_batches: AtomicU64::new(0),
             topk_jobs: AtomicU64::new(0),
             topk_queries: AtomicU64::new(0),
@@ -290,27 +284,6 @@ impl HttpMetrics {
             .entry(endpoint.to_string())
             .or_default()
             .observe(merge_us);
-    }
-
-    /// Record `model`'s current adaptive batching window (microseconds).
-    pub fn set_score_window(&self, model: &str, window_us: u64) {
-        self.windows.lock().unwrap().insert(model.to_string(), window_us);
-    }
-
-    /// The last recorded batching window for `model`, if any.
-    pub fn score_window(&self, model: &str) -> Option<u64> {
-        self.windows.lock().unwrap().get(model).copied()
-    }
-
-    /// Record `model`'s current adaptive `/topk` batching window
-    /// (microseconds).
-    pub fn set_topk_window(&self, model: &str, window_us: u64) {
-        self.topk_windows.lock().unwrap().insert(model.to_string(), window_us);
-    }
-
-    /// The last recorded `/topk` batching window for `model`, if any.
-    pub fn topk_window(&self, model: &str) -> Option<u64> {
-        self.topk_windows.lock().unwrap().get(model).copied()
     }
 
     /// Record one coalesced top-k batch (`jobs` requests, `queries` total).
@@ -566,24 +539,6 @@ impl HttpMetrics {
         }
         drop(b);
 
-        let windows = self.windows.lock().unwrap();
-        if !windows.is_empty() {
-            let mut models: Vec<&String> = windows.keys().collect();
-            models.sort();
-            out.push_str(
-                "# HELP kg_serve_score_batch_window_us Current adaptive /score batching window.\n",
-            );
-            out.push_str("# TYPE kg_serve_score_batch_window_us gauge\n");
-            for m in models {
-                out.push_str(&format!(
-                    "kg_serve_score_batch_window_us{{model=\"{}\"}} {}\n",
-                    escape_label(m),
-                    windows[m] // PANIC-OK: `m` came from `windows.keys()`.
-                ));
-            }
-        }
-        drop(windows);
-
         out.push_str("# HELP kg_serve_topk_batches_total Coalesced /topk batches executed.\n");
         out.push_str("# TYPE kg_serve_topk_batches_total counter\n");
         out.push_str(&format!("kg_serve_topk_batches_total {}\n", self.topk_batches()));
@@ -600,25 +555,6 @@ impl HttpMetrics {
             "kg_serve_topk_batch_queries_total {}\n",
             self.topk_queries.load(Ordering::Relaxed)
         ));
-
-        let topk_windows = self.topk_windows.lock().unwrap();
-        if !topk_windows.is_empty() {
-            let mut models: Vec<&String> = topk_windows.keys().collect();
-            models.sort();
-            out.push_str(
-                "# HELP kg_serve_topk_batch_window_us Current adaptive /topk batching window.\n",
-            );
-            out.push_str("# TYPE kg_serve_topk_batch_window_us gauge\n");
-            for m in models {
-                out.push_str(&format!(
-                    "kg_serve_topk_batch_window_us{{model=\"{}\"}} {}\n",
-                    escape_label(m),
-                    // PANIC-OK: `m` came from `topk_windows.keys()`.
-                    topk_windows[m]
-                ));
-            }
-        }
-        drop(topk_windows);
 
         let graph_versions = self.graph_versions.lock().unwrap();
         if !graph_versions.is_empty() {
@@ -910,15 +846,12 @@ mod tests {
         let m = HttpMetrics::new();
         m.observe_topk_batch(2, 9);
         m.observe_topk_batch(1, 1);
-        m.set_topk_window("m", 400);
         assert_eq!(m.topk_batches(), 2);
         assert_eq!(m.topk_jobs(), 3);
-        assert_eq!(m.topk_window("m"), Some(400));
         let text = m.render();
         assert!(text.contains("kg_serve_topk_batches_total 2"), "{text}");
         assert!(text.contains("kg_serve_topk_batch_jobs_total 3"), "{text}");
         assert!(text.contains("kg_serve_topk_batch_queries_total 10"), "{text}");
-        assert!(text.contains("kg_serve_topk_batch_window_us{model=\"m\"} 400"), "{text}");
     }
 
     #[test]
@@ -928,15 +861,15 @@ mod tests {
         assert_eq!(percentile(&[1, 2, 3, 4], 0.99), 4.0);
     }
 
+    /// Model names reach labels from outside (`/admin/models`); every
+    /// per-model series renders them through `escape_label`.
     #[test]
     fn window_gauge_escapes_label_values() {
         let m = HttpMetrics::new();
-        m.set_score_window("evil\"} 1\nfake_metric{x=\"", 7);
+        m.set_graph_version("evil\"} 1\nfake_metric{x=\"", 7);
         let text = m.render();
         assert!(
-            text.contains(
-                "kg_serve_score_batch_window_us{model=\"evil\\\"} 1\\nfake_metric{x=\\\"\"} 7"
-            ),
+            text.contains("kg_serve_graph_version{model=\"evil\\\"} 1\\nfake_metric{x=\\\"\"} 7"),
             "label must be escaped, got: {text}"
         );
         assert!(!text.contains("\nfake_metric{"), "no injected series: {text}");

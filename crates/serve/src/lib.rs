@@ -10,7 +10,7 @@
 //!
 //! | Route | Method | Purpose |
 //! |---|---|---|
-//! | `/score`        | POST | Score a batch of `(h, r, t)` triples (coalesced across concurrent requests, adaptive window) |
+//! | `/score`        | POST | Score a batch of `(h, r, t)` triples (a lone request runs at once; requests arriving during a pass form the next pass) |
 //! | `/topk`         | POST | Top-k tail/head prediction with filtered known-true removal (coalesced across concurrent requests, fanned out across queries × entity shards) |
 //! | `/eval`         | POST | Sampled MRR / Hits@K over submitted triples ([`kg_eval::evaluate_sampled`]), version-stamped and LRU-cached |
 //! | `/triples`      | POST | Stream triple inserts/deletes into the live graph; bumps the graph version and invalidates exactly the touched cache entries |
@@ -18,7 +18,7 @@
 //! | `/admin/models` | POST | Hot-reload a model snapshot; the registry entry flips atomically (the live graph and its version survive) |
 //! | `/admin/models` | GET  | List registered models: shape, shard count, graph version, known triples |
 //! | `/healthz`      | GET  | Liveness, uptime, registered models, this worker's shard ranges (on a gateway: per-backend health) |
-//! | `/metrics`      | GET  | Prometheus text: request counts, p50/p99 latency, batch sizes + windows |
+//! | `/metrics`      | GET  | Prometheus text: request counts, p50/p99 latency, batch counts and sizes |
 //! | `/shard/topk`   | POST | **Internal** (multi-node): `/topk`'s queries over this worker's entity range, as wire-encoded [`kg_core::partial::PartialTopK`]s |
 //! | `/shard/rank`   | POST | **Internal** (multi-node): filtered-rank counters over this worker's range, as wire-encoded [`kg_core::partial::PartialRankCounts`] |
 //!

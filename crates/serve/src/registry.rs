@@ -13,7 +13,6 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Duration;
 
 use kg_core::ids::{EntityId, RelationId};
 use kg_core::sample::seeded_rng;
@@ -417,13 +416,6 @@ impl ModelEntry {
 /// Tuning knobs shared by every entry a registry creates.
 #[derive(Clone, Debug)]
 pub struct RegistryConfig {
-    /// Base batching window for `/score` coalescing (the adaptive window
-    /// floors here and caps at [`crate::batch::WINDOW_GROWTH_CAP`]× this).
-    pub batch_window: Duration,
-    /// Base batching window for `/topk` coalescing (same adaptive scheme;
-    /// growth triggers at [`crate::batch::TOPK_WINDOW_GROW_QUERIES`]
-    /// absorbed queries since each query is a full ranking pass).
-    pub topk_batch_window: Duration,
     /// Worker threads for scoring/ranking passes.
     pub threads: usize,
     /// Entity shards per model engine (`0` = automatic: one shard per
@@ -450,8 +442,6 @@ pub struct RegistryConfig {
 impl Default for RegistryConfig {
     fn default() -> Self {
         RegistryConfig {
-            batch_window: Duration::from_micros(200),
-            topk_batch_window: Duration::from_micros(200),
             threads: kg_core::parallel::default_threads(),
             shards: 0,
             admin_token: None,
@@ -598,16 +588,12 @@ impl ModelRegistry {
             name: name.clone(),
             batcher: ScoreBatcher::new(
                 Arc::clone(&engine),
-                name.clone(),
-                self.config.batch_window,
                 self.config.threads,
                 Some(Arc::clone(&self.metrics)),
             ),
             topk_batcher: TopKBatcher::new(
                 Arc::clone(&engine),
                 Arc::clone(&live),
-                name.clone(),
-                self.config.topk_batch_window,
                 self.config.threads,
                 Some(Arc::clone(&self.metrics)),
             ),

@@ -40,7 +40,7 @@ use kg_core::{GraphDelta, Triple};
 use kg_eval::{evaluate_sampled, TieBreak};
 use kg_recommend::SamplingStrategy;
 
-use crate::batch::TopKQuery;
+use crate::batch::{ranked_pass, TopKQuery};
 use crate::gateway::Gateway;
 use crate::http_metrics::HttpMetrics;
 use crate::json::Json;
@@ -369,24 +369,17 @@ impl Router {
         let engine = entry.engine();
         let k = k.min(engine.num_entities());
         let range = entry.shard_range();
-        // One live-graph snapshot for the whole request: every query sees
-        // the same graph version even if deltas land mid-pass.
-        let snapshot = entry.live().snapshot();
-        // The same two-level work plan the public path uses: queries
-        // across workers, spare threads fanning each query's range out.
-        let split = kg_core::parallel::two_level_split(queries.len(), entry.threads());
-        let partials = kg_core::parallel::parallel_map_indexed(queries.len(), split.outer, |i| {
-            // PANIC-OK: `i < queries.len()` by parallel_map_indexed's
-            // contract.
-            let (triple, side) = queries[i];
-            let known = if filtered {
-                snapshot.known_answers(triple, side)
-            } else {
-                // PANIC-OK: full-range slice of an empty array literal.
-                std::borrow::Cow::Borrowed(&[][..])
-            };
-            engine.partial_top_k(triple, side, &known, k, range.clone(), split.inner).encode()
-        });
+        // One ranked pass (one live-graph snapshot, the same two-level
+        // work plan the public path uses) over this worker's range.
+        let partials = ranked_pass(
+            entry.live(),
+            entry.threads(),
+            &queries,
+            |&(triple, side)| (triple, side, filtered),
+            |&(triple, side), known, inner| {
+                engine.partial_top_k(triple, side, known, k, range.clone(), inner).encode()
+            },
+        );
         Response::json(
             200,
             Json::obj([
@@ -426,21 +419,16 @@ impl Router {
         };
         let engine = entry.engine();
         let range = entry.shard_range();
-        let snapshot = entry.live().snapshot();
         let queries = kg_eval::ranker::queries_of(&triples);
-        let split = kg_core::parallel::two_level_split(queries.len(), entry.threads());
-        let partials = kg_core::parallel::parallel_map_indexed(queries.len(), split.outer, |i| {
-            // PANIC-OK: `i < queries.len()` by parallel_map_indexed's
-            // contract.
-            let (triple, side) = queries[i];
-            let known = if filtered {
-                snapshot.known_answers(triple, side)
-            } else {
-                // PANIC-OK: full-range slice of an empty array literal.
-                std::borrow::Cow::Borrowed(&[][..])
-            };
-            engine.partial_rank_counts(triple, side, &known, range.clone(), split.inner).encode()
-        });
+        let partials = ranked_pass(
+            entry.live(),
+            entry.threads(),
+            &queries,
+            |&(triple, side)| (triple, side, filtered),
+            |&(triple, side), known, inner| {
+                engine.partial_rank_counts(triple, side, known, range.clone(), inner).encode()
+            },
+        );
         Response::json(
             200,
             Json::obj([

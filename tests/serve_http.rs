@@ -316,7 +316,7 @@ fn concurrent_topk_clients_coalesce_and_stay_correct() {
     }
 
     // Every request went through the TopKBatcher, in (far) fewer passes
-    // than requests when any coalescing happened — and the gauge renders.
+    // than requests when any coalescing happened.
     let (_, prom) = client::get(addr, "/metrics").unwrap();
     let metric = |name: &str| -> u64 {
         prom.lines()
@@ -328,10 +328,6 @@ fn concurrent_topk_clients_coalesce_and_stay_correct() {
     assert_eq!(metric("kg_serve_topk_batch_jobs_total"), CLIENTS as u64);
     assert_eq!(metric("kg_serve_topk_batch_queries_total"), CLIENTS as u64);
     assert!(metric("kg_serve_topk_batches_total") <= CLIENTS as u64);
-    assert!(
-        prom.contains("kg_serve_topk_batch_window_us{model=\"m\"}"),
-        "the /topk window gauge must render: {prom}"
-    );
     fx.server.shutdown();
 }
 
