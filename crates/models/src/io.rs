@@ -133,10 +133,12 @@ pub fn read_snapshot<R: Read>(r: &mut R) -> Result<ModelSnapshot, KgError> {
         if buf.remaining() < 8 {
             return Err(fail("truncated table header"));
         }
-        let len = buf.get_u64_le() as usize;
-        if buf.remaining() < len * 4 {
-            return Err(fail("truncated table payload"));
-        }
+        // `len` comes from the file: check it against the bytes actually
+        // present (without overflowing) before allocating for it.
+        let len = usize::try_from(buf.get_u64_le())
+            .ok()
+            .filter(|len| len.checked_mul(4).is_some_and(|bytes| bytes <= buf.remaining()))
+            .ok_or_else(|| fail("truncated table payload"))?;
         let mut t = Vec::with_capacity(len);
         for _ in 0..len {
             t.push(buf.get_f32_le());
@@ -332,6 +334,57 @@ mod tests {
         let mut bad_magic = buf.clone();
         bad_magic[0] = b'X';
         assert!(load_model(&mut bad_magic.as_slice()).is_err());
+    }
+
+    /// A snapshot header (either format) declaring one table of `len`
+    /// floats, followed by `payload_floats` actual ones.
+    fn snapshot_bytes(format: u16, len: u64, payload_floats: usize) -> Vec<u8> {
+        let mut raw = MAGIC.to_vec();
+        raw.extend(format.to_le_bytes());
+        raw.push(kind_tag(ModelKind::TransE));
+        if format >= 2 {
+            raw.push(Precision::F32.to_byte());
+        }
+        for field in [5u64, 2, 8] {
+            raw.extend(field.to_le_bytes());
+        }
+        raw.push(1); // n_tables
+        raw.extend(len.to_le_bytes());
+        raw.extend(std::iter::repeat_n(0u8, payload_floats * 4));
+        raw
+    }
+
+    fn rejection(raw: &[u8]) -> String {
+        match read_snapshot(&mut &raw[..]) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a {}-byte hostile snapshot was accepted", raw.len()),
+        }
+    }
+
+    /// Table lengths are outside input (`POST /admin/models` takes a
+    /// path). `len * 4` overflowing `usize` used to panic in debug and, in
+    /// release, wrap to 4, pass the bounds check against the 16 bytes that
+    /// follow, and die in `Vec::with_capacity` with `capacity overflow`.
+    #[test]
+    fn overflowing_table_length_is_rejected_not_a_panic() {
+        let overflowing = snapshot_bytes(FORMAT, (1 << 62) + 1, 4);
+        assert!(rejection(&overflowing).contains("truncated table payload"));
+    }
+
+    #[test]
+    fn table_length_one_float_past_the_payload_is_rejected() {
+        assert!(rejection(&snapshot_bytes(FORMAT, 5, 4)).contains("truncated table payload"));
+        assert!(read_snapshot(&mut snapshot_bytes(FORMAT, 4, 4).as_slice()).is_ok());
+    }
+
+    /// A v1 header is one byte shorter; the same checks apply behind it.
+    #[test]
+    fn v1_header_is_bounds_checked_like_v2() {
+        let v1 = snapshot_bytes(FORMAT_V1, 5, 4);
+        assert!(rejection(&v1).contains("truncated table payload"));
+        assert!(rejection(&v1[..31]).contains("truncated header"));
+        assert!(rejection(&v1[..32]).contains("truncated table header"));
+        assert!(read_snapshot(&mut snapshot_bytes(FORMAT_V1, 4, 4).as_slice()).is_ok());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use kg_core::triple::QuerySide;
 use kg_core::{DeltaKeys, LiveGraph, Triple};
 use kg_models::ScoringEngine;
 
-use crate::http_metrics::HttpMetrics;
+use crate::http_metrics::{Family, HttpMetrics};
 use crate::registry::LruCache;
 
 /// What one job's wait ends with.
@@ -473,7 +473,8 @@ impl TopKBatcher {
             }
         }
         if let Some(m) = &self.metrics {
-            m.observe_topk_cache(queries.len() - misses.len(), misses.len());
+            m.add(Family::TopkCacheHits, &[], (queries.len() - misses.len()) as u64);
+            m.add(Family::TopkCacheMisses, &[], misses.len() as u64);
         }
         if !misses.is_empty() {
             let miss_queries: Vec<TopKQuery> = misses.iter().map(|&(_, q)| q).collect();

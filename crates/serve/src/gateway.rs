@@ -56,7 +56,7 @@ use kg_core::partial::{Partial, PartialTopK};
 use kg_eval::RankingMetrics;
 
 use crate::client::{ClientConfig, Connection};
-use crate::http_metrics::HttpMetrics;
+use crate::http_metrics::{Family, HttpMetrics};
 use crate::json::Json;
 use crate::router::Response;
 
@@ -635,7 +635,7 @@ impl Gateway {
     fn mark_failed(&self, backend: &Backend) {
         // ORDERING: Relaxed — advisory health flag, see `all_healthy`.
         backend.healthy.store(false, Ordering::Relaxed);
-        self.inner.metrics.gateway_backend_error(&backend.label);
+        self.inner.metrics.add(Family::GatewayBackendErrors, &[&backend.label], 1);
     }
 
     fn unavailable(&self, backend: &str) -> Response {
@@ -686,7 +686,7 @@ fn probe_loop(inner: Weak<Inner>, interval: Duration) {
                     // edge-triggered error accounting, not synchronization.
                     let was_healthy = backend.healthy.swap(false, Ordering::Relaxed);
                     if was_healthy {
-                        gw.metrics.gateway_backend_error(&backend.label);
+                        gw.metrics.add(Family::GatewayBackendErrors, &[&backend.label], 1);
                     }
                 }
             }

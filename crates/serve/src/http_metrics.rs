@@ -1,146 +1,177 @@
-//! Service observability: per-endpoint request counters, latency quantiles,
-//! and batch-size distributions, rendered in Prometheus text format.
+//! Service observability: every `/metrics` series is one row of the
+//! `families!` table below, rendered in Prometheus text format.
 //!
-//! Latencies are kept as a bounded reservoir of recent microsecond samples
-//! per endpoint (a ring of the last [`LATENCY_WINDOW`] observations) —
-//! p50/p99 over a sliding window is what a dashboard wants, and the memory
-//! bound holds under unbounded traffic.
+//! A new series follows three rules:
+//!
+//! 1. **One row** in the table — name, kind, label names, help — at the
+//!    place it should appear on `/metrics` (the table *is* the render order).
+//! 2. **One verb at the call site**: `HttpMetrics::add` for a counter,
+//!    `HttpMetrics::set` for a gauge, `HttpMetrics::observe` for a
+//!    summary. An event method exists only where one event moves several
+//!    series at once (it is one `write` of several `Op`s, under one lock).
+//! 3. **Nothing else**: storage, `render`, `value`, `forget`, label
+//!    escaping and sorting are driven by the table and never name a family.
+//!
+//! Hot-path guarantee: a write to an unlabelled counter or gauge is an
+//! index into the table and one relaxed atomic; an event takes the series
+//! lock at most once however many labelled series or summaries it moves,
+//! and allocates only the first time a label set is seen. A scrape copies
+//! one family at a time under the lock and sorts and formats after
+//! releasing it, so it stalls a worker for no longer than one copy.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Samples retained per endpoint for quantile estimation.
+use crate::monitor::MonitorStatus;
+
+/// Samples retained per summary series: quantiles are over a sliding
+/// window, so memory stays bounded under unbounded traffic.
 pub const LATENCY_WINDOW: usize = 4096;
 
-/// Bounded ring of the last [`LATENCY_WINDOW`] samples — the one
-/// windowing implementation behind request latencies, batch sizes, and
-/// the gateway's scatter/merge phase quantiles.
-#[derive(Default)]
-struct Reservoir {
-    samples: Vec<u64>,
-    next_slot: usize,
+/// How a family's cells are stored, written and printed.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// A `u64`, moved by `add` (or `set`, where the owner keeps the count).
+    Counter,
+    /// An `f64`, replaced by `set`.
+    Gauge,
+    /// The last [`LATENCY_WINDOW`] samples fed to `observe`, printed as p50
+    /// and p99 divided by this unit (`1e6`: microseconds in, seconds out).
+    Summary(f64),
 }
 
-impl Reservoir {
-    fn observe(&mut self, value: u64) {
-        if self.samples.len() < LATENCY_WINDOW {
-            self.samples.push(value);
-        } else {
-            // PANIC-OK: `next_slot` wraps modulo LATENCY_WINDOW and the
-            // else-branch means `samples.len() == LATENCY_WINDOW`.
-            self.samples[self.next_slot] = value;
-            self.next_slot = (self.next_slot + 1) % LATENCY_WINDOW;
-        }
+/// One row of the table: everything `/metrics` knows about a family.
+struct Desc {
+    name: &'static str,
+    kind: Kind,
+    labels: &'static [&'static str],
+    help: &'static str,
+}
+
+impl Desc {
+    /// Unlabelled counters and gauges live in one lock-free atomic each.
+    fn is_scalar(&self) -> bool {
+        self.labels.is_empty() && !matches!(self.kind, Kind::Summary(_))
     }
 
-    /// A sorted copy of the held samples (for percentile extraction), or
-    /// `None` when empty.
-    fn sorted(&self) -> Option<Vec<u64>> {
-        if self.samples.is_empty() {
-            return None;
+    /// A `set` value as stored: a counter's whole number, a gauge's bits.
+    fn encode(&self, value: f64) -> u64 {
+        match self.kind {
+            Kind::Counter => value as u64,
+            _ => value.to_bits(),
         }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        Some(sorted)
     }
 }
 
-#[derive(Default)]
-struct EndpointStats {
-    requests: u64,
-    errors: u64,
-    latencies_us: Reservoir,
+/// Declares [`Family`] (the handle the write verbs take) and [`FAMILIES`]
+/// (its descriptors) from one list, so the two cannot drift apart.
+macro_rules! families {
+    ($($id:ident, $name:literal, $kind:expr, [$($label:literal),*], $help:literal;)*) => {
+        /// A `/metrics` family, in render order.
+        #[derive(Clone, Copy)]
+        pub(crate) enum Family { $($id),* }
+
+        const FAMILIES: &[Desc] = {
+            use Kind::*;
+            &[$(Desc { name: $name, kind: $kind, labels: &[$($label),*], help: $help }),*]
+        };
+    };
 }
 
-impl EndpointStats {
-    fn observe(&mut self, latency_us: u64, is_error: bool) {
-        self.requests += 1;
-        if is_error {
-            self.errors += 1;
+families! {
+    Uptime, "kg_serve_uptime_seconds", Gauge, [], "Seconds since server start.";
+    ConnectionsActive, "kg_serve_connections_active", Gauge, [], "Connections currently open.";
+    ConnectionsTotal, "kg_serve_connections_total", Counter, [], "Connections handed to a worker.";
+    KeepaliveReuses, "kg_serve_keepalive_reuses_total", Counter, [], "Requests served on a reused connection.";
+    RejectedConnections, "kg_serve_rejected_connections_total", Counter, [], "Connections refused with 503 at the admission gate.";
+    ThrottledConnections, "kg_serve_throttled_connections_total", Counter, [], "Connections refused with 429 by the per-client token bucket.";
+    ReactorFds, "kg_serve_reactor_registered_fds", Gauge, [], "File descriptors registered with the reactor poller (listener + waker + connections).";
+    ReactorWakeups, "kg_serve_reactor_wakeups_total", Counter, [], "Times the reactor's poll wait returned.";
+    ReactorReadyEvents, "kg_serve_reactor_ready_events", Summary(1.0), [], "Ready events per reactor tick, quantiles over a sliding window.";
+    Requests, "kg_serve_requests_total", Counter, ["endpoint"], "Requests handled, by endpoint.";
+    RequestErrors, "kg_serve_request_errors_total", Counter, ["endpoint"], "Responses with status >= 400.";
+    Latency, "kg_serve_latency_seconds", Summary(1e6), ["endpoint"], "Request latency quantiles over a sliding window.";
+    ScoreBatches, "kg_serve_score_batches_total", Counter, [], "Coalesced /score batches executed.";
+    ScoreBatchJobs, "kg_serve_score_batch_jobs_total", Counter, [], "Requests absorbed into batches.";
+    ScoreBatchTriples, "kg_serve_score_batch_triples_total", Counter, [], "Triples scored through batches.";
+    ScoreBatchSize, "kg_serve_score_batch_size", Summary(1.0), [], "Requests per batch, quantiles.";
+    TopkBatches, "kg_serve_topk_batches_total", Counter, [], "Coalesced /topk batches executed.";
+    TopkBatchJobs, "kg_serve_topk_batch_jobs_total", Counter, [], "Requests absorbed into /topk batches.";
+    TopkBatchQueries, "kg_serve_topk_batch_queries_total", Counter, [], "Top-k queries executed through batches.";
+    GraphVersion, "kg_serve_graph_version", Gauge, ["model"], "Current live-graph version.";
+    KernelInfo, "kg_serve_kernel_info", Gauge, ["isa"], "Active scoring-kernel ISA (value is always 1).";
+    ModelPrecision, "kg_serve_model_precision_info", Gauge, ["model", "precision"], "Entity-table storage precision per model (value is always 1).";
+    TriplesInserted, "kg_serve_graph_triples_inserted_total", Counter, [], "Triples inserted into live graphs.";
+    TriplesDeleted, "kg_serve_graph_triples_deleted_total", Counter, [], "Triples deleted from live graphs.";
+    TopkCacheHits, "kg_serve_topk_cache_hits_total", Counter, [], "/topk queries answered from the version-stamped result cache.";
+    TopkCacheMisses, "kg_serve_topk_cache_misses_total", Counter, [], "/topk queries that ran a fresh ranking pass.";
+    EvalCacheHits, "kg_serve_eval_cache_hits_total", Counter, [], "/eval requests answered from the result cache.";
+    EvalCacheMisses, "kg_serve_eval_cache_misses_total", Counter, [], "/eval requests that recomputed.";
+    MonitorMrr, "kg_serve_monitor_mrr", Gauge, ["model"], "Latest continuous-evaluation MRR.";
+    MonitorHitsAtK, "kg_serve_monitor_hits_at_k", Gauge, ["model", "k"], "Latest continuous-evaluation Hits@K.";
+    MonitorBaselineMrr, "kg_serve_monitor_baseline_mrr", Gauge, ["model"], "MRR of the monitor's first (baseline) round.";
+    MonitorDriftAlarm, "kg_serve_monitor_drift_alarm", Gauge, ["model"], "1 when MRR fell more than the drift threshold below baseline.";
+    MonitorEvals, "kg_serve_monitor_evals_total", Counter, ["model"], "Continuous-evaluation rounds completed.";
+    // Stored as the uptime at which the latest round finished; a scrape
+    // turns its copy into an age.
+    MonitorEvalAge, "kg_serve_monitor_eval_age_seconds", Gauge, ["model"], "Seconds since the latest round finished.";
+    GatewayBackendErrors, "kg_serve_gateway_backend_errors_total", Counter, ["backend"], "Backend failures observed by the gateway.";
+    GatewayScatter, "kg_serve_gateway_scatter_seconds", Summary(1e6), ["endpoint"], "Gateway scatter-phase latency (fan-out until the last backend answered).";
+    GatewayMerge, "kg_serve_gateway_merge_seconds", Summary(1e6), ["endpoint"], "Gateway merge-phase latency (partial recombination).";
+}
+
+/// One series' storage: `num` is a counter's count or a gauge's `f64` bits,
+/// `window` a summary's samples — the family's [`Kind`] says which is live.
+#[derive(Clone, Default)]
+struct Cell {
+    num: u64,
+    window: VecDeque<u64>,
+}
+
+/// A family's series: label values → cell, in first-written order.
+type Series = Vec<(Vec<String>, Cell)>;
+
+/// One write to one family's series; see [`HttpMetrics::write`].
+#[derive(Clone, Copy)]
+enum Op {
+    /// Move a counter up.
+    Add(u64),
+    /// Replace a gauge's value (or a counter's, where the caller owns the
+    /// count — it is truncated to a whole number).
+    Set(f64),
+    /// Feed one sample to a summary's window.
+    Observe(u64),
+}
+
+/// What a copied cell prints as: its number, or for a summary its p50 and
+/// p99 under their `quantile` label values (sorted here — outside the
+/// lock). Counts go through `f64` like everything a Prometheus scrape
+/// parses; they print digit for digit up to 2^53.
+fn read(kind: Kind, cell: Cell) -> Vec<(Option<&'static str>, f64)> {
+    match kind {
+        Kind::Counter => vec![(None, cell.num as f64)],
+        Kind::Gauge => vec![(None, f64::from_bits(cell.num))],
+        Kind::Summary(_) if cell.window.is_empty() => Vec::new(),
+        Kind::Summary(div) => {
+            let mut sorted = Vec::from(cell.window);
+            sorted.sort_unstable();
+            let quantile = |label, q| (Some(label), percentile(&sorted, q) / div);
+            vec![quantile("0.5", 0.50), quantile("0.99", 0.99)]
         }
-        self.latencies_us.observe(latency_us);
     }
 }
 
-#[derive(Default)]
-struct BatchStats {
-    batches: u64,
-    jobs: u64,
-    triples: u64,
-    sizes: Reservoir,
-}
-
-/// Latest continuous-evaluation round for one monitored model (see
-/// [`crate::monitor::Monitor`]); rendered as the `kg_serve_monitor_*`
-/// series.
-#[derive(Clone, Copy, Default)]
-struct MonitorGauges {
-    mrr: f64,
-    hits1: f64,
-    hits3: f64,
-    hits10: f64,
-    baseline_mrr: f64,
-    drift_alarm: bool,
-    evals: u64,
-    last_eval_uptime: f64,
-}
-
-/// Thread-safe metrics registry shared by the router, the batcher, and the
-/// server's connection lifecycle.
+/// Thread-safe metrics registry shared by the router, the batchers, the
+/// gateway, the monitors and the server's connection lifecycle.
 pub struct HttpMetrics {
-    endpoints: Mutex<HashMap<String, EndpointStats>>,
-    batches: Mutex<BatchStats>,
-    /// Coalesced `/topk` batches executed.
-    topk_batches: AtomicU64,
-    /// Requests absorbed into `/topk` batches.
-    topk_jobs: AtomicU64,
-    /// Top-k queries executed through `/topk` batches.
-    topk_queries: AtomicU64,
-    /// Connections currently open (accepted by a worker, not yet closed).
-    connections_active: AtomicU64,
-    /// Connections ever handed to a worker.
-    connections_total: AtomicU64,
-    /// Requests served on an already-used (kept-alive) connection.
-    keepalive_reuses: AtomicU64,
-    /// Connections refused with 503 at the admission gate.
-    connections_rejected: AtomicU64,
-    /// Connections refused with 429 by a per-client token bucket.
-    connections_throttled: AtomicU64,
-    /// File descriptors registered with the reactor's poller (listener +
-    /// waker + open connections).
-    reactor_fds: AtomicU64,
-    /// Times the reactor's poll wait returned (readiness or waker byte).
-    reactor_wakeups: AtomicU64,
-    /// Ready events delivered per reactor tick (sliding window).
-    reactor_ready: Mutex<Reservoir>,
-    /// Current live-graph version per model.
-    graph_versions: Mutex<HashMap<String, u64>>,
-    /// Entity-table storage precision per model ("f32"/"f16"/"int8").
-    model_precisions: Mutex<HashMap<String, &'static str>>,
-    /// Triples inserted into live graphs (effective writes only).
-    triples_inserted: AtomicU64,
-    /// Triples deleted from live graphs (effective writes only).
-    triples_deleted: AtomicU64,
-    /// `/topk` queries answered from the version-stamped result cache.
-    topk_cache_hits: AtomicU64,
-    /// `/topk` queries that missed the result cache and ran a ranking pass.
-    topk_cache_misses: AtomicU64,
-    /// `/eval` requests answered from the version-stamped result cache.
-    eval_cache_hits: AtomicU64,
-    /// `/eval` requests that missed the result cache.
-    eval_cache_misses: AtomicU64,
-    /// Continuous-evaluation stats per monitored model.
-    monitors: Mutex<HashMap<String, MonitorGauges>>,
-    /// Backend failures observed by the gateway, by backend address.
-    gateway_backend_errors: Mutex<HashMap<String, u64>>,
-    /// Gateway scatter-phase latency (request fan-out until the last
-    /// backend answered), by endpoint.
-    gateway_scatter: Mutex<HashMap<String, Reservoir>>,
-    /// Gateway merge-phase latency (partial recombination + response
-    /// building), by endpoint.
-    gateway_merge: Mutex<HashMap<String, Reservoir>>,
+    /// One atomic per [`FAMILIES`] row (encoded like [`Cell::num`]); live
+    /// for the rows that are [`Desc::is_scalar`].
+    scalars: Vec<AtomicU64>,
+    /// One series list per [`FAMILIES`] row; live for every other row.
+    series: Mutex<Vec<Series>>,
     started: Instant,
 }
 
@@ -154,251 +185,112 @@ impl HttpMetrics {
     /// Fresh registry; `uptime` counts from here.
     pub fn new() -> Self {
         HttpMetrics {
-            endpoints: Mutex::new(HashMap::new()),
-            batches: Mutex::new(BatchStats::default()),
-            topk_batches: AtomicU64::new(0),
-            topk_jobs: AtomicU64::new(0),
-            topk_queries: AtomicU64::new(0),
-            connections_active: AtomicU64::new(0),
-            connections_total: AtomicU64::new(0),
-            keepalive_reuses: AtomicU64::new(0),
-            connections_rejected: AtomicU64::new(0),
-            connections_throttled: AtomicU64::new(0),
-            reactor_fds: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            reactor_ready: Mutex::new(Reservoir::default()),
-            graph_versions: Mutex::new(HashMap::new()),
-            model_precisions: Mutex::new(HashMap::new()),
-            triples_inserted: AtomicU64::new(0),
-            triples_deleted: AtomicU64::new(0),
-            topk_cache_hits: AtomicU64::new(0),
-            topk_cache_misses: AtomicU64::new(0),
-            eval_cache_hits: AtomicU64::new(0),
-            eval_cache_misses: AtomicU64::new(0),
-            monitors: Mutex::new(HashMap::new()),
-            gateway_backend_errors: Mutex::new(HashMap::new()),
-            gateway_scatter: Mutex::new(HashMap::new()),
-            gateway_merge: Mutex::new(HashMap::new()),
+            scalars: FAMILIES.iter().map(|_| AtomicU64::new(0)).collect(),
+            series: Mutex::new(vec![Vec::new(); FAMILIES.len()]),
             started: Instant::now(),
         }
     }
 
-    /// A worker took ownership of a fresh connection.
-    pub fn connection_opened(&self) {
-        self.connections_active.fetch_add(1, Ordering::Relaxed);
-        self.connections_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection ended (cleanly or not); pairs with
-    /// [`HttpMetrics::connection_opened`].
-    pub fn connection_closed(&self) {
-        self.connections_active.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A kept-alive connection served another request (the 2nd, 3rd, …
-    /// request on one socket each count once).
-    pub fn connection_reused(&self) {
-        self.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was refused with 503 because the budget was exhausted.
-    pub fn connection_rejected(&self) {
-        self.connections_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections currently open.
-    pub fn active_connections(&self) -> u64 {
-        self.connections_active.load(Ordering::Relaxed)
-    }
-
-    /// Connections ever handed to a worker.
-    pub fn total_connections(&self) -> u64 {
-        self.connections_total.load(Ordering::Relaxed)
-    }
-
-    /// Requests served on reused (kept-alive) connections.
-    pub fn keepalive_reuses(&self) -> u64 {
-        self.keepalive_reuses.load(Ordering::Relaxed)
-    }
-
-    /// Connections refused with 503 at the admission gate.
-    pub fn rejected_connections(&self) -> u64 {
-        self.connections_rejected.load(Ordering::Relaxed)
-    }
-
-    /// A connection was refused with 429 because its client's token
-    /// bucket was empty (per-client fairness).
-    pub fn connection_throttled(&self) {
-        self.connections_throttled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections refused with 429 by the per-client token bucket.
-    pub fn throttled_connections(&self) -> u64 {
-        self.connections_throttled.load(Ordering::Relaxed)
-    }
-
-    /// The reactor recounted the file descriptors registered with its
-    /// poller (listener + waker + open connections).
-    pub fn set_reactor_fds(&self, fds: u64) {
-        self.reactor_fds.store(fds, Ordering::Relaxed);
-    }
-
-    /// File descriptors currently registered with the reactor's poller.
-    pub fn reactor_fds(&self) -> u64 {
-        self.reactor_fds.load(Ordering::Relaxed)
-    }
-
-    /// One reactor tick: the poll wait returned with `ready` events.
-    pub fn observe_reactor_tick(&self, ready: usize) {
-        self.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
-        self.reactor_ready.lock().unwrap().observe(ready as u64);
-    }
-
-    /// Times the reactor's poll wait has returned.
-    pub fn reactor_wakeups(&self) -> u64 {
-        self.reactor_wakeups.load(Ordering::Relaxed)
-    }
-
-    /// The gateway observed a backend failure (connect/transport error or
-    /// a failed health probe).
-    pub fn gateway_backend_error(&self, backend: &str) {
-        *self.gateway_backend_errors.lock().unwrap().entry(backend.to_string()).or_insert(0) += 1;
-    }
-
-    /// Total backend failures the gateway observed (all backends).
-    pub fn gateway_backend_errors(&self) -> u64 {
-        self.gateway_backend_errors.lock().unwrap().values().sum()
-    }
-
-    /// Record one gateway request's scatter and merge phase durations.
-    pub fn observe_gateway_phases(&self, endpoint: &str, scatter_us: u64, merge_us: u64) {
-        self.gateway_scatter
-            .lock()
-            .unwrap()
-            .entry(endpoint.to_string())
-            .or_default()
-            .observe(scatter_us);
-        self.gateway_merge
-            .lock()
-            .unwrap()
-            .entry(endpoint.to_string())
-            .or_default()
-            .observe(merge_us);
-    }
-
-    /// Record one coalesced top-k batch (`jobs` requests, `queries` total).
-    pub fn observe_topk_batch(&self, jobs: usize, queries: usize) {
-        self.topk_batches.fetch_add(1, Ordering::Relaxed);
-        self.topk_jobs.fetch_add(jobs as u64, Ordering::Relaxed);
-        self.topk_queries.fetch_add(queries as u64, Ordering::Relaxed);
-    }
-
-    /// Coalesced `/topk` batches executed.
-    pub fn topk_batches(&self) -> u64 {
-        self.topk_batches.load(Ordering::Relaxed)
-    }
-
-    /// Requests absorbed into `/topk` batches.
-    pub fn topk_jobs(&self) -> u64 {
-        self.topk_jobs.load(Ordering::Relaxed)
-    }
-
-    /// Record `model`'s current live-graph version.
-    pub fn set_graph_version(&self, model: &str, version: u64) {
-        self.graph_versions.lock().unwrap().insert(model.to_string(), version);
-    }
-
-    /// The last recorded live-graph version for `model`, if any.
-    pub fn graph_version(&self, model: &str) -> Option<u64> {
-        self.graph_versions.lock().unwrap().get(model).copied()
-    }
-
-    /// Record the entity-table precision a model is served at.
-    pub fn set_model_precision(&self, model: &str, precision: &'static str) {
-        self.model_precisions.lock().unwrap().insert(model.to_string(), precision);
-    }
-
-    /// The recorded serving precision for `model` (tests and `/healthz`).
-    pub fn model_precision(&self, model: &str) -> Option<&'static str> {
-        self.model_precisions.lock().unwrap().get(model).copied()
-    }
-
-    /// Record one applied graph delta's effective writes.
-    pub fn observe_ingest(&self, inserted: usize, deleted: usize) {
-        self.triples_inserted.fetch_add(inserted as u64, Ordering::Relaxed);
-        self.triples_deleted.fetch_add(deleted as u64, Ordering::Relaxed);
-    }
-
-    /// Record one coalesced `/topk` pass's cache outcome (`hits` queries
-    /// answered from cache, `misses` ranked fresh).
-    pub fn observe_topk_cache(&self, hits: usize, misses: usize) {
-        self.topk_cache_hits.fetch_add(hits as u64, Ordering::Relaxed);
-        self.topk_cache_misses.fetch_add(misses as u64, Ordering::Relaxed);
-    }
-
-    /// `/topk` queries answered from the result cache.
-    pub fn topk_cache_hits(&self) -> u64 {
-        self.topk_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// `/topk` queries that ran a fresh ranking pass.
-    pub fn topk_cache_misses(&self) -> u64 {
-        self.topk_cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Record one `/eval` request's result-cache outcome.
-    pub fn observe_eval_cache(&self, hit: bool) {
-        if hit {
-            self.eval_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.eval_cache_misses.fetch_add(1, Ordering::Relaxed);
+    /// The one write path: apply `ops` to the series labelled `labels` of
+    /// their families. Scalars are one relaxed atomic each; the series lock
+    /// is taken once, by the first op that needs it, and a cell is created
+    /// — its label set allocated — the first time it is written.
+    fn write(&self, labels: &[&str], ops: &[(Family, Op)]) {
+        let mut series = None;
+        for &(family, op) in ops {
+            let at = family as usize;
+            let Some((desc, scalar)) = FAMILIES.get(at).zip(self.scalars.get(at)) else { continue };
+            if desc.is_scalar() {
+                match op {
+                    Op::Add(n) => drop(scalar.fetch_add(n, Ordering::Relaxed)),
+                    Op::Set(value) => scalar.store(desc.encode(value), Ordering::Relaxed),
+                    Op::Observe(_) => {}
+                }
+                continue;
+            }
+            let series = series.get_or_insert_with(|| self.series.lock().unwrap());
+            let Some(series) = series.get_mut(at) else { continue };
+            let apply = |cell: &mut Cell| match op {
+                Op::Add(n) => cell.num += n,
+                Op::Set(value) => cell.num = desc.encode(value),
+                Op::Observe(sample) => {
+                    if cell.window.len() == LATENCY_WINDOW {
+                        cell.window.pop_front();
+                    }
+                    cell.window.push_back(sample);
+                }
+            };
+            match series.iter_mut().find(|(have, _)| have.as_slice() == labels) {
+                Some((_, cell)) => apply(cell),
+                None => {
+                    let mut cell = Cell::default();
+                    apply(&mut cell);
+                    series.push((labels.iter().map(|l| l.to_string()).collect(), cell));
+                }
+            }
         }
     }
 
-    /// `/eval` requests answered from the result cache.
-    pub fn eval_cache_hits(&self) -> u64 {
-        self.eval_cache_hits.load(Ordering::Relaxed)
+    /// Move a counter series up by `n`.
+    pub(crate) fn add(&self, family: Family, labels: &[&str], n: u64) {
+        self.write(labels, &[(family, Op::Add(n))]);
     }
 
-    /// Publish one continuous-evaluation round for `model`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn set_monitor_stats(
-        &self,
-        model: &str,
-        metrics: &kg_eval::RankingMetrics,
-        baseline_mrr: f64,
-        drift_alarm: bool,
-        evals: u64,
-        last_eval_uptime: f64,
-    ) {
-        self.monitors.lock().unwrap().insert(
-            model.to_string(),
-            MonitorGauges {
-                mrr: metrics.mrr,
-                hits1: metrics.hits1,
-                hits3: metrics.hits3,
-                hits10: metrics.hits10,
-                baseline_mrr,
-                drift_alarm,
-                evals,
-                last_eval_uptime,
-            },
-        );
+    /// Replace a gauge series' value.
+    pub(crate) fn set(&self, family: Family, labels: &[&str], value: f64) {
+        self.write(labels, &[(family, Op::Set(value))]);
     }
 
-    /// Record one request against `endpoint`.
-    pub fn observe_request(&self, endpoint: &str, latency_us: u64, status: u16) {
-        let mut map = self.endpoints.lock().unwrap();
-        map.entry(endpoint.to_string()).or_default().observe(latency_us, status >= 400);
+    /// Feed one sample to a summary series' window.
+    pub(crate) fn observe(&self, family: Family, labels: &[&str], sample: u64) {
+        self.write(labels, &[(family, Op::Observe(sample))]);
     }
 
-    /// Record one coalesced scoring batch (`jobs` requests, `triples` total).
-    pub fn observe_batch(&self, jobs: usize, triples: usize) {
-        let mut b = self.batches.lock().unwrap();
-        b.batches += 1;
-        b.jobs += jobs as u64;
-        b.triples += triples as u64;
-        b.sizes.observe(jobs as u64);
+    /// Drop every series carrying `label="value"` from the families whose
+    /// name starts with `prefix` — what was said about a model, a monitor
+    /// or a precision must not outlive it.
+    pub(crate) fn forget(&self, prefix: &str, label: &str, value: &str) {
+        let mut all = self.series.lock().unwrap();
+        for (desc, series) in FAMILIES.iter().zip(all.iter_mut()) {
+            let at = desc.labels.iter().position(|l| *l == label);
+            if let (true, Some(at)) = (desc.name.starts_with(prefix), at) {
+                series.retain(|(have, _)| have.get(at).is_none_or(|v| v != value));
+            }
+        }
+    }
+
+    /// A copy of one family's series as of now.
+    fn copy(&self, at: usize) -> Series {
+        match (FAMILIES.get(at), self.scalars.get(at)) {
+            (Some(desc), Some(scalar)) if desc.is_scalar() => {
+                vec![(Vec::new(), Cell { num: scalar.load(Ordering::Relaxed), ..Cell::default() })]
+            }
+            _ => self.series.lock().unwrap().get(at).cloned().unwrap_or_default(),
+        }
+    }
+
+    /// One stored cell, decoded.
+    fn reading(&self, at: usize, labels: &[&str]) -> Option<Vec<(Option<&'static str>, f64)>> {
+        let (_, cell) = self.copy(at).into_iter().find(|(have, _)| have.as_slice() == labels)?;
+        Some(read(FAMILIES.get(at)?.kind, cell))
+    }
+
+    /// The stored value of one counter or gauge series, by family name —
+    /// how tests read a series without parsing `/metrics`. `None` for an
+    /// unknown family, a label set never written, or a summary.
+    pub fn value(&self, family: &str, labels: &[&str]) -> Option<f64> {
+        match self.reading(FAMILIES.iter().position(|d| d.name == family)?, labels)?.as_slice() {
+            [(None, number)] => Some(*number),
+            _ => None,
+        }
+    }
+
+    /// `(p50, p99)` latency in seconds for `endpoint`, if it has samples.
+    pub fn latency_quantiles(&self, endpoint: &str) -> Option<(f64, f64)> {
+        match self.reading(Family::Latency as usize, &[endpoint])?.as_slice() {
+            [(_, p50), (_, p99)] => Some((*p50, *p99)),
+            _ => None,
+        }
     }
 
     /// Seconds since construction.
@@ -406,363 +298,125 @@ impl HttpMetrics {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Total requests across all endpoints.
-    pub fn total_requests(&self) -> u64 {
-        self.endpoints.lock().unwrap().values().map(|s| s.requests).sum()
+    /// A worker took ownership of a fresh connection.
+    pub fn connection_opened(&self) {
+        self.shift_connections(1.0);
+        self.add(Family::ConnectionsTotal, &[], 1);
     }
 
-    /// Requests recorded against one endpoint.
-    pub fn requests_for(&self, endpoint: &str) -> u64 {
-        self.endpoints.lock().unwrap().get(endpoint).map_or(0, |s| s.requests)
+    /// A connection ended (cleanly or not); pairs with `connection_opened`.
+    pub fn connection_closed(&self) {
+        self.shift_connections(-1.0);
     }
 
-    /// `(p50, p99)` latency in seconds for `endpoint`, if it has samples.
-    pub fn latency_quantiles(&self, endpoint: &str) -> Option<(f64, f64)> {
-        let map = self.endpoints.lock().unwrap();
-        let sorted = map.get(endpoint)?.latencies_us.sorted()?;
-        Some((percentile(&sorted, 0.50) / 1e6, percentile(&sorted, 0.99) / 1e6))
+    /// The one gauge that moves relatively: open connections, ±1.
+    fn shift_connections(&self, delta: f64) {
+        if let Some(scalar) = self.scalars.get(Family::ConnectionsActive as usize) {
+            let shifted = |bits| Some((f64::from_bits(bits) + delta).to_bits());
+            // `shifted` always returns `Some`, so the update cannot fail.
+            let _ = scalar.fetch_update(Ordering::Relaxed, Ordering::Relaxed, shifted);
+        }
+    }
+
+    /// Record one request against `endpoint`.
+    pub fn observe_request(&self, endpoint: &str, latency_us: u64, status: u16) {
+        let ops = [
+            (Family::Requests, Op::Add(1)),
+            (Family::RequestErrors, Op::Add(u64::from(status >= 400))),
+            (Family::Latency, Op::Observe(latency_us)),
+        ];
+        self.write(&[endpoint], &ops);
+    }
+
+    /// Record one coalesced scoring batch (`jobs` requests, `triples` total).
+    pub fn observe_batch(&self, jobs: usize, triples: usize) {
+        let ops = [
+            (Family::ScoreBatches, Op::Add(1)),
+            (Family::ScoreBatchJobs, Op::Add(jobs as u64)),
+            (Family::ScoreBatchTriples, Op::Add(triples as u64)),
+            (Family::ScoreBatchSize, Op::Observe(jobs as u64)),
+        ];
+        self.write(&[], &ops);
+    }
+
+    /// Record one coalesced top-k batch (`jobs` requests, `queries` total).
+    pub fn observe_topk_batch(&self, jobs: usize, queries: usize) {
+        self.add(Family::TopkBatches, &[], 1);
+        self.add(Family::TopkBatchJobs, &[], jobs as u64);
+        self.add(Family::TopkBatchQueries, &[], queries as u64);
+    }
+
+    /// Record one applied graph delta's effective writes.
+    pub fn observe_ingest(&self, inserted: usize, deleted: usize) {
+        self.add(Family::TriplesInserted, &[], inserted as u64);
+        self.add(Family::TriplesDeleted, &[], deleted as u64);
+    }
+
+    /// Record one gateway request's scatter and merge phase durations.
+    pub fn observe_gateway_phases(&self, endpoint: &str, scatter_us: u64, merge_us: u64) {
+        let phases = [
+            (Family::GatewayScatter, Op::Observe(scatter_us)),
+            (Family::GatewayMerge, Op::Observe(merge_us)),
+        ];
+        self.write(&[endpoint], &phases);
+    }
+
+    /// Publish one continuous-evaluation round. The round count goes last,
+    /// so a reader that has seen round `n` counted reads round `n`'s (or
+    /// newer) values everywhere else.
+    pub fn set_monitor_stats(&self, round: &MonitorStatus) {
+        let (model, metrics) = (round.model.as_str(), &round.metrics);
+        self.set(Family::MonitorMrr, &[model], metrics.mrr);
+        for (k, hits) in [("1", metrics.hits1), ("3", metrics.hits3), ("10", metrics.hits10)] {
+            self.set(Family::MonitorHitsAtK, &[model, k], hits);
+        }
+        self.set(Family::MonitorBaselineMrr, &[model], round.baseline_mrr);
+        self.set(Family::MonitorDriftAlarm, &[model], f64::from(u8::from(round.drift_alarm)));
+        self.set(Family::MonitorEvalAge, &[model], round.last_eval_uptime);
+        self.set(Family::MonitorEvals, &[model], round.evals_run as f64);
     }
 
     /// Render every series in Prometheus text exposition format.
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("# HELP kg_serve_uptime_seconds Seconds since server start.\n");
-        out.push_str("# TYPE kg_serve_uptime_seconds gauge\n");
-        out.push_str(&format!("kg_serve_uptime_seconds {}\n", self.uptime_seconds()));
-
-        out.push_str("# HELP kg_serve_connections_active Connections currently open.\n");
-        out.push_str("# TYPE kg_serve_connections_active gauge\n");
-        out.push_str(&format!("kg_serve_connections_active {}\n", self.active_connections()));
-        out.push_str("# HELP kg_serve_connections_total Connections handed to a worker.\n");
-        out.push_str("# TYPE kg_serve_connections_total counter\n");
-        out.push_str(&format!("kg_serve_connections_total {}\n", self.total_connections()));
-        out.push_str(
-            "# HELP kg_serve_keepalive_reuses_total Requests served on a reused connection.\n",
-        );
-        out.push_str("# TYPE kg_serve_keepalive_reuses_total counter\n");
-        out.push_str(&format!("kg_serve_keepalive_reuses_total {}\n", self.keepalive_reuses()));
-        out.push_str(
-            "# HELP kg_serve_rejected_connections_total Connections refused with 503 at the admission gate.\n",
-        );
-        out.push_str("# TYPE kg_serve_rejected_connections_total counter\n");
-        out.push_str(&format!(
-            "kg_serve_rejected_connections_total {}\n",
-            self.rejected_connections()
-        ));
-        out.push_str(
-            "# HELP kg_serve_throttled_connections_total Connections refused with 429 by the per-client token bucket.\n",
-        );
-        out.push_str("# TYPE kg_serve_throttled_connections_total counter\n");
-        out.push_str(&format!(
-            "kg_serve_throttled_connections_total {}\n",
-            self.throttled_connections()
-        ));
-
-        out.push_str(
-            "# HELP kg_serve_reactor_registered_fds File descriptors registered with the reactor poller (listener + waker + connections).\n",
-        );
-        out.push_str("# TYPE kg_serve_reactor_registered_fds gauge\n");
-        out.push_str(&format!("kg_serve_reactor_registered_fds {}\n", self.reactor_fds()));
-        out.push_str(
-            "# HELP kg_serve_reactor_wakeups_total Times the reactor's poll wait returned.\n",
-        );
-        out.push_str("# TYPE kg_serve_reactor_wakeups_total counter\n");
-        out.push_str(&format!("kg_serve_reactor_wakeups_total {}\n", self.reactor_wakeups()));
-        if let Some(sorted) = self.reactor_ready.lock().unwrap().sorted() {
-            out.push_str(
-                "# HELP kg_serve_reactor_ready_events Ready events per reactor tick, quantiles over a sliding window.\n",
-            );
-            out.push_str("# TYPE kg_serve_reactor_ready_events summary\n");
-            for (label, q) in [("0.5", 0.50), ("0.99", 0.99)] {
-                out.push_str(&format!(
-                    "kg_serve_reactor_ready_events{{quantile=\"{label}\"}} {}\n",
-                    percentile(&sorted, q)
-                ));
-            }
+        let mut scrape: Vec<Series> = (0..FAMILIES.len()).map(|at| self.copy(at)).collect();
+        // The three values only a scrape knows are set on its copy, so a
+        // read never writes shared state and a forced ISA change leaves no
+        // stale series behind.
+        let now = self.uptime_seconds();
+        let gauge = |level: f64| Cell { num: level.to_bits(), ..Cell::default() };
+        if let Some(series) = scrape.get_mut(Family::Uptime as usize) {
+            *series = vec![(Vec::new(), gauge(now))];
+        }
+        if let Some(series) = scrape.get_mut(Family::KernelInfo as usize) {
+            *series = vec![(vec![kg_models::kernels::active().name().to_string()], gauge(1.0))];
+        }
+        for (_, cell) in scrape.get_mut(Family::MonitorEvalAge as usize).into_iter().flatten() {
+            *cell = gauge((now - f64::from_bits(cell.num)).max(0.0));
         }
 
-        let map = self.endpoints.lock().unwrap();
-        let mut endpoints: Vec<&String> = map.keys().collect();
-        endpoints.sort();
-
-        out.push_str("# HELP kg_serve_requests_total Requests handled, by endpoint.\n");
-        out.push_str("# TYPE kg_serve_requests_total counter\n");
-        for ep in &endpoints {
-            out.push_str(&format!(
-                "kg_serve_requests_total{{endpoint=\"{ep}\"}} {}\n",
-                map[*ep].requests // PANIC-OK: `ep` came from `map.keys()`.
-            ));
-        }
-        out.push_str("# HELP kg_serve_request_errors_total Responses with status >= 400.\n");
-        out.push_str("# TYPE kg_serve_request_errors_total counter\n");
-        for ep in &endpoints {
-            out.push_str(&format!(
-                "kg_serve_request_errors_total{{endpoint=\"{ep}\"}} {}\n",
-                map[*ep].errors // PANIC-OK: `ep` came from `map.keys()`.
-            ));
-        }
-        out.push_str(
-            "# HELP kg_serve_latency_seconds Request latency quantiles over a sliding window.\n",
-        );
-        out.push_str("# TYPE kg_serve_latency_seconds summary\n");
-        for ep in &endpoints {
-            // PANIC-OK: `ep` came from `map.keys()`.
-            let Some(sorted) = map[*ep].latencies_us.sorted() else { continue };
-            for (label, q) in [("0.5", 0.50), ("0.99", 0.99)] {
-                out.push_str(&format!(
-                    "kg_serve_latency_seconds{{endpoint=\"{ep}\",quantile=\"{label}\"}} {}\n",
-                    percentile(&sorted, q) / 1e6
-                ));
-            }
-        }
-        drop(map);
-
-        let b = self.batches.lock().unwrap();
-        out.push_str("# HELP kg_serve_score_batches_total Coalesced /score batches executed.\n");
-        out.push_str("# TYPE kg_serve_score_batches_total counter\n");
-        out.push_str(&format!("kg_serve_score_batches_total {}\n", b.batches));
-        out.push_str("# HELP kg_serve_score_batch_jobs_total Requests absorbed into batches.\n");
-        out.push_str("# TYPE kg_serve_score_batch_jobs_total counter\n");
-        out.push_str(&format!("kg_serve_score_batch_jobs_total {}\n", b.jobs));
-        out.push_str("# HELP kg_serve_score_batch_triples_total Triples scored through batches.\n");
-        out.push_str("# TYPE kg_serve_score_batch_triples_total counter\n");
-        out.push_str(&format!("kg_serve_score_batch_triples_total {}\n", b.triples));
-        if let Some(sorted) = b.sizes.sorted() {
-            out.push_str("# HELP kg_serve_score_batch_size Requests per batch, quantiles.\n");
-            out.push_str("# TYPE kg_serve_score_batch_size summary\n");
-            for (label, q) in [("0.5", 0.50), ("0.99", 0.99)] {
-                out.push_str(&format!(
-                    "kg_serve_score_batch_size{{quantile=\"{label}\"}} {}\n",
-                    percentile(&sorted, q)
-                ));
-            }
-        }
-        drop(b);
-
-        out.push_str("# HELP kg_serve_topk_batches_total Coalesced /topk batches executed.\n");
-        out.push_str("# TYPE kg_serve_topk_batches_total counter\n");
-        out.push_str(&format!("kg_serve_topk_batches_total {}\n", self.topk_batches()));
-        out.push_str(
-            "# HELP kg_serve_topk_batch_jobs_total Requests absorbed into /topk batches.\n",
-        );
-        out.push_str("# TYPE kg_serve_topk_batch_jobs_total counter\n");
-        out.push_str(&format!("kg_serve_topk_batch_jobs_total {}\n", self.topk_jobs()));
-        out.push_str(
-            "# HELP kg_serve_topk_batch_queries_total Top-k queries executed through batches.\n",
-        );
-        out.push_str("# TYPE kg_serve_topk_batch_queries_total counter\n");
-        out.push_str(&format!(
-            "kg_serve_topk_batch_queries_total {}\n",
-            self.topk_queries.load(Ordering::Relaxed)
-        ));
-
-        let graph_versions = self.graph_versions.lock().unwrap();
-        if !graph_versions.is_empty() {
-            let mut models: Vec<&String> = graph_versions.keys().collect();
-            models.sort();
-            out.push_str("# HELP kg_serve_graph_version Current live-graph version.\n");
-            out.push_str("# TYPE kg_serve_graph_version gauge\n");
-            for m in models {
-                out.push_str(&format!(
-                    "kg_serve_graph_version{{model=\"{}\"}} {}\n",
-                    escape_label(m),
-                    // PANIC-OK: `m` came from `graph_versions.keys()`.
-                    graph_versions[m]
-                ));
-            }
-        }
-        drop(graph_versions);
-
-        out.push_str(
-            "# HELP kg_serve_kernel_info Active scoring-kernel ISA (value is always 1).\n",
-        );
-        out.push_str("# TYPE kg_serve_kernel_info gauge\n");
-        out.push_str(&format!(
-            "kg_serve_kernel_info{{isa=\"{}\"}} 1\n",
-            kg_models::kernels::active().name()
-        ));
-
-        let precisions = self.model_precisions.lock().unwrap();
-        if !precisions.is_empty() {
-            let mut models: Vec<&String> = precisions.keys().collect();
-            models.sort();
-            out.push_str(
-                "# HELP kg_serve_model_precision_info Entity-table storage precision per model (value is always 1).\n",
-            );
-            out.push_str("# TYPE kg_serve_model_precision_info gauge\n");
-            for m in models {
-                out.push_str(&format!(
-                    "kg_serve_model_precision_info{{model=\"{}\",precision=\"{}\"}} 1\n",
-                    escape_label(m),
-                    // PANIC-OK: `m` came from `precisions.keys()`.
-                    precisions[m]
-                ));
-            }
-        }
-        drop(precisions);
-
-        out.push_str(
-            "# HELP kg_serve_graph_triples_inserted_total Triples inserted into live graphs.\n",
-        );
-        out.push_str("# TYPE kg_serve_graph_triples_inserted_total counter\n");
-        out.push_str(&format!(
-            "kg_serve_graph_triples_inserted_total {}\n",
-            self.triples_inserted.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP kg_serve_graph_triples_deleted_total Triples deleted from live graphs.\n",
-        );
-        out.push_str("# TYPE kg_serve_graph_triples_deleted_total counter\n");
-        out.push_str(&format!(
-            "kg_serve_graph_triples_deleted_total {}\n",
-            self.triples_deleted.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP kg_serve_topk_cache_hits_total /topk queries answered from the version-stamped result cache.\n",
-        );
-        out.push_str("# TYPE kg_serve_topk_cache_hits_total counter\n");
-        out.push_str(&format!("kg_serve_topk_cache_hits_total {}\n", self.topk_cache_hits()));
-        out.push_str(
-            "# HELP kg_serve_topk_cache_misses_total /topk queries that ran a fresh ranking pass.\n",
-        );
-        out.push_str("# TYPE kg_serve_topk_cache_misses_total counter\n");
-        out.push_str(&format!("kg_serve_topk_cache_misses_total {}\n", self.topk_cache_misses()));
-        out.push_str(
-            "# HELP kg_serve_eval_cache_hits_total /eval requests answered from the result cache.\n",
-        );
-        out.push_str("# TYPE kg_serve_eval_cache_hits_total counter\n");
-        out.push_str(&format!("kg_serve_eval_cache_hits_total {}\n", self.eval_cache_hits()));
-        out.push_str("# HELP kg_serve_eval_cache_misses_total /eval requests that recomputed.\n");
-        out.push_str("# TYPE kg_serve_eval_cache_misses_total counter\n");
-        out.push_str(&format!(
-            "kg_serve_eval_cache_misses_total {}\n",
-            self.eval_cache_misses.load(Ordering::Relaxed)
-        ));
-
-        let monitors = self.monitors.lock().unwrap();
-        if !monitors.is_empty() {
-            let mut models: Vec<&String> = monitors.keys().collect();
-            models.sort();
-            let uptime = self.uptime_seconds();
-            out.push_str("# HELP kg_serve_monitor_mrr Latest continuous-evaluation MRR.\n");
-            out.push_str("# TYPE kg_serve_monitor_mrr gauge\n");
-            for m in &models {
-                out.push_str(&format!(
-                    "kg_serve_monitor_mrr{{model=\"{}\"}} {}\n",
-                    escape_label(m),
-                    monitors[*m].mrr // PANIC-OK: `m` came from `monitors.keys()`.
-                ));
-            }
-            out.push_str(
-                "# HELP kg_serve_monitor_hits_at_k Latest continuous-evaluation Hits@K.\n",
-            );
-            out.push_str("# TYPE kg_serve_monitor_hits_at_k gauge\n");
-            for m in &models {
-                // PANIC-OK: `m` came from `monitors.keys()`.
-                let g = monitors[*m];
-                for (k, v) in [("1", g.hits1), ("3", g.hits3), ("10", g.hits10)] {
-                    out.push_str(&format!(
-                        "kg_serve_monitor_hits_at_k{{model=\"{}\",k=\"{k}\"}} {v}\n",
-                        escape_label(m)
-                    ));
-                }
-            }
-            out.push_str(
-                "# HELP kg_serve_monitor_baseline_mrr MRR of the monitor's first (baseline) round.\n",
-            );
-            out.push_str("# TYPE kg_serve_monitor_baseline_mrr gauge\n");
-            for m in &models {
-                out.push_str(&format!(
-                    "kg_serve_monitor_baseline_mrr{{model=\"{}\"}} {}\n",
-                    escape_label(m),
-                    monitors[*m].baseline_mrr // PANIC-OK: `m` came from `monitors.keys()`.
-                ));
-            }
-            out.push_str(
-                "# HELP kg_serve_monitor_drift_alarm 1 when MRR fell more than the drift threshold below baseline.\n",
-            );
-            out.push_str("# TYPE kg_serve_monitor_drift_alarm gauge\n");
-            for m in &models {
-                out.push_str(&format!(
-                    "kg_serve_monitor_drift_alarm{{model=\"{}\"}} {}\n",
-                    escape_label(m),
-                    // PANIC-OK: `m` came from `monitors.keys()`.
-                    u64::from(monitors[*m].drift_alarm)
-                ));
-            }
-            out.push_str(
-                "# HELP kg_serve_monitor_evals_total Continuous-evaluation rounds completed.\n",
-            );
-            out.push_str("# TYPE kg_serve_monitor_evals_total counter\n");
-            for m in &models {
-                out.push_str(&format!(
-                    "kg_serve_monitor_evals_total{{model=\"{}\"}} {}\n",
-                    escape_label(m),
-                    monitors[*m].evals // PANIC-OK: `m` is a `monitors` key.
-                ));
-            }
-            out.push_str(
-                "# HELP kg_serve_monitor_eval_age_seconds Seconds since the latest round finished.\n",
-            );
-            out.push_str("# TYPE kg_serve_monitor_eval_age_seconds gauge\n");
-            for m in &models {
-                out.push_str(&format!(
-                    "kg_serve_monitor_eval_age_seconds{{model=\"{}\"}} {}\n",
-                    escape_label(m),
-                    // PANIC-OK: `m` came from `monitors.keys()`.
-                    (uptime - monitors[*m].last_eval_uptime).max(0.0)
-                ));
-            }
-        }
-        drop(monitors);
-
-        let backend_errors = self.gateway_backend_errors.lock().unwrap();
-        if !backend_errors.is_empty() {
-            let mut backends: Vec<&String> = backend_errors.keys().collect();
-            backends.sort();
-            out.push_str(
-                "# HELP kg_serve_gateway_backend_errors_total Backend failures observed by the gateway.\n",
-            );
-            out.push_str("# TYPE kg_serve_gateway_backend_errors_total counter\n");
-            for b in backends {
-                out.push_str(&format!(
-                    "kg_serve_gateway_backend_errors_total{{backend=\"{}\"}} {}\n",
-                    escape_label(b),
-                    // PANIC-OK: `b` came from `backend_errors.keys()`.
-                    backend_errors[b]
-                ));
-            }
-        }
-        drop(backend_errors);
-
-        for (name, help, map) in [
-            (
-                "kg_serve_gateway_scatter_seconds",
-                "Gateway scatter-phase latency (fan-out until the last backend answered).",
-                &self.gateway_scatter,
-            ),
-            (
-                "kg_serve_gateway_merge_seconds",
-                "Gateway merge-phase latency (partial recombination).",
-                &self.gateway_merge,
-            ),
-        ] {
-            let map = map.lock().unwrap();
-            if map.is_empty() {
-                continue;
-            }
-            let mut endpoints: Vec<&String> = map.keys().collect();
-            endpoints.sort();
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} summary\n"));
-            for ep in endpoints {
-                // PANIC-OK: `ep` came from `map.keys()`.
-                let Some(sorted) = map[ep].sorted() else { continue };
-                for (label, q) in [("0.5", 0.50), ("0.99", 0.99)] {
-                    out.push_str(&format!(
-                        "{name}{{endpoint=\"{}\",quantile=\"{label}\"}} {}\n",
-                        escape_label(ep),
-                        percentile(&sorted, q) / 1e6
-                    ));
+        let mut out = String::with_capacity(4096);
+        for (desc, mut series) in FAMILIES.iter().zip(scrape).filter(|(_, s)| !s.is_empty()) {
+            // By first label value; series that share it (they differ in a
+            // second label) keep the order they were first written in.
+            series.sort_by(|(a, _), (b, _)| a.first().cmp(&b.first()));
+            let kind = match desc.kind {
+                Kind::Counter => "counter",
+                Kind::Gauge => "gauge",
+                Kind::Summary(_) => "summary",
+            };
+            let name = desc.name;
+            let _ = writeln!(out, "# HELP {name} {}\n# TYPE {name} {kind}", desc.help);
+            for (values, cell) in series {
+                let escaped = |(l, v): (&&str, &String)| format!("{l}=\"{}\"", escape_label(v));
+                let labels: Vec<String> = desc.labels.iter().zip(&values).map(escaped).collect();
+                for (quantile, number) in read(desc.kind, cell) {
+                    let quantile = quantile.map(|q| format!("quantile=\"{q}\""));
+                    let labels: Vec<&str> =
+                        labels.iter().map(String::as_str).chain(quantile.as_deref()).collect();
+                    let _ = match labels.is_empty() {
+                        true => writeln!(out, "{name} {number}"),
+                        false => writeln!(out, "{name}{{{}}} {number}", labels.join(",")),
+                    };
                 }
             }
         }
@@ -798,14 +452,16 @@ fn percentile(sorted: &[u64], q: f64) -> f64 {
 mod tests {
     use super::*;
 
+    const REQUESTS: &str = "kg_serve_requests_total";
+
     #[test]
     fn counts_requests_and_errors() {
         let m = HttpMetrics::new();
         m.observe_request("/score", 100, 200);
         m.observe_request("/score", 200, 500);
         m.observe_request("/eval", 300, 200);
-        assert_eq!(m.total_requests(), 3);
-        assert_eq!(m.requests_for("/score"), 2);
+        assert_eq!(m.value(REQUESTS, &["/score"]), Some(2.0));
+        assert_eq!(m.value(REQUESTS, &["/eval"]), Some(1.0));
         let text = m.render();
         assert!(text.contains("kg_serve_requests_total{endpoint=\"/score\"} 2"));
         assert!(text.contains("kg_serve_request_errors_total{endpoint=\"/score\"} 1"));
@@ -846,8 +502,8 @@ mod tests {
         let m = HttpMetrics::new();
         m.observe_topk_batch(2, 9);
         m.observe_topk_batch(1, 1);
-        assert_eq!(m.topk_batches(), 2);
-        assert_eq!(m.topk_jobs(), 3);
+        assert_eq!(m.value("kg_serve_topk_batches_total", &[]), Some(2.0));
+        assert_eq!(m.value("kg_serve_topk_batch_jobs_total", &[]), Some(3.0));
         let text = m.render();
         assert!(text.contains("kg_serve_topk_batches_total 2"), "{text}");
         assert!(text.contains("kg_serve_topk_batch_jobs_total 3"), "{text}");
@@ -861,18 +517,39 @@ mod tests {
         assert_eq!(percentile(&[1, 2, 3, 4], 0.99), 4.0);
     }
 
-    /// Model names reach labels from outside (`/admin/models`); every
-    /// per-model series renders them through `escape_label`.
+    /// Label values reach `/metrics` from outside (model names via
+    /// `/admin/models`, backend addresses via configuration); every
+    /// labelled family renders every label through `escape_label`.
     #[test]
     fn window_gauge_escapes_label_values() {
+        const EVIL: &str = "evil\"} 1\nfake_metric{x=\"";
+        const ESCAPED: &str = "evil\\\"} 1\\nfake_metric{x=\\\"";
         let m = HttpMetrics::new();
-        m.set_graph_version("evil\"} 1\nfake_metric{x=\"", 7);
+        m.set(Family::GraphVersion, &[EVIL], 7.0);
+        m.set(Family::ModelPrecision, &[EVIL, EVIL], 1.0);
+        m.set_monitor_stats(&MonitorStatus { model: EVIL.to_string(), ..Default::default() });
+        m.add(Family::GatewayBackendErrors, &[EVIL], 1);
+        m.observe_request(EVIL, 1, 200);
+        m.observe_gateway_phases(EVIL, 1, 1);
         let text = m.render();
         assert!(
-            text.contains("kg_serve_graph_version{model=\"evil\\\"} 1\\nfake_metric{x=\\\"\"} 7"),
+            text.contains(&format!("kg_serve_graph_version{{model=\"{ESCAPED}\"}} 7")),
             "label must be escaped, got: {text}"
         );
         assert!(!text.contains("\nfake_metric{"), "no injected series: {text}");
+        // (`kernel_info`'s one label is the ISA name, not outside input.)
+        let labelled = |d: &&Desc| !d.labels.is_empty() && d.name != "kg_serve_kernel_info";
+        for desc in FAMILIES.iter().filter(labelled) {
+            let series: Vec<&str> =
+                text.lines().filter(|l| l.starts_with(&format!("{}{{", desc.name))).collect();
+            assert!(!series.is_empty(), "{} was not driven", desc.name);
+            for line in series {
+                let escaped = line.matches(ESCAPED).count();
+                let expected = if desc.labels == ["model", "precision"] { 2 } else { 1 };
+                assert_eq!(escaped, expected, "{line}");
+                assert_eq!(line.matches("evil").count(), expected, "raw value leaked: {line}");
+            }
+        }
     }
 
     #[test]
@@ -880,15 +557,13 @@ mod tests {
         let m = HttpMetrics::new();
         m.connection_opened();
         m.connection_opened();
-        m.connection_reused();
-        m.connection_reused();
-        m.connection_reused();
-        m.connection_rejected();
+        m.add(Family::KeepaliveReuses, &[], 3);
+        m.add(Family::RejectedConnections, &[], 1);
         m.connection_closed();
-        assert_eq!(m.active_connections(), 1);
-        assert_eq!(m.total_connections(), 2);
-        assert_eq!(m.keepalive_reuses(), 3);
-        assert_eq!(m.rejected_connections(), 1);
+        assert_eq!(m.value("kg_serve_connections_active", &[]), Some(1.0));
+        assert_eq!(m.value("kg_serve_connections_total", &[]), Some(2.0));
+        assert_eq!(m.value("kg_serve_keepalive_reuses_total", &[]), Some(3.0));
+        assert_eq!(m.value("kg_serve_rejected_connections_total", &[]), Some(1.0));
         let text = m.render();
         assert!(text.contains("kg_serve_connections_active 1"), "{text}");
         assert!(text.contains("kg_serve_connections_total 2"), "{text}");
@@ -899,12 +574,14 @@ mod tests {
     #[test]
     fn reactor_series_render_gauge_counter_and_summary() {
         let m = HttpMetrics::new();
-        assert_eq!(m.reactor_fds(), 0);
-        m.set_reactor_fds(12);
-        m.observe_reactor_tick(0);
-        m.observe_reactor_tick(4);
-        assert_eq!(m.reactor_fds(), 12);
-        assert_eq!(m.reactor_wakeups(), 2);
+        assert_eq!(m.value("kg_serve_reactor_registered_fds", &[]), Some(0.0));
+        m.set(Family::ReactorFds, &[], 12.0);
+        for ready in [0, 4] {
+            m.add(Family::ReactorWakeups, &[], 1);
+            m.observe(Family::ReactorReadyEvents, &[], ready);
+        }
+        assert_eq!(m.value("kg_serve_reactor_registered_fds", &[]), Some(12.0));
+        assert_eq!(m.value("kg_serve_reactor_wakeups_total", &[]), Some(2.0));
         let text = m.render();
         assert!(text.contains("kg_serve_reactor_registered_fds 12"), "{text}");
         assert!(text.contains("kg_serve_reactor_wakeups_total 2"), "{text}");
@@ -916,6 +593,224 @@ mod tests {
     fn unknown_endpoint_has_no_quantiles() {
         let m = HttpMetrics::new();
         assert!(m.latency_quantiles("/nope").is_none());
-        assert_eq!(m.requests_for("/nope"), 0);
+        assert_eq!(m.value(REQUESTS, &["/nope"]), None);
+        assert_eq!(m.value("kg_serve_no_such_family", &[]), None);
+    }
+
+    /// Every event method and bare verb the crate uses, with fixed inputs:
+    /// two endpoints (one erroring), two models, one monitor round, one
+    /// backend error, gateway phases, reactor ticks, both batch kinds,
+    /// cache hits and misses, ingest.
+    fn drive(m: &HttpMetrics) {
+        m.connection_opened();
+        m.connection_opened();
+        m.connection_closed();
+        m.add(Family::KeepaliveReuses, &[], 3);
+        m.add(Family::RejectedConnections, &[], 1);
+        m.add(Family::ThrottledConnections, &[], 2);
+        m.set(Family::ReactorFds, &[], 12.0);
+        for ready in [0, 4, 2] {
+            m.add(Family::ReactorWakeups, &[], 1);
+            m.observe(Family::ReactorReadyEvents, &[], ready);
+        }
+        m.observe_request("/score", 100, 200);
+        m.observe_request("/score", 300, 500);
+        m.observe_request("/eval", 2500, 200);
+        m.observe_batch(3, 120);
+        m.observe_batch(1, 10);
+        m.observe_topk_batch(2, 9);
+        m.observe_topk_batch(1, 1);
+        m.set(Family::GraphVersion, &["transe"], 0.0);
+        m.set(Family::GraphVersion, &["complex"], 7.0);
+        m.set(Family::ModelPrecision, &["transe", "f32"], 1.0);
+        m.set(Family::ModelPrecision, &["complex", "int8"], 1.0);
+        m.observe_ingest(5, 2);
+        m.add(Family::TopkCacheHits, &[], 4);
+        m.add(Family::TopkCacheMisses, &[], 6);
+        m.add(Family::EvalCacheHits, &[], 1);
+        m.add(Family::EvalCacheMisses, &[], 2);
+        let round = kg_eval::RankingMetrics {
+            mrr: 0.4375,
+            hits1: 0.25,
+            hits3: 0.5,
+            hits10: 0.75,
+            ..Default::default()
+        };
+        m.set_monitor_stats(&MonitorStatus {
+            model: "complex".to_string(),
+            evals_run: 3,
+            metrics: round,
+            baseline_mrr: 0.5,
+            drift_alarm: true,
+            last_eval_uptime: 1.5,
+            ..Default::default()
+        });
+        m.add(Family::GatewayBackendErrors, &["127.0.0.1:9001"], 1);
+        m.observe_gateway_phases("/topk", 1500, 250);
+        m.observe_gateway_phases("/score", 700, 40);
+    }
+
+    /// Replace what differs run to run (two clock readings) or host to
+    /// host (the ISA label; CI also runs this crate under
+    /// `KG_KERNEL=scalar`).
+    fn mask(text: &str) -> String {
+        let mut out = String::new();
+        for line in text.lines() {
+            let clock = line.starts_with("kg_serve_uptime_seconds ")
+                || line.starts_with("kg_serve_monitor_eval_age_seconds{");
+            if clock {
+                let (series, _) = line.rsplit_once(' ').unwrap();
+                out.push_str(series);
+                out.push_str(" <masked>");
+            } else if let Some((head, tail)) = line.split_once("isa=\"") {
+                let (_, rest) = tail.split_once('"').unwrap();
+                out.push_str(head);
+                out.push_str("isa=\"<masked>\"");
+                out.push_str(rest);
+            } else {
+                out.push_str(line);
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// `testdata/metrics.golden.txt` is `mask(render())` after these same
+    /// inputs, captured from the field-per-series `HttpMetrics` this table
+    /// replaced (commit f61e159): `/metrics` is the same bytes, in the same
+    /// order.
+    #[test]
+    fn render_reproduces_the_golden_captured_before_the_table() {
+        let m = HttpMetrics::new();
+        drive(&m);
+        let got = mask(&m.render());
+        let want = include_str!("../testdata/metrics.golden.txt");
+        for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "line {}", n + 1);
+        }
+        assert_eq!(got, want, "a line is missing or extra at the end");
+    }
+
+    /// The one permitted difference from the old render: a family prints
+    /// HELP/TYPE only when it has a series, so an idle server no longer
+    /// prints three request-family headers with nothing under them.
+    #[test]
+    fn help_and_type_are_printed_only_for_families_with_a_series() {
+        let text = HttpMetrics::new().render();
+        for line in text.lines().filter(|l| l.starts_with("# TYPE ")) {
+            let name = line.split(' ').nth(2).unwrap();
+            assert!(
+                text.lines().any(|l| !l.starts_with('#') && l.starts_with(name)),
+                "{name} has a TYPE line but no series"
+            );
+        }
+        assert!(!text.contains(REQUESTS), "{text}");
+        assert!(text.contains("kg_serve_connections_total 0"), "unlabelled families start at 0");
+    }
+
+    /// Every line of a scrape is a comment or `name[{labels}] number`.
+    fn assert_parses(text: &str) {
+        for line in text.lines() {
+            if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {
+                continue;
+            }
+            let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("{line}"));
+            assert!(value.parse::<f64>().is_ok(), "{line}");
+            let name = series.split('{').next().unwrap();
+            assert!(FAMILIES.iter().any(|d| d.name == name), "{line}");
+            assert_eq!(series.contains('{'), series.ends_with('}'), "{line}");
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_and_a_scraper_lose_nothing() {
+        const THREADS: usize = 8;
+        const ROUNDS: u64 = 10_000;
+        let m = HttpMetrics::new();
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let m = &m;
+                    scope.spawn(move || {
+                        let endpoint = if t % 2 == 0 { "/score" } else { "/topk" };
+                        for i in 0..ROUNDS {
+                            m.observe_request(endpoint, i, if i % 10 == 0 { 500 } else { 200 });
+                            m.add(Family::KeepaliveReuses, &[], 1);
+                            m.observe(Family::ReactorReadyEvents, &[], i);
+                        }
+                    })
+                })
+                .collect();
+            // Scrape for as long as anyone writes (and at least once); the
+            // scope then joins the writers and re-raises any panic of theirs.
+            let mut scrapes = 0;
+            while writers.iter().any(|w| !w.is_finished()) || scrapes == 0 {
+                assert_parses(&m.render());
+                scrapes += 1;
+            }
+        });
+        let per_endpoint = (THREADS as u64 / 2 * ROUNDS) as f64;
+        for endpoint in ["/score", "/topk"] {
+            assert_eq!(m.value(REQUESTS, &[endpoint]), Some(per_endpoint));
+            let errors = m.value("kg_serve_request_errors_total", &[endpoint]);
+            assert_eq!(errors, Some(per_endpoint / 10.0));
+            assert!(m.latency_quantiles(endpoint).is_some());
+        }
+        let reuses = m.value("kg_serve_keepalive_reuses_total", &[]);
+        assert_eq!(reuses, Some((THREADS as u64 * ROUNDS) as f64));
+        assert_parses(&m.render());
+    }
+
+    /// The 14 series strings the frozen benchmark reads
+    /// (`perf/src/workloads/{mod,gateway_small}.rs`): a rename fails here,
+    /// in Tier-1, not in a benchmark run.
+    #[test]
+    fn every_series_the_benchmark_scrapes_is_present() {
+        let m = HttpMetrics::new();
+        drive(&m);
+        let text = m.render();
+        for series in [
+            "kg_serve_requests_total{endpoint=",
+            "kg_serve_request_errors_total{endpoint=",
+            "kg_serve_reactor_wakeups_total ",
+            "kg_serve_reactor_ready_events{quantile=\"0.5\"} ",
+            "kg_serve_score_batch_jobs_total ",
+            "kg_serve_score_batches_total ",
+            "kg_serve_topk_batch_jobs_total ",
+            "kg_serve_topk_batches_total ",
+            "kg_serve_topk_cache_hits_total ",
+            "kg_serve_topk_cache_misses_total ",
+            "kg_serve_eval_cache_hits_total ",
+            "kg_serve_eval_cache_misses_total ",
+            "kg_serve_gateway_scatter_seconds{endpoint=\"/topk\",quantile=\"0.5\"} ",
+            "kg_serve_gateway_merge_seconds{endpoint=\"/topk\",quantile=\"0.5\"} ",
+        ] {
+            assert!(text.lines().any(|l| l.starts_with(series)), "{series} missing:\n{text}");
+        }
+    }
+
+    #[test]
+    fn forget_drops_matching_series_of_matching_families_only() {
+        let m = HttpMetrics::new();
+        drive(&m);
+        m.forget("kg_serve_monitor_", "model", "complex");
+        let text = m.render();
+        assert!(!text.contains("kg_serve_monitor_"), "{text}");
+        assert!(text.contains("kg_serve_graph_version{model=\"complex\"} 7"), "{text}");
+        m.forget("kg_serve_", "model", "complex");
+        let text = m.render();
+        assert!(!text.contains("complex"), "{text}");
+        assert!(text.contains("kg_serve_graph_version{model=\"transe\"} 0"), "{text}");
+        assert!(text.contains("kg_serve_requests_total{endpoint=\"/score\"} 2"), "{text}");
+    }
+
+    /// README §`GET /metrics` is written by hand from the table; this keeps
+    /// it from silently missing a family.
+    #[test]
+    fn readme_names_every_family() {
+        let readme = include_str!("../../../README.md");
+        for desc in FAMILIES {
+            assert!(readme.contains(&format!("`{}`", desc.name)), "README lacks {}", desc.name);
+        }
     }
 }

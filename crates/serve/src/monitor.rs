@@ -71,8 +71,9 @@ impl Default for MonitorConfig {
     }
 }
 
-/// A point-in-time snapshot of one monitor, as served by `GET /monitor`.
-#[derive(Clone, Debug)]
+/// A point-in-time snapshot of one monitor, as served by `GET /monitor`
+/// and published to `/metrics` after every round.
+#[derive(Clone, Debug, Default)]
 pub struct MonitorStatus {
     /// Registry name of the monitored model.
     pub model: String,
@@ -220,10 +221,10 @@ impl Monitor {
         let uptime = registry.metrics().uptime_seconds();
 
         // State update and gauge publication are deliberately unnested:
-        // set_monitor_stats takes the metrics-registry lock, and holding
+        // set_monitor_stats takes the metrics families' locks, and holding
         // monitor.state across it would create an undeclared lock-order
         // edge (KL009) against on_delta's state-only path.
-        let (baseline, drift_alarm, evals_run) = {
+        let round = {
             let mut state = shared.state.lock().unwrap();
             state.evals_run += 1;
             state.graph_version = version;
@@ -231,16 +232,9 @@ impl Monitor {
             let baseline = *state.baseline_mrr.get_or_insert(result.metrics.mrr);
             state.drift_alarm = baseline - result.metrics.mrr > shared.config.drift_threshold;
             state.last_eval_uptime = uptime;
-            (baseline, state.drift_alarm, state.evals_run)
+            shared.status(&state)
         };
-        registry.metrics().set_monitor_stats(
-            &shared.model,
-            &result.metrics,
-            baseline,
-            drift_alarm,
-            evals_run,
-            uptime,
-        );
+        registry.metrics().set_monitor_stats(&round);
     }
 
     /// Slide the held-out window past a just-applied delta and schedule an
@@ -276,9 +270,14 @@ impl Monitor {
 
     /// Current status snapshot.
     pub fn status(&self) -> MonitorStatus {
-        let state = self.shared.state.lock().unwrap();
+        self.shared.status(&self.shared.state.lock().unwrap())
+    }
+}
+
+impl MonitorShared {
+    fn status(&self, state: &MonitorState) -> MonitorStatus {
         MonitorStatus {
-            model: self.shared.model.clone(),
+            model: self.model.clone(),
             window_len: state.window.len(),
             evals_run: state.evals_run,
             graph_version: state.graph_version,

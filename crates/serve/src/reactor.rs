@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::http_metrics::HttpMetrics;
+use crate::http_metrics::{Family, HttpMetrics};
 use crate::poll::{Interest, Poller};
 use crate::router::{Response, Router, MAX_BODY_BYTES};
 use crate::server::{
@@ -760,7 +760,7 @@ pub(crate) fn spawn(
         .collect();
     drop(done_tx); // only workers hold senders
 
-    metrics.set_reactor_fds(2); // listener + waker
+    metrics.set(Family::ReactorFds, &[], 2.0); // listener + waker
     let reactor = Reactor {
         poller,
         listener: Some(listener),
@@ -803,7 +803,8 @@ impl Reactor {
                 // condition; tearing down is the only honest option.
                 break;
             }
-            self.metrics.observe_reactor_tick(events.len());
+            self.metrics.add(Family::ReactorWakeups, &[], 1);
+            self.metrics.observe(Family::ReactorReadyEvents, &[], events.len() as u64);
             for ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
@@ -866,13 +867,13 @@ impl Reactor {
         // allowance is spent.
         if let Some(buckets) = self.buckets.as_mut() {
             if let Err(wait) = buckets.admit(peer.ip(), Instant::now()) {
-                self.metrics.connection_throttled();
+                self.metrics.add(Family::ThrottledConnections, &[], 1);
                 self.start_reject(stream, 429, "client connection budget exhausted", wait);
                 return;
             }
         }
         let Some(permit) = self.budget.try_acquire() else {
-            self.metrics.connection_rejected();
+            self.metrics.add(Family::RejectedConnections, &[], 1);
             let secs = self.retry_after_secs;
             self.start_reject(stream, 503, "server at connection capacity", secs);
             return;
@@ -1040,7 +1041,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(slot) else { return };
         conn.served += 1;
         if conn.served > 1 {
-            self.metrics.connection_reused();
+            self.metrics.add(Family::KeepaliveReuses, &[], 1);
         }
         let remaining = self.max_requests.saturating_sub(conn.served);
         // ORDERING: SeqCst pairs with the store in `ServerHandle::
@@ -1283,7 +1284,7 @@ impl Reactor {
 
     fn update_gauge(&self) {
         let base = 1 + usize::from(self.listener.is_some()); // waker (+ listener)
-        self.metrics.set_reactor_fds((self.conns.len() + base) as u64);
+        self.metrics.set(Family::ReactorFds, &[], (self.conns.len() + base) as f64);
     }
 
     fn begin_shutdown(&mut self) {
@@ -1531,7 +1532,11 @@ mod tests {
         assert!(text.contains("queued longer"), "names the queue wait: {text}");
         assert!(text.contains("Connection: close"), "stale responses close: {text}");
         assert!(!keep);
-        assert_eq!(metrics.requests_for(HTTP_PARSE_ENDPOINT), 1, "counted as an HTTP-layer 408");
+        assert_eq!(
+            metrics.value("kg_serve_requests_total", &[HTTP_PARSE_ENDPOINT]),
+            Some(1.0),
+            "counted as an HTTP-layer 408"
+        );
         // A fresh job runs the router normally under the job's directive.
         let fresh = run_job(&ctx, job(Instant::now()));
         let Outcome::Respond { bytes, .. } = fresh.outcome else {
@@ -1540,7 +1545,11 @@ mod tests {
         let text = String::from_utf8(bytes).expect("ascii");
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
         assert!(text.contains("\"ok\""), "the router actually ran: {text}");
-        assert_eq!(metrics.requests_for(HTTP_PARSE_ENDPOINT), 1, "no spurious 408 for fresh jobs");
+        assert_eq!(
+            metrics.value("kg_serve_requests_total", &[HTTP_PARSE_ENDPOINT]),
+            Some(1.0),
+            "no spurious 408 for fresh jobs"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use kg_recommend::{
 };
 
 use crate::batch::{ScoreBatcher, TopKBatcher};
-use crate::http_metrics::HttpMetrics;
+use crate::http_metrics::{Family, HttpMetrics};
 use crate::monitor::{Monitor, MonitorConfig, MonitorStatus};
 
 /// A bounded map with least-recently-used eviction.
@@ -278,7 +278,7 @@ impl ModelEntry {
         if outcome.changed() {
             self.topk_batcher.invalidate(&outcome.keys, outcome.version);
             self.invalidate_evals(&outcome.keys, outcome.version);
-            self.metrics.set_graph_version(&self.name, outcome.version);
+            self.metrics.set(Family::GraphVersion, &[&self.name], outcome.version as f64);
             self.metrics.observe_ingest(outcome.inserted, outcome.deleted);
         }
         outcome
@@ -510,12 +510,18 @@ impl ModelRegistry {
         Ok(monitor)
     }
 
-    /// Stop and drop the monitor for `name`; returns whether one existed.
+    /// Stop and drop the monitor for `name`, and its `kg_serve_monitor_*`
+    /// series with it; returns whether one existed.
     pub fn stop_monitor(&self, name: &str) -> bool {
         // Same Drop-joins-thread hazard as start_monitor: take the monitor
         // out of the map first, then let it drop with no lock held.
         let removed = self.monitors.lock().unwrap().remove(name);
-        removed.is_some()
+        let existed = removed.is_some();
+        // Dropping the last handle joins the eval thread, so no round can
+        // publish after the series are forgotten.
+        drop(removed);
+        self.metrics.forget("kg_serve_monitor_", "model", name);
+        existed
     }
 
     /// The running monitor for `name`, if any.
@@ -607,8 +613,12 @@ impl ModelRegistry {
             worker_shard: self.config.worker_shard,
             metrics: Arc::clone(&self.metrics),
         });
-        self.metrics.set_graph_version(&entry.name, entry.live.version());
-        self.metrics.set_model_precision(&entry.name, entry.engine.precision().name());
+        self.metrics.set(Family::GraphVersion, &[&entry.name], entry.live.version() as f64);
+        // The precision is a label, so a reload at another precision would
+        // otherwise leave the old one's series beside the new.
+        self.metrics.forget("kg_serve_model_precision_info", "model", &entry.name);
+        let precision = entry.engine.precision().name();
+        self.metrics.set(Family::ModelPrecision, &[&entry.name, precision], 1.0);
         self.entries.write().unwrap().insert(name, Arc::clone(&entry));
         entry
     }
@@ -699,9 +709,13 @@ impl ModelRegistry {
         self.entries.read().unwrap().get(name).cloned()
     }
 
-    /// Remove an entry; returns whether it existed.
+    /// Remove an entry, its monitor and every series labelled with its
+    /// name; returns whether the entry existed.
     pub fn remove(&self, name: &str) -> bool {
-        self.entries.write().unwrap().remove(name).is_some()
+        self.stop_monitor(name);
+        let existed = self.entries.write().unwrap().remove(name).is_some();
+        self.metrics.forget("kg_serve_", "model", name);
+        existed
     }
 
     /// Registered names, sorted.
@@ -946,7 +960,8 @@ mod tests {
         let registry = ModelRegistry::new();
         let entry = registry.register_snapshot("hinted", &path, Arc::clone(&filter)).unwrap();
         assert_eq!(entry.engine().precision(), kg_models::Precision::F16);
-        assert_eq!(registry.metrics().model_precision("hinted"), Some("f16"));
+        let precision = "kg_serve_model_precision_info";
+        assert_eq!(registry.metrics().value(precision, &["hinted", "f16"]), Some(1.0));
 
         // Registry default overrides the hint.
         let registry = ModelRegistry::with_config(RegistryConfig {
@@ -960,8 +975,47 @@ mod tests {
         let entry =
             registry.reload_snapshot_with("cfg", &path, Some(kg_models::Precision::F32)).unwrap();
         assert_eq!(entry.engine().precision(), kg_models::Precision::F32);
-        assert_eq!(registry.metrics().model_precision("cfg"), Some("f32"));
+        assert_eq!(registry.metrics().value(precision, &["cfg", "f32"]), Some(1.0));
+        // The precision is a label: the reload must replace the int8
+        // series, not add an f32 one beside it.
+        let text = registry.metrics().render();
+        let series: Vec<&str> = text.lines().filter(|l| l.starts_with(precision)).collect();
+        assert_eq!(series, ["kg_serve_model_precision_info{model=\"cfg\",precision=\"f32\"} 1"]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// What `/metrics` says about a model or its monitor must not outlive
+    /// it: a stopped monitor's last `drift_alarm` (and an `eval_age` that
+    /// grows forever) used to be exported for the life of the process.
+    #[test]
+    fn stopped_monitor_and_removed_model_leave_no_series_behind() {
+        let registry = Arc::new(ModelRegistry::new());
+        tiny_entry(&registry);
+        let config =
+            MonitorConfig { window: vec![Triple::new(0, 0, 1)], n_s: 5, ..Default::default() };
+        let monitor = registry.start_monitor("tiny", config).unwrap();
+        // The round count is published last, so once it reads 1 the whole
+        // baseline round is on /metrics.
+        let metrics = Arc::clone(registry.metrics());
+        for _ in 0..500 {
+            if metrics.value("kg_serve_monitor_evals_total", &["tiny"]) == Some(1.0) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let text = metrics.render();
+        assert!(text.contains("kg_serve_monitor_drift_alarm{model=\"tiny\"} 0"), "{text}");
+        assert!(text.contains("kg_serve_monitor_eval_age_seconds{model=\"tiny\"}"), "{text}");
+        drop(monitor); // the registry's handle is now the last one
+
+        assert!(registry.stop_monitor("tiny"));
+        let text = metrics.render();
+        assert!(!text.contains("kg_serve_monitor_"), "monitor series outlived it: {text}");
+        assert!(text.contains("kg_serve_graph_version{model=\"tiny\"} 0"), "{text}");
+
+        assert!(registry.remove("tiny"));
+        let text = metrics.render();
+        assert!(!text.contains("tiny"), "model series outlived it: {text}");
     }
 
     #[test]

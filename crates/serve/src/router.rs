@@ -42,7 +42,7 @@ use kg_recommend::SamplingStrategy;
 
 use crate::batch::{ranked_pass, TopKQuery};
 use crate::gateway::Gateway;
-use crate::http_metrics::HttpMetrics;
+use crate::http_metrics::{Family, HttpMetrics};
 use crate::json::Json;
 use crate::registry::{EvalKey, ModelEntry, ModelRegistry, SampleKey};
 
@@ -578,7 +578,8 @@ impl Router {
                 (fresh, false)
             }
         };
-        self.metrics.observe_eval_cache(eval_hit);
+        let outcome = if eval_hit { Family::EvalCacheHits } else { Family::EvalCacheMisses };
+        self.metrics.add(outcome, &[], 1);
         let mut fields = vec![
             ("model".to_string(), Json::Str(entry.name().to_string())),
             ("strategy".to_string(), Json::Str(strategy.name().to_lowercase())),

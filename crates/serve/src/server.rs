@@ -417,7 +417,7 @@ mod tests {
         );
         assert!(out.starts_with("HTTP/1.1 400"), "got: {out}");
         // Both rejections were recorded under the synthetic parse label.
-        assert_eq!(metrics.requests_for(HTTP_PARSE_ENDPOINT), 2);
+        assert_eq!(metrics.value("kg_serve_requests_total", &[HTTP_PARSE_ENDPOINT]), Some(2.0));
         server.shutdown();
     }
 
@@ -525,8 +525,8 @@ mod tests {
         let (status, _) = client::get(server.addr(), "/healthz").unwrap();
         assert_eq!(status, 200);
         assert_eq!(
-            metrics.requests_for(HTTP_PARSE_ENDPOINT),
-            0,
+            metrics.value("kg_serve_requests_total", &[HTTP_PARSE_ENDPOINT]),
+            None,
             "clean closes must not be recorded as parse errors"
         );
         server.shutdown();
@@ -553,7 +553,8 @@ mod tests {
             assert_eq!(status, 200, "request {i}: {body}");
         }
         assert!(!conn.server_closed(), "server must keep the connection open");
-        assert_eq!(metrics.keepalive_reuses(), 4, "requests 2..=5 are reuses");
+        let reuses = metrics.value("kg_serve_keepalive_reuses_total", &[]);
+        assert_eq!(reuses, Some(4.0), "requests 2..=5 are reuses");
         drop(conn);
         server.shutdown();
     }
@@ -605,7 +606,7 @@ mod tests {
             started.elapsed() < Duration::from_secs(3),
             "the deadline, not the drip length, must bound the connection"
         );
-        assert_eq!(metrics.requests_for(HTTP_PARSE_ENDPOINT), 1);
+        assert_eq!(metrics.value("kg_serve_requests_total", &[HTTP_PARSE_ENDPOINT]), Some(1.0));
         server.shutdown();
     }
 
@@ -676,7 +677,7 @@ mod tests {
         queued.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let _ = queued.read_to_string(&mut out);
         assert!(out.starts_with("HTTP/1.1 200"), "brief queueing must not 408: {out}");
-        assert_eq!(metrics.requests_for(HTTP_PARSE_ENDPOINT), 0);
+        assert_eq!(metrics.value("kg_serve_requests_total", &[HTTP_PARSE_ENDPOINT]), None);
         server.shutdown();
     }
 
@@ -787,10 +788,10 @@ mod tests {
         assert!(out.starts_with("HTTP/1.1 429 Too Many Requests"), "got: {out}");
         assert!(out.contains("Retry-After:"), "advertises a wait: {out}");
         assert!(out.contains("client connection budget"), "names the bucket: {out}");
-        assert_eq!(metrics.throttled_connections(), 1);
+        assert_eq!(metrics.value("kg_serve_throttled_connections_total", &[]), Some(1.0));
         assert_eq!(
-            metrics.rejected_connections(),
-            0,
+            metrics.value("kg_serve_rejected_connections_total", &[]),
+            Some(0.0),
             "throttling is per-client fairness, not the global 503 budget"
         );
         // Refill restores service for the same client.

@@ -250,7 +250,7 @@ fn concurrent_clients_exercise_the_batcher_and_stay_correct() {
         .and_then(|v| v.parse().ok())
         .unwrap();
     assert_eq!(jobs, CLIENTS as u64, "every request went through the batcher");
-    assert_eq!(fx.metrics.requests_for("/score"), CLIENTS as u64);
+    assert_eq!(fx.metrics.value("kg_serve_requests_total", &["/score"]), Some(CLIENTS as f64));
     let (p50, p99) = fx.metrics.latency_quantiles("/score").unwrap();
     assert!(p50 > 0.0 && p99 >= p50, "latency quantiles populated: {p50} {p99}");
     fx.server.shutdown();
@@ -446,7 +446,8 @@ fn keepalive_connection_reuses_one_socket_and_matches_fresh_connections() {
     let (s_topk, fresh_topk) = client::post_json(addr, "/topk", &topk_body).unwrap();
     assert_eq!((s_score, s_topk), (200, 200));
 
-    let reuses_before = fx.metrics.keepalive_reuses();
+    let reuses = || fx.metrics.value("kg_serve_keepalive_reuses_total", &[]).unwrap();
+    let reuses_before = reuses();
     let mut conn = client::Connection::open(addr).unwrap();
     for round in 0..4 {
         let (status, body) = conn.post_json("/score", &score_body).unwrap();
@@ -458,7 +459,7 @@ fn keepalive_connection_reuses_one_socket_and_matches_fresh_connections() {
     }
     assert!(!conn.server_closed(), "8 requests fit comfortably in the per-connection cap");
     // 8 requests on one socket: 7 were reuses.
-    assert_eq!(fx.metrics.keepalive_reuses() - reuses_before, 7);
+    assert_eq!(reuses() - reuses_before, 7.0);
     drop(conn);
     fx.server.shutdown();
 }
@@ -551,8 +552,18 @@ fn idle_keepalive_connections_are_closed_cleanly() {
     // socket (write may succeed into the OS buffer, the read sees EOF).
     assert!(conn.get("/healthz").is_err(), "idle connection must be closed by the server");
     // … and the close was clean: no parse error, no error-status response.
-    assert_eq!(metrics.requests_for(kgeval::serve::HTTP_PARSE_ENDPOINT), 0);
-    assert_eq!(metrics.total_requests(), 1, "only the one real request was recorded");
+    assert_eq!(
+        metrics.value("kg_serve_requests_total", &[kgeval::serve::HTTP_PARSE_ENDPOINT]),
+        None
+    );
+    let text = metrics.render();
+    let recorded: Vec<&str> =
+        text.lines().filter(|l| l.starts_with("kg_serve_requests_total{")).collect();
+    assert_eq!(
+        recorded,
+        ["kg_serve_requests_total{endpoint=\"/healthz\"} 1"],
+        "only the one real request was recorded"
+    );
     server.shutdown();
     fx.server.shutdown();
 }
@@ -586,7 +597,7 @@ fn saturated_server_rejects_connections_with_503_and_retry_after() {
     assert!(rejected.starts_with("HTTP/1.1 503 Service Unavailable"), "got: {rejected}");
     assert!(rejected.contains("Retry-After: 7"), "got: {rejected}");
     assert!(rejected.contains("Connection: close"), "got: {rejected}");
-    assert!(metrics.rejected_connections() >= 1);
+    assert!(metrics.value("kg_serve_rejected_connections_total", &[]) >= Some(1.0));
 
     // Releasing the held connection frees the budget again.
     drop(held);
@@ -625,7 +636,10 @@ fn http_layer_rejections_are_counted_in_metrics() {
         "exactly one parse failure recorded: {prom}"
     );
     assert!(prom.contains("kg_serve_connections_total"), "{prom}");
-    assert_eq!(fx.metrics.requests_for(kgeval::serve::HTTP_PARSE_ENDPOINT), 1);
+    assert_eq!(
+        fx.metrics.value("kg_serve_requests_total", &[kgeval::serve::HTTP_PARSE_ENDPOINT]),
+        Some(1.0)
+    );
     fx.server.shutdown();
 }
 
@@ -669,11 +683,8 @@ fn c10k_idle_keepalive_connections_coexist_with_live_traffic() {
         assert_eq!(status, 200, "idler {i}: {body}");
         idlers.push(conn);
     }
-    assert!(
-        fx.metrics.active_connections() >= IDLERS as u64,
-        "all idlers must be open concurrently, saw {}",
-        fx.metrics.active_connections()
-    );
+    let active = fx.metrics.value("kg_serve_connections_active", &[]).unwrap();
+    assert!(active >= IDLERS as f64, "all idlers must be open concurrently, saw {active}");
 
     // Live traffic lands correctly while every idler stays parked.
     for round in 0..5 {
