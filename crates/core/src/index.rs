@@ -113,16 +113,6 @@ impl FilterIndex {
             }
         }
     }
-
-    /// Number of distinct `(h, r)` keys (tail-query keys).
-    pub fn num_hr_pairs(&self) -> usize {
-        self.tails_of.len()
-    }
-
-    /// Number of distinct `(r, t)` keys (head-query keys).
-    pub fn num_rt_pairs(&self) -> usize {
-        self.heads_of.len()
-    }
 }
 
 #[cfg(test)]
@@ -170,13 +160,6 @@ mod tests {
         let t = Triple::new(0, 0, 1);
         assert_eq!(idx.known_answers(t, QuerySide::Tail).len(), 3);
         assert_eq!(idx.known_answers(t, QuerySide::Head), &[EntityId(0)]);
-    }
-
-    #[test]
-    fn pair_counts() {
-        let idx = index();
-        assert_eq!(idx.num_hr_pairs(), 2); // (0,0) and (3,1)
-        assert_eq!(idx.num_rt_pairs(), 4); // (0,1) (0,2) (0,4) (1,1)
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use error::KgError;
 pub use graph::TripleStore;
 pub use ids::{DrColumn, EntityId, RelationId, TypeId};
 pub use index::FilterIndex;
-pub use live::{ApplyOutcome, DeltaKeys, GraphDelta, KnownIndex, LiveFilterIndex, LiveGraph};
+pub use live::{ApplyOutcome, GraphDelta, KnownIndex, LiveFilterIndex, LiveGraph};
 pub use triple::Triple;
 pub use types::TypeAssignment;
 pub use vocab::Vocab;

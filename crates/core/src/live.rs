@@ -3,30 +3,39 @@
 //! Everything below the serving layer evaluates against a [`FilterIndex`]
 //! built once at load time. A live graph absorbs inserts and deletes
 //! without that rebuild: a [`LiveFilterIndex`] keeps the loaded snapshot as
-//! an immutable *base* plus a small sorted *overlay* of per-key additions
-//! and removals, and answers the same known-answer queries — borrowed
-//! straight from the base when a key was never touched, merged on the fly
-//! when it was. Applying a [`GraphDelta`] is copy-on-write: it produces a
-//! *new* `LiveFilterIndex` (the overlay maps are cloned, the base is
-//! shared), so readers holding the previous `Arc` are never blocked or
-//! disturbed — the same atomic-flip discipline the serving registry uses
-//! for hot model reloads.
+//! an immutable *base*, and every query key a delta has touched **owns**
+//! its complete sorted answer list together with the graph version that
+//! last changed it. A known-answer query is one lookup that falls through
+//! to the base; it borrows either way. Applying a [`GraphDelta`] is
+//! copy-on-write: it produces a *new* `LiveFilterIndex` that shares the
+//! base and every list the delta did not change by `Arc`, so readers
+//! holding the previous index are never blocked or disturbed — the same
+//! atomic-flip discipline the serving registry uses for hot model reloads.
 //!
 //! [`LiveGraph`] wraps the flip: a writer applies deltas one at a time
-//! under a mutex, while readers take a lock-free-in-spirit snapshot (one
-//! brief `RwLock` read, never held across scoring work) and a monotonic
-//! version counter tells caches when the world changed. [`DeltaKeys`]
-//! reports exactly which `(h, r)` / `(r, t)` query keys a delta touched so
-//! caches can invalidate by key instead of flushing wholesale.
+//! under a mutex, while readers take a snapshot (one brief `RwLock` read,
+//! never held across scoring work).
 //!
-//! The contract that makes all of this safe to serve: a live index with
-//! any sequence of deltas applied answers `contains` / `known_answers`
-//! identically to a [`FilterIndex`] rebuilt from scratch over the final
-//! triple set ([`LiveFilterIndex::rebuilt`] pins it, proptests in
-//! `kg-eval` hold ranking output byte-identical across all model
-//! families).
+//! **The invariant**: every owned list is sorted and duplicate-free, and
+//! the tail-keyed and head-keyed lists describe one triple set. Hence the
+//! contract that makes this safe to serve: a live index with any sequence
+//! of deltas applied answers `contains` / `known_answers` identically to a
+//! [`FilterIndex`] rebuilt from scratch over the final triple set
+//! ([`LiveFilterIndex::rebuilt`] pins it; proptests hold ranking output
+//! byte-identical across all model families).
+//!
+//! **Cache validity.** A write touches no cache. A cached result carries
+//! the version `v` of the snapshot its reader held when it asked, and is
+//! served to a reader holding snapshot `s` iff `v ≤ s.version()` and no
+//! key it read has [`LiveFilterIndex::answers_changed_at`] `> v` in `s` —
+//! a pure function of the immutable snapshot the reader already holds.
+//! Why that is exact: the result was computed on some snapshot `p ≥ v`, so
+//! it reflects every change `≤ p`; it is served only if its keys did not
+//! change in `(v, s]`, so it equals the answer at `max(p, s)` — a version
+//! the graph carried between the reader taking `s` and getting its reply.
 
 use std::borrow::Cow;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -61,65 +70,6 @@ impl GraphDelta {
     }
 }
 
-/// The query keys a delta actually touched, for key-granular cache
-/// invalidation: a cached result is stale only if its query reads one of
-/// these keys.
-#[derive(Clone, Debug, Default)]
-pub struct DeltaKeys {
-    hr: Vec<(EntityId, RelationId)>,
-    rt: Vec<(RelationId, EntityId)>,
-}
-
-impl DeltaKeys {
-    fn push(&mut self, t: Triple) {
-        self.hr.push(t.hr());
-        self.rt.push(t.rt());
-    }
-
-    fn finish(&mut self) {
-        self.hr.sort_unstable();
-        self.hr.dedup();
-        self.rt.sort_unstable();
-        self.rt.dedup();
-    }
-
-    /// Whether no key was touched (the delta was a pure no-op).
-    pub fn is_empty(&self) -> bool {
-        self.hr.is_empty() && self.rt.is_empty()
-    }
-
-    /// Whether the tail-query key `(h, r)` was touched.
-    #[inline]
-    pub fn touches_tail(&self, h: EntityId, r: RelationId) -> bool {
-        self.hr.binary_search(&(h, r)).is_ok()
-    }
-
-    /// Whether the head-query key `(r, t)` was touched.
-    #[inline]
-    pub fn touches_head(&self, r: RelationId, t: EntityId) -> bool {
-        self.rt.binary_search(&(r, t)).is_ok()
-    }
-
-    /// Whether `triple`'s query on `side` reads a touched key.
-    #[inline]
-    pub fn touches_query(&self, triple: Triple, side: QuerySide) -> bool {
-        match side {
-            QuerySide::Tail => self.touches_tail(triple.head, triple.relation),
-            QuerySide::Head => self.touches_head(triple.relation, triple.tail),
-        }
-    }
-
-    /// Touched tail-query keys, sorted.
-    pub fn hr_keys(&self) -> &[(EntityId, RelationId)] {
-        &self.hr
-    }
-
-    /// Touched head-query keys, sorted.
-    pub fn rt_keys(&self) -> &[(RelationId, EntityId)] {
-        &self.rt
-    }
-}
-
 /// What applying a delta did.
 #[derive(Clone, Debug)]
 pub struct ApplyOutcome {
@@ -129,8 +79,6 @@ pub struct ApplyOutcome {
     pub inserted: usize,
     /// Triples actually removed (requested deletes minus no-ops).
     pub deleted: usize,
-    /// Query keys touched by the effective writes.
-    pub keys: DeltaKeys,
     /// Distinct known-true triples after the apply.
     pub len: usize,
 }
@@ -142,95 +90,65 @@ impl ApplyOutcome {
     }
 }
 
-/// Sorted-`Vec` overlay maps for one direction (tail keys or head keys).
-type Overlay<K> = FxHashMap<K, Vec<EntityId>>;
+/// A touched key's complete sorted answer list and the graph version of
+/// the last delta that changed it.
+#[derive(Clone, Debug)]
+struct Owned {
+    answers: Arc<[EntityId]>,
+    changed_at: u64,
+}
 
-/// Insert `e` into the sorted vec under `key`; true if it was absent.
-fn overlay_add<K: std::hash::Hash + Eq>(m: &mut Overlay<K>, key: K, e: EntityId) -> bool {
-    let v = m.entry(key).or_default();
-    match v.binary_search(&e) {
-        Ok(_) => false,
-        Err(i) => {
-            v.insert(i, e);
-            true
+/// The touched keys of one direction (tail keys or head keys).
+type Overlay<K> = FxHashMap<K, Owned>;
+
+/// The lists one `apply` is editing, keyed like an [`Overlay`].
+type Working<K> = FxHashMap<K, Vec<EntityId>>;
+
+/// Make `e` a member of sorted `list`, or not one.
+fn set_member(list: &mut Vec<EntityId>, e: EntityId, member: bool) {
+    match (list.binary_search(&e), member) {
+        (Err(i), true) => list.insert(i, e),
+        (Ok(i), false) => {
+            list.remove(i);
         }
+        _ => {}
     }
 }
 
-/// Remove `e` from the sorted vec under `key` (dropping the key when the
-/// vec empties, so "untouched key" stays equivalent to "absent key"); true
-/// if it was present.
-fn overlay_remove<K: std::hash::Hash + Eq + Copy>(m: &mut Overlay<K>, key: K, e: EntityId) -> bool {
-    let Some(v) = m.get_mut(&key) else { return false };
-    match v.binary_search(&e) {
-        Ok(i) => {
-            v.remove(i);
-            if v.is_empty() {
-                m.remove(&key);
-            }
-            true
-        }
-        Err(_) => false,
-    }
+/// Freeze the lists a delta edited into `overlay`, stamped `version`.
+fn freeze<K: Hash + Eq>(overlay: &mut Overlay<K>, working: Working<K>, version: u64) {
+    overlay.extend(
+        working.into_iter().map(|(k, v)| (k, Owned { answers: v.into(), changed_at: version })),
+    );
 }
 
-fn overlay_slice<'a, K: std::hash::Hash + Eq>(m: &'a Overlay<K>, key: &K) -> &'a [EntityId] {
-    m.get(key).map(Vec::as_slice).unwrap_or(&[])
-}
-
-/// `(base \ deleted) ∪ added`, all three inputs sorted, result sorted.
-fn merge_known(base: &[EntityId], added: &[EntityId], deleted: &[EntityId]) -> Vec<EntityId> {
-    let mut out = Vec::with_capacity(base.len() + added.len());
-    let (mut bi, mut ai) = (0usize, 0usize);
-    while bi < base.len() || ai < added.len() {
-        let take_base = match (base.get(bi), added.get(ai)) {
-            (Some(b), Some(a)) => b <= a, // disjoint by invariant, but <= is safe
-            (Some(_), None) => true,
-            _ => false,
-        };
-        if take_base {
-            let b = base[bi];
-            bi += 1;
-            if deleted.binary_search(&b).is_err() {
-                out.push(b);
-            }
-        } else {
-            out.push(added[ai]);
-            ai += 1;
-        }
-    }
-    out
-}
-
-/// A delta-aware known-triple index: frozen base snapshot + mutable
-/// overlay, answering the same filtered-ranking queries as
-/// [`FilterIndex`].
+/// A delta-aware known-triple index: a frozen base snapshot plus, for each
+/// key a delta has touched, that key's own answer list — answering the
+/// same filtered-ranking queries as [`FilterIndex`].
 ///
-/// Invariants (maintained by [`LiveGraph::apply`]): `added_*` holds only
-/// triples *not* in the base, `deleted_*` only triples *in* the base, the
-/// two never overlap, every overlay vec is sorted and non-empty, and the
-/// tail-keyed and head-keyed maps describe the same triple set.
+/// Invariant (maintained by [`LiveFilterIndex::apply`]): every owned list
+/// is sorted and duplicate-free, and the tail-keyed and head-keyed maps
+/// describe the same triple set. A key stays owned once touched, even when
+/// its list equals the base's again: its `changed_at` is what lets a cache
+/// tell a result from before the round trip from one after it (see the
+/// module docs for the validity rule).
 #[derive(Clone, Debug)]
 pub struct LiveFilterIndex {
     base: Arc<FilterIndex>,
-    added_tails: Overlay<(EntityId, RelationId)>,
-    deleted_tails: Overlay<(EntityId, RelationId)>,
-    added_heads: Overlay<(RelationId, EntityId)>,
-    deleted_heads: Overlay<(RelationId, EntityId)>,
+    tails: Overlay<(EntityId, RelationId)>,
+    heads: Overlay<(RelationId, EntityId)>,
     version: u64,
     len: usize,
 }
 
 impl LiveFilterIndex {
-    /// Version-0 live view of a frozen snapshot (empty overlay).
+    /// Version-0 live view of a frozen snapshot (no key touched).
     pub fn from_base(base: Arc<FilterIndex>) -> Self {
         let len = base.len();
         LiveFilterIndex {
             base,
-            added_tails: Overlay::default(),
-            deleted_tails: Overlay::default(),
-            added_heads: Overlay::default(),
-            deleted_heads: Overlay::default(),
+            tails: Overlay::default(),
+            heads: Overlay::default(),
             version: 0,
             len,
         }
@@ -256,78 +174,62 @@ impl LiveFilterIndex {
         self.len == 0
     }
 
-    /// Number of triples in the overlay (a compaction signal: rebuild the
-    /// base when this grows past a threshold).
-    pub fn overlay_len(&self) -> usize {
-        self.added_tails.values().map(Vec::len).sum::<usize>()
-            + self.deleted_tails.values().map(Vec::len).sum::<usize>()
-    }
-
-    /// All known-true tails for `(h, r, ?)`, sorted. Borrows the base
-    /// slice when the key has no overlay entries.
-    pub fn known_tails(&self, h: EntityId, r: RelationId) -> Cow<'_, [EntityId]> {
-        let key = (h, r);
-        let added = overlay_slice(&self.added_tails, &key);
-        let deleted = overlay_slice(&self.deleted_tails, &key);
-        let base = self.base.known_tails(h, r);
-        if added.is_empty() && deleted.is_empty() {
-            Cow::Borrowed(base)
-        } else {
-            Cow::Owned(merge_known(base, added, deleted))
+    /// All known-true tails for `(h, r, ?)`, sorted.
+    pub fn known_tails(&self, h: EntityId, r: RelationId) -> &[EntityId] {
+        match self.tails.get(&(h, r)) {
+            Some(owned) => &owned.answers,
+            None => self.base.known_tails(h, r),
         }
     }
 
     /// All known-true heads for `(?, r, t)`, sorted.
-    pub fn known_heads(&self, r: RelationId, t: EntityId) -> Cow<'_, [EntityId]> {
-        let key = (r, t);
-        let added = overlay_slice(&self.added_heads, &key);
-        let deleted = overlay_slice(&self.deleted_heads, &key);
-        let base = self.base.known_heads(r, t);
-        if added.is_empty() && deleted.is_empty() {
-            Cow::Borrowed(base)
-        } else {
-            Cow::Owned(merge_known(base, added, deleted))
+    pub fn known_heads(&self, r: RelationId, t: EntityId) -> &[EntityId] {
+        match self.heads.get(&(r, t)) {
+            Some(owned) => &owned.answers,
+            None => self.base.known_heads(r, t),
         }
     }
 
-    /// Known answers for `triple`'s query on `side`, sorted.
+    /// Known answers for `triple`'s query on `side`, sorted. Always
+    /// borrowed; the `Cow` is what [`KnownIndex`] promises its callers.
     pub fn known_answers(&self, triple: Triple, side: QuerySide) -> Cow<'_, [EntityId]> {
-        match side {
+        Cow::Borrowed(match side {
             QuerySide::Tail => self.known_tails(triple.head, triple.relation),
             QuerySide::Head => self.known_heads(triple.relation, triple.tail),
-        }
+        })
     }
 
-    /// Whether `(h, r, t)` is known true, overlay consulted first.
+    /// The graph version of the last delta that changed the known answers
+    /// of `triple`'s query on `side`; 0 for a key no delta has touched. A
+    /// result that read this key at version `v` is still exact on this
+    /// index iff this is `≤ v` (and `v ≤` [`LiveFilterIndex::version`]).
+    pub fn answers_changed_at(&self, triple: Triple, side: QuerySide) -> u64 {
+        let owned = match side {
+            QuerySide::Tail => self.tails.get(&triple.hr()),
+            QuerySide::Head => self.heads.get(&triple.rt()),
+        };
+        owned.map_or(0, |o| o.changed_at)
+    }
+
+    /// Whether `(h, r, t)` is known true.
     pub fn contains(&self, t: Triple) -> bool {
-        let key = t.hr();
-        if overlay_slice(&self.deleted_tails, &key).binary_search(&t.tail).is_ok() {
-            return false;
-        }
-        if overlay_slice(&self.added_tails, &key).binary_search(&t.tail).is_ok() {
-            return true;
-        }
-        self.base.contains(t)
+        self.known_tails(t.head, t.relation).binary_search(&t.tail).is_ok()
     }
 
     /// Whether `e` answers `triple`'s query on `side` truthfully.
     pub fn is_true_answer(&self, triple: Triple, side: QuerySide, e: EntityId) -> bool {
-        let t = match side {
-            QuerySide::Tail => Triple { head: triple.head, relation: triple.relation, tail: e },
-            QuerySide::Head => Triple { head: e, relation: triple.relation, tail: triple.tail },
-        };
-        self.contains(t)
+        self.known_answers(triple, side).binary_search(&e).is_ok()
     }
 
     /// Visit every known-true triple (order unspecified).
     pub fn for_each_triple(&self, mut f: impl FnMut(Triple)) {
         self.base.for_each_triple(|t| {
-            if overlay_slice(&self.deleted_tails, &t.hr()).binary_search(&t.tail).is_err() {
+            if !self.tails.contains_key(&t.hr()) {
                 f(t);
             }
         });
-        for (&(h, r), tails) in &self.added_tails {
-            for &t in tails {
+        for (&(h, r), owned) in &self.tails {
+            for &t in owned.answers.iter() {
                 f(Triple { head: h, relation: r, tail: t });
             }
         }
@@ -343,74 +245,48 @@ impl LiveFilterIndex {
         idx
     }
 
-    /// Insert `t`; true if it was absent. Maintains the overlay
-    /// invariants: re-inserting a base triple that was deleted undeletes
-    /// it rather than adding a duplicate overlay entry.
-    fn insert_one(&mut self, t: Triple) -> bool {
-        if self.contains(t) {
-            return false;
-        }
-        if self.base.contains(t) {
-            overlay_remove(&mut self.deleted_tails, t.hr(), t.tail);
-            overlay_remove(&mut self.deleted_heads, t.rt(), t.head);
-        } else {
-            overlay_add(&mut self.added_tails, t.hr(), t.tail);
-            overlay_add(&mut self.added_heads, t.rt(), t.head);
-        }
-        self.len += 1;
-        true
-    }
-
-    /// Delete `t`; true if it was present. Deleting an overlay-added
-    /// triple drops the overlay entry; deleting a base triple records a
-    /// tombstone.
-    fn delete_one(&mut self, t: Triple) -> bool {
-        if !self.contains(t) {
-            return false;
-        }
-        if overlay_remove(&mut self.added_tails, t.hr(), t.tail) {
-            overlay_remove(&mut self.added_heads, t.rt(), t.head);
-        } else {
-            overlay_add(&mut self.deleted_tails, t.hr(), t.tail);
-            overlay_add(&mut self.deleted_heads, t.rt(), t.head);
-        }
-        self.len -= 1;
-        true
-    }
-
     /// This index with `delta` applied (inserts first, then deletes), and
-    /// what changed. The base snapshot is shared, overlays are cloned —
-    /// `self` is untouched, so readers holding it are undisturbed.
+    /// what changed. Each key an effective write names gets one working
+    /// copy of its list, edited in place and frozen at the new version;
+    /// the base and every other list are shared — `self` is untouched, so
+    /// readers holding it are undisturbed.
     pub fn apply(&self, delta: &GraphDelta) -> (LiveFilterIndex, ApplyOutcome) {
-        let mut next = self.clone();
-        let mut keys = DeltaKeys::default();
+        let mut tails: Working<(EntityId, RelationId)> = Working::default();
+        let mut heads: Working<(RelationId, EntityId)> = Working::default();
         let (mut inserted, mut deleted) = (0usize, 0usize);
-        for &t in &delta.insert {
-            if next.insert_one(t) {
-                keys.push(t);
-                inserted += 1;
+        let passes = [(true, &delta.insert, &mut inserted), (false, &delta.delete, &mut deleted)];
+        for (member, triples, effective) in passes {
+            for &t in triples {
+                let present = match tails.get(&t.hr()) {
+                    Some(list) => list.binary_search(&t.tail).is_ok(),
+                    None => self.contains(t),
+                };
+                if present == member {
+                    continue;
+                }
+                let list = tails
+                    .entry(t.hr())
+                    .or_insert_with(|| self.known_tails(t.head, t.relation).to_vec());
+                set_member(list, t.tail, member);
+                let list = heads
+                    .entry(t.rt())
+                    .or_insert_with(|| self.known_heads(t.relation, t.tail).to_vec());
+                set_member(list, t.head, member);
+                *effective += 1;
             }
         }
-        for &t in &delta.delete {
-            if next.delete_one(t) {
-                keys.push(t);
-                deleted += 1;
-            }
-        }
-        keys.finish();
-        if inserted + deleted > 0 {
-            next.version += 1;
-        }
-        let outcome =
-            ApplyOutcome { version: next.version, inserted, deleted, keys, len: next.len };
+        let mut next = self.clone();
+        next.version += u64::from(inserted + deleted > 0);
+        next.len = self.len + inserted - deleted;
+        freeze(&mut next.tails, tails, next.version);
+        freeze(&mut next.heads, heads, next.version);
+        let outcome = ApplyOutcome { version: next.version, inserted, deleted, len: next.len };
         (next, outcome)
     }
 }
 
 /// Queries a filtered-ranking pass needs from a known-triple index,
-/// abstracting over [`FilterIndex`] (always borrows) and
-/// [`LiveFilterIndex`] (borrows untouched keys, materialises touched
-/// ones).
+/// abstracting over [`FilterIndex`] and [`LiveFilterIndex`] (both borrow).
 pub trait KnownIndex: Sync {
     /// Known answers for `triple`'s query on `side`, sorted ascending.
     fn known_answers(&self, triple: Triple, side: QuerySide) -> Cow<'_, [EntityId]>;
@@ -458,17 +334,6 @@ impl LiveGraph {
         LiveGraph {
             current: RwLock::new(Arc::new(LiveFilterIndex::from_base(base))),
             version: AtomicU64::new(0),
-            writer: Mutex::new(()),
-        }
-    }
-
-    /// Live graph resuming at `index` (used when a hot reload donates the
-    /// previous live state).
-    pub fn from_index(index: Arc<LiveFilterIndex>) -> Self {
-        let version = index.version();
-        LiveGraph {
-            current: RwLock::new(index),
-            version: AtomicU64::new(version),
             writer: Mutex::new(()),
         }
     }
@@ -523,12 +388,13 @@ mod tests {
 
     #[test]
     fn pristine_view_borrows_base() {
-        let live = LiveFilterIndex::from_base(base());
+        let base = base();
+        let live = LiveFilterIndex::from_base(Arc::clone(&base));
         assert_eq!(live.version(), 0);
         assert_eq!(live.len(), 4);
         let tails = live.known_tails(EntityId(0), RelationId(0));
-        assert!(matches!(tails, Cow::Borrowed(_)));
-        assert_eq!(&*tails, &[EntityId(1), EntityId(2)]);
+        assert!(std::ptr::eq(tails, base.known_tails(EntityId(0), RelationId(0))));
+        assert_eq!(tails, &[EntityId(1), EntityId(2)]);
     }
 
     #[test]
@@ -536,16 +402,16 @@ mod tests {
         let live = LiveFilterIndex::from_base(base());
         let delta = GraphDelta::new(
             vec![Triple::new(0, 0, 5)], // new tail for (0,0)
-            vec![Triple::new(0, 0, 1)], // tombstone a base triple
+            vec![Triple::new(0, 0, 1)], // drop a base triple
         );
         let (next, out) = live.apply(&delta);
         assert_eq!((out.inserted, out.deleted), (1, 1));
         assert_eq!(out.version, 1);
         assert_eq!(next.len(), 4);
-        assert_eq!(&*next.known_tails(EntityId(0), RelationId(0)), &[EntityId(2), EntityId(5)]);
+        assert_eq!(next.known_tails(EntityId(0), RelationId(0)), &[EntityId(2), EntityId(5)]);
         // Head direction reflects the same writes.
-        assert_eq!(&*next.known_heads(RelationId(0), EntityId(5)), &[EntityId(0)]);
-        assert_eq!(&*next.known_heads(RelationId(0), EntityId(1)), &[]);
+        assert_eq!(next.known_heads(RelationId(0), EntityId(5)), &[EntityId(0)]);
+        assert_eq!(next.known_heads(RelationId(0), EntityId(1)), &[]);
         assert!(next.contains(Triple::new(0, 0, 5)));
         assert!(!next.contains(Triple::new(0, 0, 1)));
         // The original view is untouched (copy-on-write).
@@ -563,7 +429,9 @@ mod tests {
         let (next, out) = live.apply(&delta);
         assert!(!out.changed());
         assert_eq!(out.version, 0);
-        assert!(out.keys.is_empty());
+        for side in QuerySide::BOTH {
+            assert_eq!(next.answers_changed_at(Triple::new(0, 0, 1), side), 0);
+        }
         assert_eq!(next.len(), live.len());
     }
 
@@ -574,7 +442,10 @@ mod tests {
         let (next, out) = live.apply(&GraphDelta::new(vec![t], vec![t]));
         assert!(!next.contains(t));
         assert_eq!((out.inserted, out.deleted), (1, 1));
-        assert_eq!(next.overlay_len(), 0, "add+delete must cancel, not accumulate");
+        // add+delete cancel: the key answers exactly the base list again.
+        assert_eq!(next.known_tails(EntityId(7), RelationId(1)), &[]);
+        assert_eq!(next.known_heads(RelationId(1), EntityId(7)), &[]);
+        assert_eq!(next.len(), live.len());
     }
 
     #[test]
@@ -586,20 +457,42 @@ mod tests {
         let (back, out) = gone.apply(&GraphDelta::new(vec![t], vec![]));
         assert!(back.contains(t));
         assert_eq!(out.version, 2);
-        assert_eq!(back.overlay_len(), 0, "undelete must clear the tombstone");
-        // And the key is borrowed from the base again.
-        assert!(matches!(back.known_tails(EntityId(0), RelationId(0)), Cow::Borrowed(_)));
+        // The key answers exactly the base list again, both ways …
+        assert_eq!(
+            back.known_tails(EntityId(0), RelationId(0)),
+            live.known_tails(EntityId(0), RelationId(0))
+        );
+        assert_eq!(
+            back.known_heads(RelationId(0), EntityId(1)),
+            live.known_heads(RelationId(0), EntityId(1))
+        );
+        assert_eq!(back.len(), live.len());
+        // … and still says when it last changed: a result cached between
+        // the delete and the reinsert must not be served after it.
+        assert_eq!(back.answers_changed_at(t, QuerySide::Tail), 2);
     }
 
     #[test]
-    fn delta_keys_report_touched_queries_only() {
+    fn answers_changed_at_reports_touched_queries_only() {
         let live = LiveFilterIndex::from_base(base());
-        let (_, out) = live.apply(&GraphDelta::new(vec![Triple::new(0, 0, 5)], vec![]));
-        assert!(out.keys.touches_tail(EntityId(0), RelationId(0)));
-        assert!(out.keys.touches_head(RelationId(0), EntityId(5)));
-        assert!(!out.keys.touches_tail(EntityId(3), RelationId(1)));
-        assert!(out.keys.touches_query(Triple::new(0, 0, 9), QuerySide::Tail));
-        assert!(!out.keys.touches_query(Triple::new(0, 0, 9), QuerySide::Head));
+        let (v1, _) = live.apply(&GraphDelta::new(vec![Triple::new(0, 0, 5)], vec![]));
+        assert_eq!(v1.answers_changed_at(Triple::new(0, 0, 9), QuerySide::Tail), 1);
+        assert_eq!(v1.answers_changed_at(Triple::new(9, 0, 5), QuerySide::Head), 1);
+        assert_eq!(v1.answers_changed_at(Triple::new(3, 1, 9), QuerySide::Tail), 0);
+        assert_eq!(v1.answers_changed_at(Triple::new(0, 0, 9), QuerySide::Head), 0);
+        // A later delta on another key leaves the stamp alone; a no-op
+        // naming the key does too; an effective one moves it.
+        let (v2, _) = v1.apply(&GraphDelta::new(
+            vec![Triple::new(3, 1, 7), Triple::new(0, 0, 5)],
+            vec![Triple::new(0, 0, 8)],
+        ));
+        assert_eq!(v2.version(), 2);
+        assert_eq!(v2.answers_changed_at(Triple::new(0, 0, 9), QuerySide::Tail), 1);
+        assert_eq!(v2.answers_changed_at(Triple::new(3, 1, 9), QuerySide::Tail), 2);
+        let (v3, _) = v2.apply(&GraphDelta::new(vec![], vec![Triple::new(0, 0, 5)]));
+        assert_eq!(v3.answers_changed_at(Triple::new(0, 0, 9), QuerySide::Tail), 3);
+        // The snapshots before it are immutable, stamps included.
+        assert_eq!(v2.answers_changed_at(Triple::new(0, 0, 9), QuerySide::Tail), 1);
     }
 
     #[test]
@@ -615,7 +508,7 @@ mod tests {
             let t = Triple::new(h, r, 0);
             assert_eq!(
                 rebuilt.known_tails(t.head, t.relation),
-                &*next.known_tails(t.head, t.relation),
+                next.known_tails(t.head, t.relation),
                 "tails of ({h},{r})"
             );
         }

@@ -237,12 +237,12 @@ proptest! {
                     prop_assert_eq!(live.contains(tri), rebuilt.contains(tri));
                 }
                 prop_assert_eq!(
-                    live.known_tails(kg_core::EntityId(h), kg_core::RelationId(r)).as_ref(),
+                    live.known_tails(kg_core::EntityId(h), kg_core::RelationId(r)),
                     rebuilt.known_tails(kg_core::EntityId(h), kg_core::RelationId(r)),
                     "known_tails diverged at ({}, {})", h, r
                 );
                 prop_assert_eq!(
-                    live.known_heads(kg_core::RelationId(r), kg_core::EntityId(h)).as_ref(),
+                    live.known_heads(kg_core::RelationId(r), kg_core::EntityId(h)),
                     rebuilt.known_heads(kg_core::RelationId(r), kg_core::EntityId(h)),
                     "known_heads diverged at ({}, {})", r, h
                 );

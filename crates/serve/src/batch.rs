@@ -42,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use kg_core::ids::{EntityId, RelationId};
 use kg_core::parallel::{parallel_map_indexed, two_level_split};
 use kg_core::triple::QuerySide;
-use kg_core::{DeltaKeys, LiveGraph, Triple};
+use kg_core::{LiveFilterIndex, LiveGraph, Triple};
 use kg_models::ScoringEngine;
 
 use crate::http_metrics::{Family, HttpMetrics};
@@ -359,11 +359,20 @@ impl TopKCacheKey {
     }
 }
 
-/// A cached result, valid only while the live graph still carries
-/// `version` (deltas bump surviving entries; touched entries are removed).
+/// A cached result and the version of the snapshot its submitter held
+/// when it asked (its pass ran on that snapshot or a later one).
 struct CachedTopK {
     result: Vec<(u32, f32)>,
     version: u64,
+}
+
+impl CachedTopK {
+    /// Whether this result answers `q` exactly for a reader holding
+    /// `snapshot` ([`kg_core::live`]'s rule; unfiltered reads no key).
+    fn valid_on(&self, snapshot: &LiveFilterIndex, q: &TopKQuery) -> bool {
+        self.version <= snapshot.version()
+            && (!q.filtered || snapshot.answers_changed_at(q.triple, q.side) <= self.version)
+    }
 }
 
 /// Coalesces concurrent `/topk` requests for one model into a single
@@ -381,16 +390,16 @@ struct CachedTopK {
 /// Filtered queries resolve known answers against a snapshot of the
 /// model's [`LiveGraph`], taken **once per coalesced pass** by the leader
 /// — every query in a batch sees one consistent graph version. Results
-/// are memoised in a version-keyed LRU ([`TOPK_CACHE_CAPACITY`] entries):
-/// a hit requires the entry's graph version to equal the current one, and
-/// [`TopKBatcher::invalidate`] (called on every applied delta) removes
-/// exactly the filtered entries whose `(context, relation)` key the delta
-/// touched while re-stamping survivors — key-granular invalidation, not a
-/// flush. Unfiltered entries never depend on the graph and always
-/// survive. A computed result is only inserted while the graph version
-/// still equals the one observed before the pass; since versions are
-/// monotonic, a result computed against any newer snapshot is refused,
-/// so the cache can never serve bytes a cold server would not.
+/// are memoised in an LRU ([`TOPK_CACHE_CAPACITY`] entries), each stamped
+/// with the version `v` of the snapshot its submitter took before asking.
+/// A write never touches the cache: a submitter holding snapshot `s` is
+/// served an entry iff `v ≤ s.version()` and, for a filtered query, its
+/// `(context, relation)` key has not changed since `v`
+/// ([`LiveFilterIndex::answers_changed_at`]) — key-granular, decided from
+/// the immutable snapshot alone, and exact by the argument in
+/// [`kg_core::live`]: the bytes a cold server would send at a version the
+/// graph carried while the submitter waited. Unfiltered entries read no
+/// key and stay valid.
 pub struct TopKBatcher {
     engine: Arc<ScoringEngine>,
     live: Arc<LiveGraph>,
@@ -425,40 +434,21 @@ impl TopKBatcher {
         self.core.batches_run()
     }
 
-    /// Cached query results currently held (tests and `/healthz`).
+    /// Cached query results currently held, stale ones included (tests).
     pub fn cached_results(&self) -> usize {
         self.cache.lock().unwrap().len()
     }
 
-    /// Drop every cached filtered result whose `(context, relation)` key
-    /// `keys` touched, and re-stamp the survivors (and all unfiltered
-    /// entries, which never depend on the graph) to `new_version` so they
-    /// keep hitting. Called by the registry entry for every applied delta.
-    pub fn invalidate(&self, keys: &DeltaKeys, new_version: u64) {
-        let mut cache = self.cache.lock().unwrap();
-        cache.retain(|key, value| {
-            let touched = key.filtered
-                && match key.side {
-                    QuerySide::Tail => keys.touches_tail(key.context, key.relation),
-                    QuerySide::Head => keys.touches_head(key.relation, key.context),
-                };
-            if touched {
-                return false;
-            }
-            value.version = new_version;
-            true
-        });
-    }
-
     /// Run `queries`, coalescing with any concurrent submissions; blocks
     /// until the batch containing this job has been executed. Returns one
-    /// result list per query, in input order. Cached results (same query,
-    /// same graph version) are answered without ranking.
+    /// result list per query, in input order. Cached results still valid
+    /// on this submitter's snapshot are answered without ranking.
     pub fn submit(&self, queries: Vec<TopKQuery>) -> TopKResults {
         if queries.is_empty() {
             return Vec::new();
         }
-        let version_before = self.live.version();
+        // Taken before the cache lock: no lock is ever acquired under it.
+        let snapshot = self.live.snapshot();
         let mut results: Vec<Option<Vec<(u32, f32)>>> = vec![None; queries.len()];
         let mut misses: Vec<(usize, TopKQuery)> = Vec::new();
         {
@@ -467,7 +457,7 @@ impl TopKBatcher {
                 match cache.get(&TopKCacheKey::of(q)) {
                     // PANIC-OK: `i` enumerates `queries`, and `results` was
                     // sized to `queries.len()` two lines up.
-                    Some(c) if c.version == version_before => results[i] = Some(c.result.clone()),
+                    Some(c) if c.valid_on(&snapshot, q) => results[i] = Some(c.result.clone()),
                     _ => misses.push((i, *q)),
                 }
             }
@@ -480,19 +470,11 @@ impl TopKBatcher {
             let miss_queries: Vec<TopKQuery> = misses.iter().map(|&(_, q)| q).collect();
             let computed = self.run_batch(miss_queries);
             let mut cache = self.cache.lock().unwrap();
-            // Monotonic-version insert guard: the leader that executed the
-            // pass may have snapshotted a *newer* graph than this
-            // submitter observed; in that case the current version has
-            // already moved past `version_before` and the insert is
-            // refused, so a stale-labelled entry can never land.
-            let fresh = self.live.version() == version_before;
             for ((i, q), out) in misses.into_iter().zip(computed) {
-                if fresh {
-                    cache.insert(
-                        TopKCacheKey::of(&q),
-                        CachedTopK { result: out.clone(), version: version_before },
-                    );
-                }
+                cache.insert(
+                    TopKCacheKey::of(&q),
+                    CachedTopK { result: out.clone(), version: snapshot.version() },
+                );
                 // PANIC-OK: every index in `misses` came from enumerating
                 // `queries`, which sized `results`.
                 results[i] = Some(out);
@@ -1039,14 +1021,17 @@ mod tests {
         assert!(text.contains("kg_serve_topk_cache_hits_total 2"), "{text}");
         assert!(text.contains("kg_serve_topk_cache_misses_total 2"), "{text}");
 
-        // A delta touching (3, r1) tails invalidates q but not `other`.
+        // A delta touching (3, r1) tails invalidates q but not `other` —
+        // and stays the last word on q's key when a second writer's delta,
+        // on an unrelated key, lands after it. Nothing tells the cache
+        // about either write, so there is no order to tell it in.
         let delta =
             kg_core::GraphDelta::new(vec![Triple::new(3, 1, 42), Triple::new(3, 1, 7)], vec![]);
-        let outcome = live.apply(&delta);
-        b.invalidate(&outcome.keys, outcome.version);
-        assert_eq!(b.cached_results(), 1, "only the touched entry is dropped");
+        live.apply(&delta);
+        live.apply(&kg_core::GraphDelta::new(vec![Triple::new(20, 0, 48)], vec![]));
         let post = b.submit(vec![q, other]);
         assert_eq!(b.batches_run(), 2, "the touched query re-ranks, the survivor hits");
+        assert_eq!(series(&metrics, TOPK_HITS), 3, "only q missed");
         assert_eq!(post[1], first[1], "untouched query survives the delta");
         assert!(
             !post[0].iter().any(|&(e, _)| e == 42),
@@ -1069,16 +1054,14 @@ mod tests {
         let unf = TopKQuery { filtered: false, ..q };
         b.submit(vec![unf]);
         assert_eq!(b.cached_results(), 2);
-        let outcome = live.apply(&kg_core::GraphDelta::new(vec![Triple::new(1, 0, 9)], vec![]));
-        b.invalidate(&outcome.keys, outcome.version);
-        assert_eq!(
-            b.cached_results(),
-            1,
-            "the filtered entry was touched; the unfiltered survives"
-        );
-        // The unfiltered survivor still hits at the new version.
+        live.apply(&kg_core::GraphDelta::new(vec![Triple::new(1, 0, 9)], vec![]));
+        // The unfiltered survivor still hits at the new version …
         b.submit(vec![unf]);
-        assert_eq!(b.batches_run(), 2, "unfiltered entry re-stamped, no extra pass");
+        assert_eq!(b.batches_run(), 2, "unfiltered entry still valid, no extra pass");
+        // … the filtered entry was touched and does not.
+        let after = b.submit(vec![q]);
+        assert_eq!(b.batches_run(), 3);
+        assert!(!after[0].iter().any(|&(e, _)| e == 9), "{:?}", after[0]);
     }
 
     /// A top-k batcher over `threads` workers whose passes stop at the
@@ -1136,18 +1119,280 @@ mod tests {
         let (_, handle) = spawn_topk(&b, vec![gated_query(), q]);
         gate.await_pass();
         // While the pass is held, the graph learns that (3, r1, 48) is true.
-        let outcome = live.apply(&kg_core::GraphDelta::new(vec![Triple::new(3, 1, 48)], vec![]));
-        b.invalidate(&outcome.keys, outcome.version);
+        live.apply(&kg_core::GraphDelta::new(vec![Triple::new(3, 1, 48)], vec![]));
         gate.release(Release::Proceed);
         let results = handle.join().unwrap();
         // `q` was ranked after the delta landed, yet against the snapshot
         // the pass took when it started.
         assert_topk(&reference, &filter, &[q], &results[1..].to_vec());
         assert!(results[1].iter().any(|&(e, _)| e == 48), "{:?}", results[1]);
-        assert_eq!(b.cached_results(), 0, "the version moved mid-pass: nothing is cached");
+        // That result is cached under the version its submitter saw; the
+        // key changed after it, so the next submit ranks again.
         let after = b.submit(vec![q]);
         assert!(!after[0].iter().any(|&(e, _)| e == 48), "{:?}", after[0]);
-        assert_eq!(b.cached_results(), 1);
+    }
+
+    const TOPK_HITS: &str = "kg_serve_topk_cache_hits_total";
+
+    /// What a reader of [`concurrent_writers_never_change_what_a_reader_may_see`]
+    /// asks: a `/topk` query through the batcher, or an `/eval` of these
+    /// triples through the router.
+    enum Ask {
+        TopK(TopKQuery),
+        Eval(Vec<Triple>),
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Answer {
+        TopK(Vec<(u32, f32)>),
+        Eval { graph_version: u64, ranks: Vec<f64> },
+    }
+
+    /// One read: which [`Ask`], the graph version observed before and
+    /// after it, and the answer.
+    struct Read {
+        ask: usize,
+        before: u64,
+        after: u64,
+        answer: Answer,
+    }
+
+    const EVAL_N_S: usize = 50;
+    const EVAL_SEED: u64 = 3;
+
+    fn ask(
+        entry: &crate::registry::ModelEntry,
+        router: &crate::router::Router,
+        asks: &[Ask],
+        i: usize,
+    ) -> Read {
+        let before = entry.graph_version();
+        let answer = match &asks[i] {
+            Ask::TopK(q) => Answer::TopK(entry.topk_batcher().submit(vec![*q]).remove(0)),
+            Ask::Eval(triples) => {
+                let triples: Vec<String> = triples
+                    .iter()
+                    .map(|t| format!("[{},{},{}]", t.head.0, t.relation.0, t.tail.0))
+                    .collect();
+                let body = format!(
+                    r#"{{"model":"m","triples":[{}],"n_s":{EVAL_N_S},"seed":{EVAL_SEED},"include_ranks":true}}"#,
+                    triples.join(",")
+                );
+                let response = router.handle("POST", "/eval", &body);
+                assert_eq!(response.status, 200, "{}", response.body);
+                let json = crate::json::Json::parse(&response.body).unwrap();
+                let ranks = json.get("ranks").and_then(crate::json::Json::as_array).unwrap();
+                Answer::Eval {
+                    graph_version: json.get("graph_version").unwrap().as_u64().unwrap(),
+                    ranks: ranks.iter().map(|r| r.as_f64().unwrap()).collect(),
+                }
+            }
+        };
+        Read { ask: i, before, after: entry.graph_version(), answer }
+    }
+
+    /// ROADMAP 3(i): W writers through `ModelEntry::apply_delta`, on one
+    /// shared key and one private key each, against R readers of `/topk`
+    /// (filtered and not) and `/eval`. Whatever the interleaving, (a) the
+    /// writes are versions `1..=n`, (b) every read is the cold answer at
+    /// some version the graph carried while the read was in flight, and
+    /// (c) afterwards the caches answer as a cold server would and a key
+    /// nobody wrote still hits. Two interleavings are forced rather than
+    /// hoped for: a pass held at the [`gate`] while half the writes land,
+    /// and writers that each wait for R further reads before every write.
+    #[test]
+    fn concurrent_writers_never_change_what_a_reader_may_see() {
+        use crate::registry::{ModelRegistry, RegistryConfig, SampleKey};
+        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+        const WRITERS: u32 = 3;
+        const READERS: usize = 3;
+        const DELTAS: u32 = 8; // per writer, half of them while the gate holds a pass
+
+        let (hook, gate) = gate();
+        let registry = Arc::new(ModelRegistry::with_config(RegistryConfig {
+            threads: 2,
+            shards: 5,
+            ..RegistryConfig::default()
+        }));
+        let base: Vec<Triple> = (0..20u32).map(|i| Triple::new(i % 50, i % 4, i + 5)).collect();
+        let entry = registry.register(
+            "m",
+            Arc::new(Hooked { inner: Linear { n: 50 }, hook }),
+            Arc::new(kg_core::FilterIndex::from_slices(&[&base])),
+        );
+        let router = crate::router::Router::new(Arc::clone(&registry));
+        let reference = ScoringEngine::new(Arc::new(Linear { n: 50 }), 1);
+
+        // Every writer writes tails of (3, r1) — from 49 down, so each
+        // write changes a filtered top-8 — and a key of its own; every
+        // third delta deletes what the one before it inserted. The private
+        // insert makes every delta effective: n writes, n versions.
+        let deltas = |w: u32| -> Vec<kg_core::GraphDelta> {
+            let shared = |j: u32| Triple::new(3, 1, 49 - (w * DELTAS + j));
+            (0..DELTAS)
+                .map(|j| {
+                    let private = Triple::new(10 + w, 2, 30 + j);
+                    if j % 3 == 2 {
+                        kg_core::GraphDelta::new(vec![private], vec![shared(j - 1)])
+                    } else {
+                        kg_core::GraphDelta::new(vec![private, shared(j)], vec![])
+                    }
+                })
+                .collect()
+        };
+        let topk = |h, r, t, side, filtered| {
+            Ask::TopK(TopKQuery { triple: Triple::new(h, r, t), side, k: 8, filtered })
+        };
+        let asks = [
+            topk(3, 1, 0, QuerySide::Tail, true),  // every writer's key
+            topk(10, 2, 0, QuerySide::Tail, true), // writer 0's own key
+            topk(0, 1, 49, QuerySide::Head, true), // written once, by writer 0
+            topk(7, 3, 0, QuerySide::Tail, true),  // no writer's key
+            topk(3, 1, 0, QuerySide::Tail, false),
+            Ask::Eval(vec![Triple::new(3, 1, 20), Triple::new(7, 3, 12), Triple::new(10, 2, 15)]),
+        ];
+        const UNTOUCHED: usize = 3;
+
+        // Round 1: a pass is held open (its snapshot taken at version 0)
+        // while every writer lands the first half of its deltas.
+        let write = |w: u32, half: std::ops::Range<usize>, pace: &dyn Fn()| {
+            let mut written = Vec::new();
+            for delta in &deltas(w)[half] {
+                pace();
+                written.push((entry.apply_delta(delta).version, delta.clone()));
+            }
+            written
+        };
+        let half = DELTAS as usize / 2;
+        let mut reads = Vec::new();
+        let mut writes: Vec<(u64, kg_core::GraphDelta)> = Vec::new();
+        std::thread::scope(|s| {
+            let held = s.spawn(|| {
+                let before = entry.graph_version();
+                let Ask::TopK(q) = &asks[0] else { unreachable!() };
+                let answer = entry.topk_batcher().submit(vec![gated_query(), *q]).remove(1);
+                Read { ask: 0, before, after: entry.graph_version(), answer: Answer::TopK(answer) }
+            });
+            gate.await_pass();
+            let writers: Vec<_> =
+                (0..WRITERS).map(|w| s.spawn(move || write(w, 0..half, &|| {}))).collect();
+            writes.extend(writers.into_iter().flat_map(|h| h.join().unwrap()));
+            gate.release(Release::Proceed);
+            let held = held.join().unwrap();
+            assert_eq!((held.before, held.after), (0, u64::from(WRITERS) * half as u64));
+            reads.push(held);
+        });
+
+        // Round 2: readers run free; a writer lets READERS further reads
+        // complete before each of its remaining writes.
+        let reads_done = AtomicU64::new(0);
+        let writers_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|r| {
+                    let (entry, router, asks) = (&entry, &router, &asks);
+                    let (reads_done, writers_done) = (&reads_done, &writers_done);
+                    s.spawn(move || {
+                        let mut reads = Vec::new();
+                        let mut i = r;
+                        while !writers_done.load(SeqCst) {
+                            reads.push(ask(entry, router, asks, i % asks.len()));
+                            reads_done.fetch_add(1, SeqCst);
+                            i += 1;
+                        }
+                        reads
+                    })
+                })
+                .collect();
+            let pace = || {
+                let seen = reads_done.load(SeqCst);
+                while reads_done.load(SeqCst) < seen + READERS as u64 {
+                    std::thread::yield_now();
+                }
+            };
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| s.spawn(move || write(w, half..DELTAS as usize, &pace)))
+                .collect();
+            writes.extend(writers.into_iter().flat_map(|h| h.join().unwrap()));
+            writers_done.store(true, SeqCst);
+            reads.extend(readers.into_iter().flat_map(|h| h.join().unwrap()));
+        });
+
+        // (a) n effective writes are exactly versions 1..=n.
+        writes.sort_by_key(|&(version, _)| version);
+        let n = u64::from(WRITERS * DELTAS);
+        let versions: Vec<u64> = writes.iter().map(|&(v, _)| v).collect();
+        assert_eq!(versions, (1..=n).collect::<Vec<u64>>());
+        assert_eq!(entry.graph_version(), n);
+
+        // The graph at every version, replayed naively in version order.
+        let mut naive: std::collections::HashSet<Triple> = base.iter().copied().collect();
+        let mut graphs = vec![kg_core::FilterIndex::from_slices(&[&base])];
+        for (_, delta) in &writes {
+            naive.extend(&delta.insert);
+            for t in &delta.delete {
+                naive.remove(t);
+            }
+            let triples: Vec<Triple> = naive.iter().copied().collect();
+            graphs.push(kg_core::FilterIndex::from_slices(&[&triples]));
+        }
+        let samples = entry
+            .samples_for(&SampleKey {
+                strategy: kg_recommend::SamplingStrategy::Random,
+                n_s: EVAL_N_S,
+                seed: EVAL_SEED,
+            })
+            .unwrap()
+            .0;
+        let cold = |i: usize, version: u64| match &asks[i] {
+            Ask::TopK(q) => {
+                let graph = &graphs[version as usize];
+                let known = if q.filtered { graph.known_answers(q.triple, q.side) } else { &[] };
+                Answer::TopK(reference.top_k(q.triple, q.side, known, q.k))
+            }
+            Ask::Eval(triples) => Answer::Eval {
+                graph_version: version,
+                ranks: kg_eval::evaluate_sampled(
+                    &Linear { n: 50 },
+                    triples,
+                    &graphs[version as usize],
+                    &samples,
+                    kg_eval::TieBreak::Mean,
+                    1,
+                )
+                .ranks,
+            },
+        };
+
+        // (b) every read is the cold answer at a version inside its
+        // interval; the held one, at the version its pass started on.
+        assert_eq!(reads[0].answer, cold(0, 0), "ranked against the pass's snapshot");
+        assert!(reads.len() > READERS * half, "readers ran beside the writers");
+        for read in &reads {
+            assert!(
+                (read.before..=read.after).any(|v| cold(read.ask, v) == read.answer),
+                "ask {} in [{}, {}] answered {:?}",
+                read.ask,
+                read.before,
+                read.after,
+                read.answer
+            );
+        }
+
+        // (c) settled: whatever the caches hold now, they answer like a
+        // cold server at the final version, and the untouched key hits.
+        for i in 0..asks.len() {
+            assert_eq!(
+                ask(&entry, &router, &asks, i).answer,
+                cold(i, n),
+                "ask {i} after the writers"
+            );
+        }
+        let metrics = registry.metrics();
+        let (hits, passes) = (series(metrics, TOPK_HITS), entry.topk_batcher().batches_run());
+        assert_eq!(ask(&entry, &router, &asks, UNTOUCHED).answer, cold(UNTOUCHED, 0));
+        assert_eq!(series(metrics, TOPK_HITS), hits + 1, "a key no delta touched still hits");
+        assert_eq!(entry.topk_batcher().batches_run(), passes);
     }
 
     #[test]

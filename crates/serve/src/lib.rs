@@ -13,7 +13,7 @@
 //! | `/score`        | POST | Score a batch of `(h, r, t)` triples (a lone request runs at once; requests arriving during a pass form the next pass) |
 //! | `/topk`         | POST | Top-k tail/head prediction with filtered known-true removal (coalesced across concurrent requests, fanned out across queries × entity shards) |
 //! | `/eval`         | POST | Sampled MRR / Hits@K over submitted triples ([`kg_eval::evaluate_sampled`]), version-stamped and LRU-cached |
-//! | `/triples`      | POST | Stream triple inserts/deletes into the live graph; bumps the graph version and invalidates exactly the touched cache entries |
+//! | `/triples`      | POST | Stream triple inserts/deletes into the live graph; bumps the graph version; cached results that read a touched key stop being served |
 //! | `/monitor`      | GET  | Continuous-evaluation status per model (window size, latest MRR/Hits@K, drift alarm) |
 //! | `/admin/models` | POST | Hot-reload a model snapshot; the registry entry flips atomically (the live graph and its version survive) |
 //! | `/admin/models` | GET  | List registered models: shape, shard count, graph version, known triples |
@@ -41,9 +41,11 @@
 //! `POST /eval` (strategy `random` | `static` | `probabilistic`; seeds are
 //! deterministic, the `(strategy, n_s, seed)` candidate sample is
 //! LRU-cached per model, and the full result is LRU-cached keyed on every
-//! knob plus a fingerprint of the triples — valid only at the
-//! `graph_version` it was computed against, so a write between two
-//! identical calls forces a recompute):
+//! knob plus a fingerprint of the triples — served again until a write
+//! changes the known answers of one of those triples' `(head, relation)`
+//! or `(relation, tail)` keys, so only such a write between two identical
+//! calls forces a recompute; `graph_version` is the version of the graph
+//! the response was served on):
 //! ```json
 //! {"model": "default", "triples": [[0, 1, 2]], "strategy": "random",
 //!  "n_s": 50, "seed": 7, "include_ranks": false}

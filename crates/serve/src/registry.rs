@@ -14,9 +14,9 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use kg_core::ids::{EntityId, RelationId};
 use kg_core::sample::seeded_rng;
-use kg_core::{ApplyOutcome, DeltaKeys, FilterIndex, GraphDelta, LiveGraph, Triple};
+use kg_core::triple::QuerySide;
+use kg_core::{ApplyOutcome, FilterIndex, GraphDelta, LiveFilterIndex, LiveGraph, Triple};
 use kg_eval::{EvalResult, TieBreak};
 use kg_models::{KgcModel, Precision, QuantizedModel, ScoringEngine};
 use kg_recommend::{
@@ -86,20 +86,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.order.push(k);
         }
     }
-
-    /// Keep only entries for which `f` returns true, preserving recency
-    /// order. `f` may mutate the kept values (the version-bump walk the
-    /// delta invalidation paths use).
-    pub fn retain(&mut self, mut f: impl FnMut(&K, &mut V) -> bool) {
-        let map = &mut self.map;
-        self.order.retain(|k| {
-            let keep = map.get_mut(k).is_some_and(|v| f(k, v));
-            if !keep {
-                map.remove(k);
-            }
-            keep
-        });
-    }
 }
 
 /// Cache key for one sampling configuration.
@@ -123,8 +109,8 @@ pub const EVAL_CACHE_CAPACITY: usize = 16;
 /// 128-bit fingerprint of the triple list (two independently-seeded 64-bit
 /// folds — the list itself can be a million entries, far too large to key
 /// on directly). The *graph version* is deliberately not part of the key:
-/// validity is tracked on the cached value so a delta can re-stamp
-/// untouched entries instead of orphaning them.
+/// validity is decided per lookup from the cached value and the reader's
+/// snapshot, so an entry survives every delta that leaves its keys alone.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct EvalKey {
     /// Sampling strategy.
@@ -171,15 +157,12 @@ fn fingerprint(triples: &[Triple], seed: u64) -> u64 {
 }
 
 /// A cached `/eval` result plus what it depends on: the graph version it
-/// was computed against and the sorted filter keys its queries read
-/// (tail-query and head-query keys of every evaluated triple) — the
-/// intersection test a delta's [`DeltaKeys`] runs to decide touched vs.
-/// survivor.
+/// was computed against and the evaluated triples, whose tail-query and
+/// head-query keys are every filter key it read.
 struct CachedEval {
     result: EvalResult,
     version: u64,
-    hr: Vec<(EntityId, RelationId)>,
-    rt: Vec<(RelationId, EntityId)>,
+    triples: Vec<Triple>,
 }
 
 /// The slice of the entity space a worker node owns in a multi-node
@@ -231,7 +214,7 @@ pub struct ModelEntry {
     batcher: ScoreBatcher,
     topk_batcher: TopKBatcher,
     samples: Mutex<LruCache<SampleKey, Arc<SampledCandidates>>>,
-    evals: Mutex<LruCache<EvalKey, CachedEval>>,
+    evals: Mutex<LruCache<EvalKey, Arc<CachedEval>>>,
     threads: usize,
     worker_shard: Option<WorkerShard>,
     metrics: Arc<HttpMetrics>,
@@ -254,9 +237,9 @@ impl ModelEntry {
     }
 
     /// The live known-triple graph used for filtered ranking: snapshot it
-    /// ([`LiveGraph::snapshot`]) for a consistent read, apply deltas
-    /// through [`ModelEntry::apply_delta`] so dependent caches are
-    /// invalidated in the same step.
+    /// ([`LiveGraph::snapshot`]) for a consistent read. Applying a delta
+    /// to it directly is as safe as [`ModelEntry::apply_delta`] — no cache
+    /// depends on being told — and skips only the ingest metrics.
     pub fn live(&self) -> &Arc<LiveGraph> {
         &self.live
     }
@@ -267,68 +250,48 @@ impl ModelEntry {
     }
 
     /// Apply a batch of triple inserts/deletes to the live graph and
-    /// invalidate exactly the cached results the delta touched: `/topk`
-    /// entries whose `(context, relation)` key gained or lost a known
-    /// answer, and `/eval` results whose query keys intersect the delta.
-    /// Untouched entries are re-stamped to the new version and keep
-    /// hitting. The sample cache is *not* touched — candidate draws depend
-    /// only on `(|E|, |R|, strategy, n_s, seed)`, never on the graph.
+    /// record it on `/metrics`. No cache is touched: `/topk` and `/eval`
+    /// entries check themselves against the snapshot each reader holds
+    /// (see [`kg_core::live`]), and candidate draws depend only on
+    /// `(|E|, |R|, strategy, n_s, seed)`, never on the graph.
     pub fn apply_delta(&self, delta: &GraphDelta) -> ApplyOutcome {
         let outcome = self.live.apply(delta);
         if outcome.changed() {
-            self.topk_batcher.invalidate(&outcome.keys, outcome.version);
-            self.invalidate_evals(&outcome.keys, outcome.version);
             self.metrics.set(Family::GraphVersion, &[&self.name], outcome.version as f64);
             self.metrics.observe_ingest(outcome.inserted, outcome.deleted);
         }
         outcome
     }
 
-    /// The cached `/eval` result for `key`, if one exists that is valid at
-    /// graph version `version`. A version-stale entry is a **miss** (never
-    /// served, left for the LRU to age out).
-    pub fn cached_eval(&self, key: &EvalKey, version: u64) -> Option<EvalResult> {
-        let mut cache = self.evals.lock().unwrap();
-        match cache.get(key) {
-            Some(c) if c.version == version => Some(c.result.clone()),
-            _ => None,
-        }
+    /// The cached `/eval` result for `key`, if one exists that is exact
+    /// for a reader holding `snapshot`: computed at a version `v` no later
+    /// than the snapshot's, with no tail- or head-query key of its triples
+    /// changed since `v`. Anything else is a **miss** (never served, left
+    /// for the LRU to age out or the recompute to overwrite).
+    pub fn cached_eval(&self, key: &EvalKey, snapshot: &LiveFilterIndex) -> Option<EvalResult> {
+        let cached = Arc::clone(self.evals.lock().unwrap().get(key)?);
+        // Checked with the cache unlocked: two lookups per triple.
+        let unchanged = |t: &Triple| {
+            QuerySide::BOTH
+                .iter()
+                .all(|&side| snapshot.answers_changed_at(*t, side) <= cached.version)
+        };
+        let valid = cached.version <= snapshot.version() && cached.triples.iter().all(unchanged);
+        valid.then(|| cached.result.clone())
     }
 
     /// Memoise an `/eval` result computed against graph version `version`
-    /// over `triples`. Refused when the live graph has already moved past
-    /// `version` (versions are monotonic, so equality proves no delta
-    /// landed since the computation began).
+    /// over `triples`. Unconditional: the entry is exact for `version`
+    /// whatever has happened since, and [`ModelEntry::cached_eval`]
+    /// decides who may still be served it.
     pub fn store_eval(&self, key: EvalKey, result: &EvalResult, triples: &[Triple], version: u64) {
-        let mut cache = self.evals.lock().unwrap();
-        if self.live.version() != version {
-            return;
-        }
-        let mut hr: Vec<(EntityId, RelationId)> = triples.iter().map(|t| t.hr()).collect();
-        let mut rt: Vec<(RelationId, EntityId)> = triples.iter().map(|t| t.rt()).collect();
-        hr.sort_unstable();
-        hr.dedup();
-        rt.sort_unstable();
-        rt.dedup();
-        cache.insert(key, CachedEval { result: result.clone(), version, hr, rt });
+        let cached = CachedEval { result: result.clone(), version, triples: triples.to_vec() };
+        self.evals.lock().unwrap().insert(key, Arc::new(cached));
     }
 
-    /// Cached `/eval` results currently held (tests and `/healthz`).
+    /// Cached `/eval` results currently held, stale ones included (tests).
     pub fn cached_evals(&self) -> usize {
         self.evals.lock().unwrap().len()
-    }
-
-    fn invalidate_evals(&self, keys: &DeltaKeys, new_version: u64) {
-        let mut cache = self.evals.lock().unwrap();
-        cache.retain(|_, c| {
-            let touched = keys.hr_keys().iter().any(|k| c.hr.binary_search(k).is_ok())
-                || keys.rt_keys().iter().any(|k| c.rt.binary_search(k).is_ok());
-            if touched {
-                return false;
-            }
-            c.version = new_version;
-            true
-        });
     }
 
     /// The coalescing batcher for `/score` traffic.
@@ -407,7 +370,7 @@ impl ModelEntry {
         Ok((drawn, false))
     }
 
-    /// Cached sampling configurations (for tests and `/healthz`).
+    /// Cached sampling configurations (tests).
     pub fn cached_samples(&self) -> usize {
         self.samples.lock().unwrap().len()
     }

@@ -9,7 +9,8 @@
 //! * `POST /eval`         — sampled MRR/Hits@K via the paper's fast estimator,
 //!   version-stamped against the live graph and LRU-cached;
 //! * `POST /triples`      — stream triple inserts/deletes into the model's
-//!   live graph (bumps the graph version, invalidates touched caches);
+//!   live graph (bumps the graph version; cached results that read a
+//!   touched key stop being served);
 //! * `POST /admin/models` — hot-reload a model snapshot, flipping the
 //!   registry entry atomically;
 //! * `GET  /admin/models` — list registered models (shape, graph version);
@@ -556,14 +557,14 @@ impl Router {
             Ok(s) => s,
             Err(msg) => return Response::error(400, msg),
         };
-        // One snapshot for the whole request: its version stamps both the
-        // response and the cached result, so a write landing mid-request
-        // can never be misattributed — the cache refuses stale stores and
-        // a version-stale entry is a miss.
+        // One snapshot for the whole request: the response's version, the
+        // cached result's stamp and the cache's validity check all come
+        // from it, so a write landing mid-request can never be
+        // misattributed.
         let snapshot = entry.live().snapshot();
         let graph_version = snapshot.version();
         let eval_key = EvalKey::new(strategy, n_s, seed, tie, &triples);
-        let (result, eval_hit) = match entry.cached_eval(&eval_key, graph_version) {
+        let (result, eval_hit) = match entry.cached_eval(&eval_key, &snapshot) {
             Some(cached) => (cached, true),
             None => {
                 let fresh = evaluate_sampled(

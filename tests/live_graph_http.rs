@@ -291,6 +291,21 @@ fn insert_between_identical_evals_changes_the_answer_and_misses_the_cache() {
     // And the repeat of the *new* state is a hit again.
     let (_, fourth) = client::post_json(addr, "/eval", &eval_body).unwrap();
     assert_eq!(Json::parse(&fourth).unwrap().get("eval_cache").and_then(Json::as_str), Some("hit"));
+
+    // A write that touches neither key of the evaluated triple moves the
+    // version but not the answer: the entry computed at version 1 is
+    // still exact at version 2, so it hits and reports the version of the
+    // graph it was served on.
+    let body = r#"{"model":"m","insert":[[7,1,9]]}"#;
+    let (status, response) = client::post_json(addr, "/triples", body).unwrap();
+    assert_eq!(status, 200, "{response}");
+    assert_eq!(Json::parse(&response).unwrap().get("version").and_then(Json::as_usize), Some(2));
+    let (_, fifth) = client::post_json(addr, "/eval", &eval_body).unwrap();
+    let fifth = Json::parse(&fifth).unwrap();
+    assert_eq!(fifth.get("eval_cache").and_then(Json::as_str), Some("hit"), "{fifth:?}");
+    assert_eq!(fifth.get("graph_version").and_then(Json::as_usize), Some(2));
+    let mrr_served = fifth.get("metrics").unwrap().get("mrr").and_then(Json::as_f64).unwrap();
+    assert_eq!(mrr_served.to_bits(), mrr_after.to_bits());
     server.shutdown();
 }
 
