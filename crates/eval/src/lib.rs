@@ -33,6 +33,6 @@ pub use complexity::{sampling_complexity, SamplingComplexity};
 pub use estimator::{EstimatorSeries, Metric};
 pub use harness::{run_train_eval, EpochRecord, HarnessConfig, TrainEvalRun};
 pub use metrics::{RankingMetrics, TieBreak};
-pub use ranker::{evaluate_full, evaluate_full_sharded, EvalResult};
+pub use ranker::{evaluate_full, EvalResult};
 pub use sampled::{evaluate_sampled, evaluate_sampled_repeated, RepeatedEstimate};
 pub use training::HardNegativeSampler;

@@ -2,11 +2,11 @@
 //! protocol whose cost the paper's framework avoids, and the ground truth
 //! every estimator is compared against.
 //!
-//! The ranking pass streams per-shard score slices through
-//! [`kg_models::engine`] instead of materialising a `num_entities()`-sized
-//! row per query: each query is prepared once, `higher`/`ties` counters
-//! accumulate shard by shard, and the one-shard-wide scratch buffers are
-//! pooled across the whole pass.
+//! The ranking pass streams cache-resident tiles of the entity table
+//! through [`kg_models::engine`] for a block of queries at a time instead
+//! of materialising a `num_entities()`-sized row per query: each query is
+//! prepared once, `higher`/`ties` counters accumulate tile by tile, and
+//! the tile scratch is pooled across the whole pass.
 
 use kg_core::parallel::{parallel_map_indexed, two_level_split, BufferPool, ShardPlan};
 use kg_core::timing::Stopwatch;
@@ -86,10 +86,24 @@ pub fn filtered_rank_from_scores(
     tie.rank(higher, ties)
 }
 
-/// Evaluate `model` on `triples` with the full filtered protocol,
-/// parallelised over queries, with the entity space sharded automatically
-/// (see [`evaluate_full_sharded`]; results are identical for every shard
-/// count).
+/// Evaluate `model` on `triples` with the full filtered protocol.
+///
+/// Queries are ranked in blocks of [`engine::BLOCK_QUERIES`]
+/// ([`kg_models::engine::partial_rank_counts_block`] over the full range):
+/// each block streams the entity table once, tile by cache-resident tile,
+/// and every query of the block scores a tile while it is hot — no
+/// `num_entities()`-sized row is materialised, and the tile scratch is
+/// pooled across the whole pass.
+///
+/// The thread budget follows the two-level work plan
+/// ([`kg_core::parallel::two_level_split`]): the queries are cut into
+/// `outer` contiguous pieces, one per thread, each ranked block by block
+/// (the throughput regime); with fewer queries than threads the spare
+/// threads fan each block's pass out over contiguous pieces of the entity
+/// range, so a single-query evaluation uses the whole budget instead of
+/// one core. Per-row arithmetic, the comparison order, and the counter
+/// sums are all partition-, block- and schedule-independent, so
+/// `EvalResult::ranks` is bit-for-bit identical for every `threads`.
 pub fn evaluate_full<F: KnownIndex + ?Sized>(
     model: &dyn KgcModel,
     triples: &[Triple],
@@ -97,54 +111,26 @@ pub fn evaluate_full<F: KnownIndex + ?Sized>(
     tie: TieBreak,
     threads: usize,
 ) -> EvalResult {
-    evaluate_full_sharded(model, triples, filter, tie, threads, 0)
-}
-
-/// [`evaluate_full`] with an explicit entity shard count (`0` = automatic).
-///
-/// Ranks are computed by streaming per-shard score slices and accumulating
-/// `higher`/`ties` counters ([`kg_models::engine::partial_rank_counts`]
-/// over the full range), so no `num_entities()`-sized row is materialised
-/// per query; scratch buffers are pooled across the whole pass.
-///
-/// The thread budget follows the two-level work plan
-/// ([`kg_core::parallel::two_level_split`]): with at least `threads`
-/// queries every thread ranks its own query (the throughput regime); with
-/// fewer queries the spare threads fan each query's pass out over
-/// contiguous pieces of the entity range, so a single-query evaluation
-/// uses the whole budget instead of one core. Per-row arithmetic, the
-/// comparison order, and the counter sums are all partition- and
-/// schedule-independent, so `EvalResult::ranks` is bit-for-bit identical
-/// for every `shards` and `threads`.
-pub fn evaluate_full_sharded<F: KnownIndex + ?Sized>(
-    model: &dyn KgcModel,
-    triples: &[Triple],
-    filter: &F,
-    tie: TieBreak,
-    threads: usize,
-    shards: usize,
-) -> EvalResult {
     let queries = queries_of(triples);
     let n_entities = model.num_entities();
-    let plan =
-        if shards == 0 { ShardPlan::auto(n_entities) } else { ShardPlan::new(n_entities, shards) };
     let split = two_level_split(queries.len(), threads);
-    let pool = BufferPool::new(plan.max_shard_len());
+    let pieces = ShardPlan::new(queries.len(), split.outer);
+    let pool = BufferPool::new(engine::BLOCK_QUERIES * engine::tile_rows(model.dim()));
     let sw = Stopwatch::start();
-    let ranks = parallel_map_indexed(queries.len(), split.outer, |qi| {
-        let (triple, side) = queries[qi];
-        let known = filter.known_answers(triple, side);
-        let counts = engine::partial_rank_counts(
-            model,
-            &pool,
-            triple,
-            side,
-            &known,
-            0..n_entities,
-            split.inner,
-        );
-        tie.rank(counts.higher as usize, counts.ties as usize)
-    });
+    let ranks = parallel_map_indexed(pieces.num_shards(), split.outer, |p| {
+        let mut ranks = Vec::with_capacity(pieces.range(p).len());
+        for block in queries[pieces.range(p)].chunks(engine::BLOCK_QUERIES) {
+            let known: Vec<_> =
+                block.iter().map(|&(t, side)| filter.known_answers(t, side)).collect();
+            let asks: Vec<_> =
+                block.iter().zip(&known).map(|(&(t, side), k)| (t, side, &k[..])).collect();
+            let counts =
+                engine::partial_rank_counts_block(model, &pool, &asks, 0..n_entities, split.inner);
+            ranks.extend(counts.iter().map(|c| tie.rank(c.higher as usize, c.ties as usize)));
+        }
+        ranks
+    })
+    .concat();
     let seconds = sw.seconds();
     EvalResult { metrics: RankingMetrics::from_ranks(&ranks), ranks, seconds }
 }
@@ -255,26 +241,36 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ranks_identical_for_every_shard_count() {
+    fn ranks_identical_for_every_thread_count_and_block() {
+        // Query counts on both sides of a block boundary, every piece
+        // split of them across threads: the ranks must stay the row-based
+        // reference's.
         let model = build_model(ModelKind::RotatE, 26, 2, 8, 17);
-        let triples: Vec<Triple> = (0..12).map(|i| Triple::new(i, i % 2, 25 - i)).collect();
-        let filter = FilterIndex::from_slices(&[&triples]);
-        let baseline =
-            evaluate_full_sharded(model.as_ref(), &triples, &filter, TieBreak::Mean, 1, 1);
-        for shards in [2usize, 7, 26] {
-            let sharded =
-                evaluate_full_sharded(model.as_ref(), &triples, &filter, TieBreak::Mean, 3, shards);
-            assert_eq!(sharded.ranks, baseline.ranks, "S={shards} diverged");
+        let half = engine::BLOCK_QUERIES / 2;
+        for len in [1, half, half + 1, 2 * half + 1] {
+            let triples: Vec<Triple> =
+                (0..len as u32).map(|i| Triple::new(i % 26, i % 2, 25 - i % 26)).collect();
+            let filter = FilterIndex::from_slices(&[&triples]);
+            let mut row = vec![0.0f32; 26];
+            let baseline: Vec<f64> = queries_of(&triples)
+                .into_iter()
+                .map(|(t, side)| {
+                    model.score_all(t, side, &mut row);
+                    let known = filter.known_answers(t, side);
+                    filtered_rank_from_scores(&row, side.answer(t).index(), known, TieBreak::Mean)
+                })
+                .collect();
+            for threads in [1usize, 2, 3, 8] {
+                let got = evaluate_full(model.as_ref(), &triples, &filter, TieBreak::Mean, threads);
+                assert_eq!(got.ranks, baseline, "{len} triples, threads={threads} diverged");
+            }
         }
-        // The default (auto-sharded) entry point agrees too.
-        let auto = evaluate_full(model.as_ref(), &triples, &filter, TieBreak::Mean, 2);
-        assert_eq!(auto.ranks, baseline.ranks);
     }
 
     #[test]
     fn single_query_fanout_matches_serial_for_every_model_family() {
         // One triple (two queries) against a big thread budget: the spare
-        // threads fan each query's shards out, and the ranks must stay
+        // threads fan each query's range out, and the ranks must stay
         // bit-for-bit those of the fully serial pass.
         for kind in ModelKind::ALL {
             let dim = match kind {
@@ -285,27 +281,14 @@ mod tests {
             let model = build_model(kind, 29, 3, dim, 5);
             let triples = vec![Triple::new(4, 1, 22)];
             let filter = FilterIndex::from_slices(&[&triples]);
-            for shards in [1usize, 2, 7] {
-                let serial = evaluate_full_sharded(
-                    model.as_ref(),
-                    &triples,
-                    &filter,
-                    TieBreak::Mean,
-                    1,
-                    shards,
-                );
-                let fanned = evaluate_full_sharded(
-                    model.as_ref(),
-                    &triples,
-                    &filter,
-                    TieBreak::Mean,
-                    8,
-                    shards,
-                );
+            let serial = evaluate_full(model.as_ref(), &triples, &filter, TieBreak::Mean, 1);
+            for threads in [2usize, 3, 8] {
+                let fanned =
+                    evaluate_full(model.as_ref(), &triples, &filter, TieBreak::Mean, threads);
                 assert_eq!(
                     fanned.ranks,
                     serial.ranks,
-                    "{} S={shards}: shard fan-out changed the ranks",
+                    "{} threads={threads}: range fan-out changed the ranks",
                     model.name()
                 );
             }

@@ -22,11 +22,6 @@ use crate::metrics::TieBreak;
 use crate::ranker::{queries_of, EvalResult};
 use crate::RankingMetrics;
 
-/// Floats one candidate tile spans, counting `dim` per row: 8 KiB of rows
-/// (16 KiB for families that store two halves), so a tile stays in L1
-/// while every query of the column scores against it.
-const TILE_FLOATS: usize = 2048;
-
 /// Queries scored against one walk over a column's tiles; bounds the
 /// prepared-query scratch however many queries a column serves.
 const GROUP_QUERIES: usize = 256;
@@ -108,7 +103,7 @@ pub(crate) fn grouped_pass<A: TileFold, F: KnownIndex + ?Sized>(
     order.sort_by_key(column);
     let split = two_level_split(queries.len(), threads);
     let pieces = ShardPlan::new(order.len(), split.outer);
-    let tile = (TILE_FLOATS / model.dim().max(1)).clamp(16, 512);
+    let tile = engine::tile_rows(model.dim());
     let scored = parallel_map_indexed(pieces.num_shards(), split.outer, |p| {
         let piece = &order[pieces.range(p)];
         let mut out: Vec<A> = Vec::with_capacity(piece.len());

@@ -10,7 +10,9 @@ use kg_core::triple::QuerySide;
 use kg_core::{EntityId, Triple};
 use rand::Rng;
 
-use crate::embedding::{combine_candidates, combine_range, Combine, EmbeddingTable};
+use crate::embedding::{
+    combine_candidates, combine_range, combine_range_block, Combine, EmbeddingTable,
+};
 use crate::model::{KgcModel, TrainableModel};
 
 /// Complex bilinear factorisation model.
@@ -93,6 +95,10 @@ impl KgcModel for ComplEx {
 
     fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]) {
         combine_range(Combine::Dot, &self.entities, q, rows, out);
+    }
+
+    fn score_rows_block(&self, qs: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        combine_range_block(Combine::Dot, &self.entities, qs, rows, out);
     }
 
     fn score_gathered(&self, q: &[f32], candidates: &[EntityId], out: &mut [f32]) {

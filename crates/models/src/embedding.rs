@@ -8,7 +8,7 @@ use kg_core::{AlignedVec, EntityId};
 use rand::Rng;
 
 pub use crate::kernels::Combine;
-use crate::kernels::{combine_one as kernel_one, combine_rows as kernel_rows};
+use crate::kernels::{self, combine_one as kernel_one, combine_rows as kernel_rows};
 
 /// A dense `count × dim` table of `f32` parameters with Adagrad
 /// accumulators. Updates are sparse: only touched rows pay.
@@ -129,6 +129,27 @@ pub fn combine_range(
     let dim = table.dim();
     let flat = &table.as_slice()[rows.start * dim..rows.end * dim];
     kernel_rows(c, q, flat, dim, out);
+}
+
+/// [`combine_range`] for a block of queries (`qs`, `dim` floats each, back
+/// to back) into `out`, query-major — what a family built on
+/// `combine_range` answers [`crate::KgcModel::score_rows_block`] with.
+pub fn combine_range_block(
+    c: Combine,
+    table: &EmbeddingTable,
+    qs: &[f32],
+    rows: std::ops::Range<usize>,
+    out: &mut [f32],
+) {
+    debug_assert!(rows.end <= table.count());
+    let dim = table.dim();
+    kernels::combine_rows_block(
+        c,
+        qs,
+        &table.as_slice()[rows.start * dim..rows.end * dim],
+        dim,
+        out,
+    );
 }
 
 /// Score `q` against a candidate subset of rows. Takes the caller's

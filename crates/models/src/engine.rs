@@ -1,18 +1,22 @@
-//! The sharded scoring engine — the single full-ranking entry point.
+//! The scoring engine — the single full-ranking entry point.
 //!
 //! A model is a prepared query and a table ([`KgcModel`]), so ranking is
-//! one loop: **build the query once per `(triple, side)`**, then stream
-//! [`KgcModel::score_rows`] over the requested entity range in
-//! scratch-sized chunks (cache-resident inner loops) and fold each scored
-//! slice into a mergeable partial from [`kg_core::partial`]:
+//! one loop: **build each query once per `(triple, side)`**, then walk the
+//! requested entity range in cache-resident **tiles** of rows; every
+//! query of a *block* scores a tile ([`KgcModel::score_rows_block`]) while
+//! it is hot, and folds its slice into a mergeable partial from
+//! [`kg_core::partial`] before the next tile is read. A block of Q queries
+//! streams the table once, not Q times. That walker is the only loop:
 //!
-//! * [`partial_rank_counts`] / [`ScoringEngine::partial_top_k`] compute one
-//!   query's [`PartialRankCounts`] / [`PartialTopK`] over an **explicit
-//!   entity range** — the primitive a shard server evaluates for its
-//!   configured range and ships over the wire. With `threads > 1` the
-//!   range is split into contiguous pieces, every worker scores its piece
-//!   against the *same* prepared query, and the per-piece partials are
-//!   merged — the in-process latency path;
+//! * [`partial_rank_counts_block`] computes the [`PartialRankCounts`] of a
+//!   block of queries over an **explicit entity range** — full filtered
+//!   ranking ranks its test queries this way;
+//! * [`partial_rank_counts`] / [`ScoringEngine::partial_top_k`] are the
+//!   one-query forms (a block of one) — the primitive a shard server
+//!   evaluates for its configured range and ships over the wire. With
+//!   `threads > 1` the range is split into contiguous pieces, every worker
+//!   walks its piece against the *same* prepared queries, and the
+//!   per-piece partials are merged — the in-process latency path;
 //! * [`ScoringEngine::rank_counts`], [`ScoringEngine::top_k`] and
 //!   [`ScoringEngine::top_k_fanout`] pass the full `0..|E|` range, so
 //!   in-process fan-out and remote shard endpoints share **exactly one
@@ -21,19 +25,20 @@
 //! * [`count_gathered`] is the same counter over gathered candidates, so
 //!   sampled evaluation counts under the one order too.
 //!
-//! No path scores or allocates an `|E|`-sized row: scratch is one chunk
-//! wide whatever the model.
+//! No path scores or allocates an `|E|`-sized row: scratch is one tile per
+//! query of the block, whatever the model.
 //!
 //! **Parity invariant:** a row's score depends on the prepared query and
-//! the row alone (the [`KgcModel`] row contract), all comparisons use the
-//! total order of [`kg_core::topk::cmp_score`], counter addition is
-//! associative, and the top-k merge re-selects under a total order — so
-//! results are bit-for-bit identical for every range partition, chunking,
-//! shard count, and thread count, including the degenerate single-range
-//! serial pass. The reference score `s_true` is likewise
-//! partition-independent: it is the answer's own row through the same
-//! range primitive (a one-entity range) on every node, so a shard that
-//! does not own the answer still counts against the identical bits.
+//! the row alone (the [`KgcModel`] row contract — whatever the block or
+//! tile), all comparisons use the total order of
+//! [`kg_core::topk::cmp_score`], counter addition is associative, and the
+//! top-k merge re-selects under a total order — so results are bit-for-bit
+//! identical for every range partition, tiling, block, shard count, and
+//! thread count, including the degenerate single-range serial pass. The
+//! reference score `s_true` is likewise partition-independent: it is the
+//! answer's own row through the same range primitive (a one-entity range)
+//! on every node, so a shard that does not own the answer still counts
+//! against the identical bits.
 //!
 //! **NaN ordering** (explicit, see [`cmp_score`]): a NaN score is *worse
 //! than every real score*. A NaN competitor therefore never counts as
@@ -45,12 +50,28 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use kg_core::parallel::{parallel_map_indexed, BufferPool, ShardPlan};
-use kg_core::partial::{merge_all, Partial, PartialRankCounts, PartialTopK};
+use kg_core::partial::{Partial, PartialRankCounts, PartialTopK};
 use kg_core::topk::{cmp_score, TopKHeap};
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, Triple};
 
 use crate::model::{prepared_query, KgcModel};
+
+/// Floats of rows one tile spans, counting `dim` per row: 8 KiB of rows
+/// (16 KiB for families that store two halves), so a tile stays in L1
+/// while every query of a block scores it. The sampled pass tiles its
+/// gathered candidates by the same budget.
+pub const TILE_FLOATS: usize = 2048;
+
+/// Queries a full-ranking block holds: the table streams once per block,
+/// and the block's query vectors and tile scores stay in L1/L2 beside the
+/// tile.
+pub const BLOCK_QUERIES: usize = 32;
+
+/// Rows in one tile of a `dim`-wide model (see [`TILE_FLOATS`]).
+pub fn tile_rows(dim: usize) -> usize {
+    (TILE_FLOATS / dim.max(1)).clamp(16, 512)
+}
 
 /// Count strictly-higher and tied competitors in one scored range.
 ///
@@ -63,17 +84,27 @@ fn count_scored_range(
     s_true: f32,
     known: &[EntityId],
 ) -> PartialRankCounts {
-    let mut higher = 0u64;
-    let mut ties = 0u64;
-    for (off, &s) in scores.iter().enumerate() {
-        match cmp_score(s, s_true) {
-            Ordering::Greater => higher += 1,
-            Ordering::Equal => {
-                if base + off != answer {
-                    ties += 1;
-                }
+    let mut acc = PartialRankCounts::ZERO;
+    if s_true.is_nan() {
+        for (off, &s) in scores.iter().enumerate() {
+            match cmp_score(s, s_true) {
+                Ordering::Greater => acc.higher += 1,
+                Ordering::Equal if base + off != answer => acc.ties += 1,
+                _ => {}
             }
-            Ordering::Less => {}
+        }
+    } else {
+        // Against a real `s_true`, `cmp_score`'s Greater and Equal are
+        // exactly `>` and `==` (a NaN competitor is false both ways, and
+        // `-0 == +0`), which count without a branch and vectorise. Entity
+        // ids are u32, so a range's counts fit one.
+        let (higher, ties) = scores.iter().fold((0u32, 0u32), |(h, t), &s| {
+            (h + u32::from(s > s_true), t + u32::from(s == s_true))
+        });
+        acc = PartialRankCounts::new(higher.into(), ties.into());
+        // The answer's own row comes off only if it did tie here.
+        if answer.checked_sub(base).and_then(|off| scores.get(off)) == Some(&s_true) {
+            acc.ties -= 1;
         }
     }
     // Remove known-true competitors (the *filtered* protocol). `known` is
@@ -89,12 +120,12 @@ fn count_scored_range(
             continue;
         }
         match cmp_score(scores[ki - base], s_true) {
-            Ordering::Greater => higher -= 1,
-            Ordering::Equal => ties -= 1,
+            Ordering::Greater => acc.higher -= 1,
+            Ordering::Equal => acc.ties -= 1,
             Ordering::Less => {}
         }
     }
-    PartialRankCounts { higher, ties }
+    acc
 }
 
 /// Push one scored range into a bounded heap, excluding `known`
@@ -111,59 +142,127 @@ fn heap_scored_range(heap: &mut TopKHeap, scores: &[f32], base: usize, known: &[
     }
 }
 
-/// Walk `range` in scratch-sized chunks, scoring each against the prepared
-/// query `q` and handing `f` the scored slice and its first entity id.
-fn for_scored_chunks(
+/// The tile walker: score `range` tile by tile against every prepared
+/// query of a block (`qs`, `query_len` floats each, back to back) and hand
+/// `fold` each query's index, accumulator, scored slice of the tile and
+/// the tile's first entity id, before the next tile is scored.
+///
+/// A block's tile is [`tile_rows`] wide, or narrower when `scratch` cannot
+/// hold one per query; `scratch` must hold at least one float per query.
+fn walk_tiles<A>(
     model: &dyn KgcModel,
-    q: &[f32],
+    qs: &[f32],
+    accs: &mut [A],
     scratch: &mut [f32],
     range: Range<usize>,
-    mut f: impl FnMut(&[f32], usize),
+    fold: impl Fn(usize, &mut A, &[f32], usize),
 ) {
-    debug_assert!(!scratch.is_empty());
-    let chunk = scratch.len();
-    let mut start = range.start;
-    while start < range.end {
-        let end = (start + chunk).min(range.end);
-        let buf = &mut scratch[..end - start];
-        model.score_rows(q, start..end, buf);
-        f(buf, start);
-        start = end;
+    if accs.is_empty() {
+        return;
+    }
+    let nq = accs.len();
+    assert!(scratch.len() >= nq, "scratch of {} floats for {nq} queries", scratch.len());
+    // A block of one reuses no row, so it takes the whole scratch per call:
+    // fewer calls, and the single-query paths keep their chunking.
+    let tile =
+        if nq == 1 { scratch.len() } else { (scratch.len() / nq).min(tile_rows(model.dim())) };
+    for start in range.clone().step_by(tile) {
+        let end = (start + tile).min(range.end);
+        let scores = &mut scratch[..nq * (end - start)];
+        model.score_rows_block(qs, start..end, scores);
+        for (i, (acc, scores)) in accs.iter_mut().zip(scores.chunks_exact(end - start)).enumerate()
+        {
+            fold(i, acc, scores, start);
+        }
     }
 }
 
-/// One partial over `range`: `piece(scratch, sub_range)` run serially on
-/// the whole range, or — the in-process latency path — on `threads`
-/// contiguous pieces in parallel with the per-piece partials merged into
-/// `zero`. Bit-for-bit the serial partial for every `threads` (merging is
-/// associative). Scratch comes from `pool`, so a caller ranking many
-/// queries reuses one pool across all of them.
-fn fan_out<P: Partial + Send + Default + Clone>(
+/// One partial per query of a block over `range`: `piece(scratch,
+/// sub_range)` run serially on the whole range, or — the in-process
+/// latency path — on `threads` contiguous pieces in parallel with each
+/// query's per-piece partials merged in piece order. Bit-for-bit the
+/// serial partials for every `threads` (merging is associative). Scratch
+/// comes from `pool`, so a caller ranking many blocks reuses one pool
+/// across all of them.
+fn fan_out<P: Partial + Send + Clone>(
     pool: &BufferPool,
     range: Range<usize>,
     threads: usize,
-    zero: P,
-    piece: impl Fn(&mut [f32], Range<usize>) -> P + Sync,
-) -> P {
+    piece: impl Fn(&mut [f32], Range<usize>) -> Vec<P> + Sync,
+) -> Vec<P> {
     if threads <= 1 || range.len() <= 1 {
         return piece(&mut pool.acquire(), range);
     }
     let pieces = ShardPlan::new(range.len(), threads);
-    let parts = parallel_map_indexed(pieces.num_shards(), threads, |s| {
+    let mut parts = parallel_map_indexed(pieces.num_shards(), threads, |s| {
         let r = pieces.range(s);
         piece(&mut pool.acquire(), range.start + r.start..range.start + r.end)
-    });
-    merge_all(zero, parts)
+    })
+    .into_iter();
+    let mut acc = parts.next().unwrap_or_default();
+    for part in parts {
+        for (acc, p) in acc.iter_mut().zip(part) {
+            acc.merge(p);
+        }
+    }
+    acc
+}
+
+/// The filtered-rank counters of a block of queries — `(triple, side,
+/// known answers ascending)` each — restricted to `range`, fanned across
+/// `threads` workers, in query order. Every query is built once; each tile
+/// of the range is scored for the whole block while it is cache-resident.
+/// A query's counters are bit-for-bit those of [`partial_rank_counts`] on
+/// it alone, whatever the block around it.
+///
+/// `pool` supplies the tile scratch: buffers must hold at least one float
+/// per query; [`BLOCK_QUERIES`] × [`tile_rows`] floats keep whole tiles.
+pub fn partial_rank_counts_block(
+    model: &dyn KgcModel,
+    pool: &BufferPool,
+    queries: &[(Triple, QuerySide, &[EntityId])],
+    range: Range<usize>,
+    threads: usize,
+) -> Vec<PartialRankCounts> {
+    debug_assert!(range.end <= model.num_entities());
+    if range.is_empty() {
+        return vec![PartialRankCounts::ZERO; queries.len()];
+    }
+    // Built once: the reference scores, every tile and every fan-out
+    // worker below share them read-only.
+    let len = model.query_len();
+    let mut qs = vec![0.0f32; queries.len() * len];
+    let answers: Vec<(usize, f32)> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, &(triple, side, _))| {
+            let q = &mut qs[i * len..(i + 1) * len];
+            model.build_query(triple, side, q);
+            let answer = side.answer(triple).index();
+            let mut s_true = [0.0f32];
+            model.score_rows(q, answer..answer + 1, &mut s_true);
+            (answer, s_true[0])
+        })
+        .collect();
+    fan_out(pool, range, threads, |scratch, piece| {
+        let mut accs = vec![PartialRankCounts::ZERO; queries.len()];
+        walk_tiles(model, &qs, &mut accs, scratch, piece, |i, acc, scores, base| {
+            let (answer, s_true) = answers[i];
+            acc.merge(count_scored_range(scores, base, answer, s_true, queries[i].2));
+        });
+        accs
+    })
 }
 
 /// One query's filtered-rank counters restricted to `range`, fanned across
 /// `threads` workers: the serializable partial a shard server evaluates
 /// for its configured range (see [`kg_core::partial::PartialRankCounts`]).
 /// Merging the partials of any partition of `0..num_entities()` reproduces
-/// the unpartitioned counters bit for bit.
+/// the unpartitioned counters bit for bit. A block of one through
+/// [`partial_rank_counts_block`].
 ///
-/// `pool` supplies the chunk scratch: any non-zero buffer length is
-/// correct, one shard's width keeps the inner loop cache-resident.
+/// `pool` supplies the tile scratch: any non-zero buffer length is
+/// correct.
 pub fn partial_rank_counts(
     model: &dyn KgcModel,
     pool: &BufferPool,
@@ -173,24 +272,7 @@ pub fn partial_rank_counts(
     range: Range<usize>,
     threads: usize,
 ) -> PartialRankCounts {
-    debug_assert!(range.end <= model.num_entities());
-    if range.is_empty() {
-        return PartialRankCounts::ZERO;
-    }
-    let answer = side.answer(triple).index();
-    // Built once: the reference score, every chunk and every fan-out worker
-    // below share it read-only.
-    let q = prepared_query(model, triple, side);
-    let mut s_true = [0.0f32];
-    model.score_rows(&q, answer..answer + 1, &mut s_true);
-    let [s_true] = s_true;
-    fan_out(pool, range, threads, PartialRankCounts::ZERO, |scratch, piece| {
-        let mut acc = PartialRankCounts::ZERO;
-        for_scored_chunks(model, &q, scratch, piece, |scores, base| {
-            acc.merge(count_scored_range(scores, base, answer, s_true, known));
-        });
-        acc
-    })
+    partial_rank_counts_block(model, pool, &[(triple, side, known)], range, threads)[0]
 }
 
 /// Count strictly-higher and tied competitors among gathered candidates —
@@ -319,13 +401,14 @@ impl ScoringEngine {
         }
         let model = self.model.as_ref();
         let q = prepared_query(model, triple, side);
-        fan_out(&self.pool, range, threads, PartialTopK::empty(k), |scratch, piece| {
-            let mut heap = TopKHeap::new(k);
-            for_scored_chunks(model, &q, scratch, piece, |scores, base| {
-                heap_scored_range(&mut heap, scores, base, known);
+        let mut top = fan_out(&self.pool, range, threads, |scratch, piece| {
+            let mut heaps = [TopKHeap::new(k)];
+            walk_tiles(model, &q, &mut heaps, scratch, piece, |_, heap, scores, base| {
+                heap_scored_range(heap, scores, base, known);
             });
-            PartialTopK::from_entries(k, heap.into_sorted())
-        })
+            heaps.map(|heap| PartialTopK::from_entries(k, heap.into_sorted())).into()
+        });
+        top.swap_remove(0)
     }
 
     /// Streamed filtered-rank counters for one query: `(higher, ties)`
@@ -380,36 +463,92 @@ fn clamp_range(range: Range<usize>, len: usize) -> Range<usize> {
 mod tests {
     use super::*;
     use crate::factory::{build_model, ModelKind};
+    use proptest::prelude::*;
 
     /// Reference rank counters from a fully materialised row (the seed
     /// path's logic, generalised to cmp_score).
     fn reference_counts(scores: &[f32], answer: usize, known: &[EntityId]) -> (usize, usize) {
-        let s_true = scores[answer];
-        let mut higher = 0usize;
-        let mut ties = 0usize;
-        for (i, &s) in scores.iter().enumerate() {
+        let c = reference_range_counts(scores, 0, answer, scores[answer], known);
+        (c.higher as usize, c.ties as usize)
+    }
+
+    /// The range counter as one `cmp_score` per row, the answer skipped
+    /// inline: the reference the branch-free counter must equal.
+    fn reference_range_counts(
+        scores: &[f32],
+        base: usize,
+        answer: usize,
+        s_true: f32,
+        known: &[EntityId],
+    ) -> PartialRankCounts {
+        let mut acc = PartialRankCounts::ZERO;
+        for (off, &s) in scores.iter().enumerate() {
             match cmp_score(s, s_true) {
-                Ordering::Greater => higher += 1,
-                Ordering::Equal => {
-                    if i != answer {
-                        ties += 1;
-                    }
-                }
-                Ordering::Less => {}
+                Ordering::Greater => acc.higher += 1,
+                Ordering::Equal if base + off != answer => acc.ties += 1,
+                _ => {}
             }
         }
         for kn in known {
             let ki = kn.index();
-            if ki == answer {
+            if ki == answer || !(base..base + scores.len()).contains(&ki) {
                 continue;
             }
-            match cmp_score(scores[ki], s_true) {
-                Ordering::Greater => higher -= 1,
-                Ordering::Equal => ties -= 1,
+            match cmp_score(scores[ki - base], s_true) {
+                Ordering::Greater => acc.higher -= 1,
+                Ordering::Equal => acc.ties -= 1,
                 Ordering::Less => {}
             }
         }
-        (higher, ties)
+        acc
+    }
+
+    /// Scores from a small set, so ties, NaNs and signed zeros are common.
+    const SPECIAL_SCORES: [f32; 10] = [
+        f32::NAN,
+        f32::from_bits(0xffc0_1234),
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        2.5,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+    ];
+
+    fn special_score() -> impl Strategy<Value = f32> {
+        (0..SPECIAL_SCORES.len()).prop_map(|i| SPECIAL_SCORES[i])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The branch-free counter equals the per-row `cmp_score` loop on
+        /// any scored range: NaN and real answers, NaN competitors, ±0,
+        /// ties, an answer inside or outside the range — and an `s_true`
+        /// that is not the answer's own score there, which the counter must
+        /// check rather than assume.
+        #[test]
+        fn branch_free_count_equals_the_cmp_score_loop(
+            scores in proptest::collection::vec(special_score(), 0..80),
+            base in 0usize..40,
+            answer in 0usize..130,
+            own in 0u8..2,
+            other in special_score(),
+            known in proptest::collection::vec(0u32..130, 0..12),
+        ) {
+            let s_true = match answer.checked_sub(base).and_then(|off| scores.get(off)) {
+                Some(&s) if own == 1 => s,
+                _ => other,
+            };
+            let mut known: Vec<EntityId> = known.into_iter().map(EntityId).collect();
+            known.sort_unstable();
+            known.dedup();
+            let got = count_scored_range(&scores, base, answer, s_true, &known);
+            let want = reference_range_counts(&scores, base, answer, s_true, &known);
+            prop_assert_eq!(got, want);
+        }
     }
 
     fn reference_topk(scores: &[f32], known: &[EntityId], k: usize) -> Vec<(u32, f32)> {
@@ -572,11 +711,17 @@ mod tests {
         n: usize,
         builds: std::sync::atomic::AtomicUsize,
         range_calls: std::sync::atomic::AtomicUsize,
+        block_calls: std::sync::atomic::AtomicUsize,
     }
 
     impl Counting {
         fn new(n: usize) -> Arc<Counting> {
-            Arc::new(Counting { n, builds: Default::default(), range_calls: Default::default() })
+            Arc::new(Counting {
+                n,
+                builds: Default::default(),
+                range_calls: Default::default(),
+                block_calls: Default::default(),
+            })
         }
 
         /// `(query builds, range calls)` since the last take.
@@ -609,6 +754,12 @@ mod tests {
             self.range_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             for (o, e) in out.iter_mut().zip(rows) {
                 *o = (e * 7 % self.n) as f32;
+            }
+        }
+        fn score_rows_block(&self, qs: &[f32], rows: Range<usize>, out: &mut [f32]) {
+            self.block_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            for out in out.chunks_exact_mut(rows.len()) {
+                self.score_rows(qs, rows.clone(), out);
             }
         }
         fn score_gathered(&self, _q: &[f32], candidates: &[EntityId], out: &mut [f32]) {
@@ -647,6 +798,77 @@ mod tests {
         // A shard server's sub-range partial.
         engine.partial_top_k(triple, side, &known, 5, 16..48, 2);
         assert_eq!(concrete.take(), (1, 2), "partial top-k over a sub-range");
+
+        // A block pass: each query is built once, not once per tile, and a
+        // tile is one block call for all of them. Five queries in the
+        // 64-float scratch ⇒ 12-row tiles; two fan-out pieces of 32 rows ⇒
+        // 3 tiles each ⇒ 6 block calls of 5 rows each, + 5 reference scores.
+        use std::sync::atomic::Ordering::Relaxed;
+        let triples: Vec<Triple> = (0..5).map(|i| Triple::new(i, 0, 9 + i)).collect();
+        let asks: Vec<_> = triples.iter().map(|&t| (t, side, &known[..])).collect();
+        concrete.block_calls.swap(0, Relaxed);
+        let block = partial_rank_counts_block(&*concrete, &engine.pool, &asks, 0..64, 2);
+        assert_eq!(concrete.take(), (5, 6 * 5 + 5), "block pass");
+        assert_eq!(concrete.block_calls.swap(0, Relaxed), 6, "one block call per tile");
+        for (&(t, side, known), got) in asks.iter().zip(&block) {
+            let want = partial_rank_counts(&*concrete, &engine.pool, t, side, known, 0..64, 1);
+            assert_eq!(*got, want, "{t:?}: a block changed a query's counts");
+        }
+    }
+
+    /// A block's counters are each query's own, over any block size (odd
+    /// ones leave a query out of the 2-query kernel blocks), sub-range,
+    /// fan-out, and scratch width (down to one row per query per tile) —
+    /// against the materialised row, not another engine path.
+    #[test]
+    fn block_counts_match_the_full_row_across_block_tile_and_fanout_boundaries() {
+        for model in models() {
+            let n = model.num_entities();
+            let asks: Vec<(Triple, QuerySide, Vec<EntityId>)> = (0..9u32)
+                .map(|i| {
+                    let triple = Triple::new(i * 5 % 23, i % 3, (i * 7 + 2) % 23);
+                    let side = QuerySide::BOTH[i as usize % 2];
+                    let answer = side.answer(triple);
+                    let mut known = vec![answer, EntityId((i + 4) % 23), EntityId((i * 3) % 23)];
+                    known.sort_unstable();
+                    known.dedup();
+                    (triple, side, known)
+                })
+                .collect();
+            let mut row = vec![0.0f32; n];
+            for nq in [1usize, 2, 3, 8, 9] {
+                let block: Vec<_> = asks[..nq].iter().map(|(t, s, k)| (*t, *s, &k[..])).collect();
+                for (range, threads, scratch) in
+                    [(0..n, 1, nq), (0..n, 3, 4 * nq + 1), (5..19, 2, 64), (7..8, 4, nq)]
+                {
+                    let pool = BufferPool::new(scratch);
+                    let got = partial_rank_counts_block(
+                        model.as_ref(),
+                        &pool,
+                        &block,
+                        range.clone(),
+                        threads,
+                    );
+                    for (&(triple, side, known), got) in block.iter().zip(&got) {
+                        model.score_all(triple, side, &mut row);
+                        let answer = side.answer(triple).index();
+                        let want = reference_range_counts(
+                            &row[range.clone()],
+                            range.start,
+                            answer,
+                            row[answer],
+                            known,
+                        );
+                        assert_eq!(
+                            *got,
+                            want,
+                            "{} nq={nq} {range:?} threads={threads} scratch={scratch}",
+                            model.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   roundings) rather than FMA: fused multiply-add rounds once and would
 //!   produce different bits than the scalar reference, breaking the
 //!   repo-wide byte-parity discipline across shards, partials and the
-//!   gateway. The win comes from 8-wide lanes and 4-row register blocking,
+//!   gateway. The win comes from 8-wide lanes and 4-row register blocking
+//!   (2 queries × 4 rows for a block of queries, [`combine_rows_block`]),
 //!   not from fusion.
 //! * [`neon`] is the arm64 path (two 4-lane vectors emulating the same
 //!   8-lane virtual vector).
@@ -215,6 +216,46 @@ pub fn combine_rows_with(
         Isa::Neon => neon::combine_rows(c, q, rows, dim, out),
         #[allow(unreachable_patterns)]
         _ => scalar::combine_rows(c, q, rows, dim, out),
+    }
+}
+
+/// Score each query of `qs` (`dim` floats each, back to back) against
+/// every `dim`-wide row of `rows` into `out`, query-major: with
+/// `n = rows.len() / dim`, `out[i * n..(i + 1) * n]` holds query `i`'s
+/// scores. Each query gets exactly [`combine_rows`]'s bits — the reference
+/// is that loop — and a block of one *is* [`combine_rows`].
+#[inline]
+pub fn combine_rows_block(c: Combine, qs: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
+    combine_rows_block_with(active(), c, qs, rows, dim, out);
+}
+
+/// As [`combine_rows_block`] but on an explicit ISA (parity tests).
+pub fn combine_rows_block_with(
+    isa: Isa,
+    c: Combine,
+    qs: &[f32],
+    rows: &[f32],
+    dim: usize,
+    out: &mut [f32],
+) {
+    if dim == 0 {
+        // Every score of an empty row is the empty reduction.
+        out.fill(combine_one_with(isa, c, &[], &[]));
+        return;
+    }
+    let n = rows.len() / dim;
+    debug_assert_eq!(out.len(), qs.len() / dim * n);
+    if n == 0 {
+        return;
+    }
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Isa::Avx2 => x86::combine_rows_block(c, qs, rows, dim, out),
+        _ => {
+            for (q, out) in qs.chunks_exact(dim).zip(out.chunks_exact_mut(n)) {
+                combine_rows_with(isa, c, q, rows, dim, out);
+            }
+        }
     }
 }
 

@@ -19,10 +19,12 @@ use kg_core::{EntityId, RelationId, Triple};
 /// scoring surface an implementation writes.
 ///
 /// **Row contract:** the score of row `e` depends on `(q, e)` alone —
-/// never on its neighbours, the range it arrived in, or which primitive
-/// computed it — so any partition of `0..|E|` through `score_rows` and any
-/// candidate list through `score_gathered` yield the same bits per entity.
-/// Shard, thread, node and full-vs-sampled parity all rest on this.
+/// never on its neighbours, the range it arrived in, the other queries of
+/// its block, or which primitive computed it — so any partition of
+/// `0..|E|` through `score_rows`, any block through
+/// [`KgcModel::score_rows_block`] and any candidate list through
+/// `score_gathered` yield the same bits per entity. Shard, thread, block,
+/// node and full-vs-sampled parity all rest on this.
 pub trait KgcModel: Send + Sync {
     /// Human-readable model name (e.g. `"ComplEx"`).
     fn name(&self) -> &'static str;
@@ -54,6 +56,18 @@ pub trait KgcModel: Send + Sync {
     /// Scores of the contiguous entity range `rows` against the prepared
     /// query `q`; `out.len() == rows.len()`.
     fn score_rows(&self, q: &[f32], rows: Range<usize>, out: &mut [f32]);
+
+    /// [`KgcModel::score_rows`] for a block of prepared queries (`qs`,
+    /// `query_len()` floats each, back to back) into `out`, query-major:
+    /// `out[i * rows.len()..(i + 1) * rows.len()]` is query `i`'s row, with
+    /// the bits `score_rows` gives it. A family that can score the rows
+    /// once for several queries (a register-blocked kernel) overrides it.
+    fn score_rows_block(&self, qs: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        let len = self.query_len();
+        for (i, out) in out.chunks_exact_mut(rows.len().max(1)).enumerate() {
+            self.score_rows(&qs[i * len..(i + 1) * len], rows.clone(), out);
+        }
+    }
 
     /// Scores of the gathered `candidates` against the prepared query `q`;
     /// `out.len() == candidates.len()`.

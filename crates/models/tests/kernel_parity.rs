@@ -110,6 +110,77 @@ proptest! {
     }
 }
 
+/// The multi-query block kernel against one scalar `combine_rows` per
+/// query, bit for bit, on every available ISA: every op, dimensions on
+/// both sides of the 8-lane boundary, query counts that leave an odd query
+/// out and row counts that leave 1–3 rows out of the 4-row blocks. Inputs
+/// mix ordinary values with NaNs of two distinct payloads, ±0, ±∞ and
+/// subnormals.
+///
+/// A NaN result must be NaN; its payload is not compared. Which of two
+/// NaN operands an `add` or `mul` passes on depends on the operand order
+/// the compiler picks, and it may swap the operands of either: the
+/// single-query AVX2 kernel already keeps the query's payload where the
+/// auto-vectorised reference keeps the row's. Every other bit is compared.
+#[test]
+fn block_kernel_bitwise_matches_per_query_scalar() {
+    let nan_a = f32::from_bits(0x7fc0_0001);
+    let nan_b = f32::from_bits(0xffc0_1234);
+    let specials = [
+        nan_a,
+        nan_b,
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e-40,
+        -3e-39,
+        f32::MIN_POSITIVE,
+    ];
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |special_every: u64| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let r = state >> 33;
+        if special_every > 0 && r.is_multiple_of(special_every) {
+            specials[(r / special_every) as usize % specials.len()]
+        } else {
+            (r % 2001) as f32 / 250.0 - 4.0
+        }
+    };
+    for c in [Combine::Dot, Combine::NegL1, Combine::NegL2] {
+        for dim in [1usize, 3, 7, 8, 9, 12, 16, 17, 32, 33, 64] {
+            for nq in 1usize..=9 {
+                for n in [0usize, 1, 3, 4, 5, 8, 9, 67] {
+                    // Plain values, then a special in roughly every fifth.
+                    for special_every in [0u64, 5] {
+                        let qs: Vec<f32> = (0..nq * dim).map(|_| next(special_every)).collect();
+                        let rows: Vec<f32> = (0..n * dim).map(|_| next(special_every)).collect();
+                        let mut want = vec![0.0f32; nq * n];
+                        for (q, out) in qs.chunks(dim).zip(want.chunks_mut(n.max(1))) {
+                            kernels::scalar::combine_rows(c, q, &rows, dim, out);
+                        }
+                        for isa in kernels::available() {
+                            let mut got = vec![0.0f32; nq * n];
+                            kernels::combine_rows_block_with(isa, c, &qs, &rows, dim, &mut got);
+                            let bits = |v: &[f32]| {
+                                v.iter()
+                                    .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+                                    .collect::<Vec<_>>()
+                            };
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{} {c:?} dim {dim} nq {nq} rows {n} specials {special_every}",
+                                isa.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The dispatched scoring surface of every model family, forced to scalar
 /// and then to the best detected ISA, bit for bit. This is the whole-stack
 /// version of the kernel-level property above: it catches any scoring path

@@ -6,7 +6,8 @@
 //! 1. **One row** in the table — name, kind, label names, help — at the
 //!    place it should appear on `/metrics` (the table *is* the render order).
 //! 2. **One verb at the call site**: `HttpMetrics::add` for a counter,
-//!    `HttpMetrics::set` for a gauge, `HttpMetrics::observe` for a
+//!    `HttpMetrics::set` for a gauge (`HttpMetrics::raise` for one that
+//!    racing writers must only move forward), `HttpMetrics::observe` for a
 //!    summary. An event method exists only where one event moves several
 //!    series at once (it is one `write` of several `Op`s, under one lock).
 //! 3. **Nothing else**: storage, `render`, `value`, `forget`, label
@@ -36,7 +37,7 @@ pub const LATENCY_WINDOW: usize = 4096;
 enum Kind {
     /// A `u64`, moved by `add` (or `set`, where the owner keeps the count).
     Counter,
-    /// An `f64`, replaced by `set`.
+    /// An `f64`, replaced by `set` (or raised by `raise`).
     Gauge,
     /// The last [`LATENCY_WINDOW`] samples fed to `observe`, printed as p50
     /// and p99 divided by this unit (`1e6`: microseconds in, seconds out).
@@ -142,6 +143,8 @@ enum Op {
     /// Replace a gauge's value (or a counter's, where the caller owns the
     /// count — it is truncated to a whole number).
     Set(f64),
+    /// Raise a gauge to the value if it is below it.
+    Raise(f64),
     /// Feed one sample to a summary's window.
     Observe(u64),
 }
@@ -204,6 +207,12 @@ impl HttpMetrics {
                 match op {
                     Op::Add(n) => drop(scalar.fetch_add(n, Ordering::Relaxed)),
                     Op::Set(value) => scalar.store(desc.encode(value), Ordering::Relaxed),
+                    Op::Raise(value) => {
+                        // `Err` only says the gauge already held at least `value`.
+                        let _ = scalar.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+                            (f64::from_bits(old) < value).then(|| value.to_bits())
+                        });
+                    }
                     Op::Observe(_) => {}
                 }
                 continue;
@@ -213,6 +222,11 @@ impl HttpMetrics {
             let apply = |cell: &mut Cell| match op {
                 Op::Add(n) => cell.num += n,
                 Op::Set(value) => cell.num = desc.encode(value),
+                Op::Raise(value) => {
+                    if f64::from_bits(cell.num) < value {
+                        cell.num = value.to_bits();
+                    }
+                }
                 Op::Observe(sample) => {
                     if cell.window.len() == LATENCY_WINDOW {
                         cell.window.pop_front();
@@ -239,6 +253,12 @@ impl HttpMetrics {
     /// Replace a gauge series' value.
     pub(crate) fn set(&self, family: Family, labels: &[&str], value: f64) {
         self.write(labels, &[(family, Op::Set(value))]);
+    }
+
+    /// Raise a gauge series to `value` if it is below it: a gauge racing
+    /// writers publish to, which must end at the largest value written.
+    pub(crate) fn raise(&self, family: Family, labels: &[&str], value: f64) {
+        self.write(labels, &[(family, Op::Raise(value))]);
     }
 
     /// Feed one sample to a summary series' window.
@@ -466,6 +486,22 @@ mod tests {
         assert!(text.contains("kg_serve_requests_total{endpoint=\"/score\"} 2"));
         assert!(text.contains("kg_serve_request_errors_total{endpoint=\"/score\"} 1"));
         assert!(text.contains("kg_serve_request_errors_total{endpoint=\"/eval\"} 0"));
+    }
+
+    /// Writers that publish out of order cannot move a raised gauge back,
+    /// labelled or not.
+    #[test]
+    fn raise_only_moves_a_gauge_forward() {
+        let m = HttpMetrics::new();
+        for v in [5.0, 3.0, 7.0, 6.0] {
+            m.raise(Family::GraphVersion, &["m"], v);
+            m.raise(Family::ReactorFds, &[], v);
+        }
+        assert_eq!(m.value("kg_serve_graph_version", &["m"]), Some(7.0));
+        assert_eq!(m.value("kg_serve_reactor_registered_fds", &[]), Some(7.0));
+        // `set` still replaces, e.g. when a model is registered afresh.
+        m.set(Family::GraphVersion, &["m"], 0.0);
+        assert_eq!(m.value("kg_serve_graph_version", &["m"]), Some(0.0));
     }
 
     #[test]

@@ -254,10 +254,14 @@ impl ModelEntry {
     /// entries check themselves against the snapshot each reader holds
     /// (see [`kg_core::live`]), and candidate draws depend only on
     /// `(|E|, |R|, strategy, n_s, seed)`, never on the graph.
+    ///
+    /// The version gauge is raised, not set: two writers can publish their
+    /// versions out of order, and the later version must win, so once
+    /// writers quiesce the gauge reads [`ModelEntry::graph_version`].
     pub fn apply_delta(&self, delta: &GraphDelta) -> ApplyOutcome {
         let outcome = self.live.apply(delta);
         if outcome.changed() {
-            self.metrics.set(Family::GraphVersion, &[&self.name], outcome.version as f64);
+            self.metrics.raise(Family::GraphVersion, &[&self.name], outcome.version as f64);
             self.metrics.observe_ingest(outcome.inserted, outcome.deleted);
         }
         outcome
@@ -979,6 +983,31 @@ mod tests {
         assert!(registry.remove("tiny"));
         let text = metrics.render();
         assert!(!text.contains("tiny"), "model series outlived it: {text}");
+    }
+
+    /// Racing writers leave the version gauge at the graph's version: four
+    /// threads apply 50 effective one-triple deltas each, and the rendered
+    /// gauge reads all 200 of them. (The interleaving that used to leave it
+    /// behind is rare; `raise_only_moves_a_gauge_forward` pins the rule.)
+    #[test]
+    fn graph_version_gauge_ends_at_the_graph_version_under_racing_writers() {
+        let registry = ModelRegistry::new();
+        let entry = tiny_entry(&registry);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let entry = &entry;
+                scope.spawn(move || {
+                    for k in t * 50..(t + 1) * 50 {
+                        let triple = Triple::new(k % 20, (k / 20) % 2, 15 + k / 40);
+                        let outcome = entry.apply_delta(&GraphDelta::new(vec![triple], Vec::new()));
+                        assert!(outcome.changed(), "{triple:?} was not new");
+                    }
+                });
+            }
+        });
+        assert_eq!(entry.graph_version(), 200);
+        let text = registry.metrics().render();
+        assert!(text.contains("kg_serve_graph_version{model=\"tiny\"} 200\n"), "{text}");
     }
 
     #[test]
