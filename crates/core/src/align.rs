@@ -52,10 +52,18 @@ impl<T: Copy> AlignedVec<T> {
 
     /// New buffer of `len` copies of `fill`.
     pub fn from_elem(fill: T, len: usize) -> Self {
+        Self::from_fn(len, |_| fill)
+    }
+
+    /// New buffer whose element `i` is `f(i)`, called for `i` in
+    /// `0..len` in order and written in place — no temporary `Vec`, so a
+    /// table is built holding one copy of itself. (Should `f` panic, the
+    /// allocation leaks; it is never read.)
+    pub fn from_fn(len: usize, mut f: impl FnMut(usize) -> T) -> Self {
         let ptr = Self::alloc_uninit(len);
         for i in 0..len {
             // SAFETY: i < len, allocation holds len elements.
-            unsafe { ptr.as_ptr().add(i).write(fill) };
+            unsafe { ptr.as_ptr().add(i).write(f(i)) };
         }
         AlignedVec { ptr, len }
     }
@@ -189,6 +197,19 @@ mod tests {
         v[2] = 9.0;
         v.as_mut_slice()[0] = 1.0;
         assert_eq!(v.as_slice(), &[1.0, 0.0, 9.0, 0.0]);
+    }
+
+    #[test]
+    fn from_fn_fills_in_index_order() {
+        let mut calls = Vec::new();
+        let v = AlignedVec::from_fn(5, |i| {
+            calls.push(i);
+            i as f32 * 2.0
+        });
+        assert_eq!(v.as_slice(), &[0.0, 2.0, 4.0, 6.0, 8.0]);
+        assert_eq!(calls, [0, 1, 2, 3, 4]);
+        assert_eq!(v.as_ptr() as usize % CACHE_LINE, 0);
+        assert!(AlignedVec::<f32>::from_fn(0, |_| unreachable!()).is_empty());
     }
 
     #[test]

@@ -4,17 +4,64 @@
 //! *except* other entities known to form true triples (in train ∪ valid ∪
 //! test). This index answers `known tails of (h, r)` and `known heads of
 //! (r, t)` in O(1) expected time.
+//!
+//! It is built once and never edited (a live graph overlays it; see
+//! [`crate::live`]). Each side is therefore flat: one sorted, deduplicated
+//! array of answers, and a map from a query key to its `(start, len)` run
+//! in that array — a few words per key instead of a heap `Vec` per key.
 
 use crate::fxhash::FxHashMap;
 use crate::ids::{EntityId, RelationId};
 use crate::triple::{QuerySide, Triple};
 
+/// One side of the index: every key's answers as one run of `answers`.
+#[derive(Clone, Debug)]
+struct Runs<K> {
+    /// Key → `(start, len)` of its run in `answers`.
+    runs: FxHashMap<K, (u32, u32)>,
+    /// All runs back to back, each sorted and duplicate-free.
+    answers: Vec<EntityId>,
+}
+
+impl<K> Default for Runs<K> {
+    fn default() -> Self {
+        Runs { runs: FxHashMap::default(), answers: Vec::new() }
+    }
+}
+
+impl<K: std::hash::Hash + Eq> Runs<K> {
+    /// The runs of `sorted` (sorted by key, then answer, and deduplicated;
+    /// fewer than 2^32 of them, so every offset fits a `u32`), split into
+    /// `(key, answer)` by `split`.
+    fn build(sorted: &[Triple], split: impl Fn(Triple) -> (K, EntityId)) -> Self {
+        let keys = sorted.chunk_by(|a, b| split(*a).0 == split(*b).0);
+        let mut runs =
+            FxHashMap::with_capacity_and_hasher(keys.clone().count(), Default::default());
+        let mut answers = Vec::with_capacity(sorted.len());
+        for run in keys {
+            runs.insert(split(run[0]).0, (answers.len() as u32, run.len() as u32));
+            answers.extend(run.iter().map(|&t| split(t).1));
+        }
+        Runs { runs, answers }
+    }
+
+    /// The answers a `(start, len)` run spans.
+    #[inline]
+    fn run(&self, (start, len): (u32, u32)) -> &[EntityId] {
+        &self.answers[start as usize..(start + len) as usize]
+    }
+
+    #[inline]
+    fn get(&self, key: &K) -> &[EntityId] {
+        self.runs.get(key).map_or(&[], |&span| self.run(span))
+    }
+}
+
 /// Hash index of all known-true triples, keyed both ways.
 #[derive(Clone, Debug, Default)]
 pub struct FilterIndex {
-    tails_of: FxHashMap<(EntityId, RelationId), Vec<EntityId>>,
-    heads_of: FxHashMap<(RelationId, EntityId), Vec<EntityId>>,
-    len: usize,
+    tails: Runs<(EntityId, RelationId)>,
+    heads: Runs<(RelationId, EntityId)>,
 }
 
 impl FilterIndex {
@@ -23,63 +70,41 @@ impl FilterIndex {
         Self::default()
     }
 
-    /// Build from one or more triple slices (typically train, valid, test).
+    /// Build from one or more triple slices (typically train, valid, test);
+    /// duplicates within and across slices count once. One copy of the
+    /// triples is sorted twice — by `(h, r, t)` for the tail side, by
+    /// `(r, t, h)` for the head side — and each order is cut into runs.
     pub fn from_slices(slices: &[&[Triple]]) -> Self {
-        let mut idx = Self::new();
-        for s in slices {
-            for &t in *s {
-                idx.insert(t);
-            }
-        }
-        idx.finish();
-        idx
-    }
-
-    /// Insert a triple (duplicates across slices are deduplicated by
-    /// [`FilterIndex::finish`]).
-    pub fn insert(&mut self, t: Triple) {
-        self.tails_of.entry((t.head, t.relation)).or_default().push(t.tail);
-        self.heads_of.entry((t.relation, t.tail)).or_default().push(t.head);
-        self.len += 1;
-    }
-
-    /// Sort and deduplicate the answer lists. Must be called after the last
-    /// `insert` and before queries; `from_slices` does so automatically.
-    pub fn finish(&mut self) {
-        let mut removed = 0usize;
-        for v in self.tails_of.values_mut() {
-            let before = v.len();
-            v.sort_unstable();
-            v.dedup();
-            removed += before - v.len();
-        }
-        for v in self.heads_of.values_mut() {
-            v.sort_unstable();
-            v.dedup();
-        }
-        self.len -= removed;
+        let mut triples = slices.concat();
+        triples.sort_unstable();
+        triples.dedup();
+        assert!(u32::try_from(triples.len()).is_ok(), "FilterIndex holds fewer than 2^32 triples");
+        let tails = Runs::build(&triples, |t| (t.hr(), t.tail));
+        triples.sort_unstable_by_key(|t| (t.relation, t.tail, t.head));
+        let heads = Runs::build(&triples, |t| (t.rt(), t.head));
+        FilterIndex { tails, heads }
     }
 
     /// Number of distinct triples indexed.
     pub fn len(&self) -> usize {
-        self.len
+        self.tails.answers.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// All known-true tails for the query `(h, r, ?)`, sorted.
     #[inline]
     pub fn known_tails(&self, h: EntityId, r: RelationId) -> &[EntityId] {
-        self.tails_of.get(&(h, r)).map(Vec::as_slice).unwrap_or(&[])
+        self.tails.get(&(h, r))
     }
 
     /// All known-true heads for the query `(?, r, t)`, sorted.
     #[inline]
     pub fn known_heads(&self, r: RelationId, t: EntityId) -> &[EntityId] {
-        self.heads_of.get(&(r, t)).map(Vec::as_slice).unwrap_or(&[])
+        self.heads.get(&(r, t))
     }
 
     /// Known answers for `triple`'s query on `side` (tails for tail queries,
@@ -105,10 +130,9 @@ impl FilterIndex {
     }
 
     /// Visit every distinct indexed triple (iteration order unspecified).
-    /// Only meaningful after [`FilterIndex::finish`].
     pub fn for_each_triple(&self, mut f: impl FnMut(Triple)) {
-        for (&(h, r), tails) in &self.tails_of {
-            for &t in tails {
+        for (&(h, r), &span) in &self.tails.runs {
+            for &t in self.tails.run(span) {
                 f(Triple { head: h, relation: r, tail: t });
             }
         }

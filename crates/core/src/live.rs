@@ -239,10 +239,9 @@ impl LiveFilterIndex {
     /// compaction path, and the reference the parity tests compare
     /// against.
     pub fn rebuilt(&self) -> FilterIndex {
-        let mut idx = FilterIndex::new();
-        self.for_each_triple(|t| idx.insert(t));
-        idx.finish();
-        idx
+        let mut triples = Vec::with_capacity(self.len);
+        self.for_each_triple(|t| triples.push(t));
+        FilterIndex::from_slices(&[&triples])
     }
 
     /// This index with `delta` applied (inserts first, then deletes), and

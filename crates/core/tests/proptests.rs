@@ -7,8 +7,12 @@ use kg_core::sparse::{row_normalize_l1, spgemm, transpose, CooBuilder, CsrMatrix
 use kg_core::stats::{
     expected_higher_ranked, expected_rank_gain, kendall_tau, mae, pearson, RankGainParams,
 };
-use kg_core::{FilterIndex, GraphDelta, LiveFilterIndex, Triple, TripleStore};
+use kg_core::triple::QuerySide;
+use kg_core::{
+    EntityId, FilterIndex, GraphDelta, LiveFilterIndex, RelationId, Triple, TripleStore,
+};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn matrix_strategy(max: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     (1usize..max, 1usize..max).prop_flat_map(|(r, c)| {
@@ -30,6 +34,44 @@ fn dense_mul(a: &[Vec<f32>], b: &[Vec<f32>]) -> Vec<Vec<f32>> {
         }
     }
     out
+}
+
+/// Every query of `idx` over a 6 × 2 × 6 domain (and one entity past it)
+/// answers what the triple set `reference` implies.
+fn assert_filter_matches(idx: &FilterIndex, reference: &BTreeSet<Triple>) {
+    let mut tails: BTreeMap<(u32, u32), BTreeSet<EntityId>> = BTreeMap::new();
+    let mut heads: BTreeMap<(u32, u32), BTreeSet<EntityId>> = BTreeMap::new();
+    for t in reference {
+        tails.entry((t.head.0, t.relation.0)).or_default().insert(t.tail);
+        heads.entry((t.relation.0, t.tail.0)).or_default().insert(t.head);
+    }
+    let sorted = |set: Option<&BTreeSet<EntityId>>| -> Vec<EntityId> {
+        set.map(|s| s.iter().copied().collect()).unwrap_or_default()
+    };
+    assert_eq!(idx.len(), reference.len());
+    assert_eq!(idx.is_empty(), reference.is_empty());
+    for a in 0..7u32 {
+        for r in 0..2u32 {
+            let want_tails = sorted(tails.get(&(a, r)));
+            let want_heads = sorted(heads.get(&(r, a)));
+            assert_eq!(idx.known_tails(EntityId(a), RelationId(r)), &want_tails[..]);
+            assert_eq!(idx.known_heads(RelationId(r), EntityId(a)), &want_heads[..]);
+            for b in 0..7u32 {
+                let t = Triple::new(a, r, b);
+                let known = reference.contains(&t);
+                assert_eq!(idx.contains(t), known, "{t:?}");
+                assert_eq!(idx.is_true_answer(t, QuerySide::Tail, EntityId(b)), known);
+                assert_eq!(
+                    idx.is_true_answer(Triple::new(b, r, a), QuerySide::Head, EntityId(b)),
+                    reference.contains(&Triple::new(b, r, a))
+                );
+            }
+        }
+    }
+    let mut visited = Vec::new();
+    idx.for_each_triple(|t| visited.push(t));
+    visited.sort_unstable();
+    assert_eq!(visited, reference.iter().copied().collect::<Vec<_>>(), "each triple exactly once");
 }
 
 proptest! {
@@ -194,6 +236,36 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The flat index against a `BTreeMap<key, BTreeSet>` reference, with
+    /// duplicates within and across slices (a 6 × 2 × 6 domain), the empty
+    /// index, and `LiveFilterIndex::rebuilt` after a delta.
+    #[test]
+    fn flat_filter_index_matches_a_btree_reference(
+        slices in proptest::collection::vec(
+            proptest::collection::vec((0u32..6, 0u32..2, 0u32..6), 0..30),
+            0..4,
+        ),
+        insert in proptest::collection::vec((0u32..6, 0u32..2, 0u32..6), 0..10),
+        delete in proptest::collection::vec((0u32..6, 0u32..2, 0u32..6), 0..10),
+    ) {
+        let to_triples =
+            |raw: &[(u32, u32, u32)]| raw.iter().map(|&(h, r, t)| Triple::new(h, r, t)).collect::<Vec<Triple>>();
+        let slices: Vec<Vec<Triple>> = slices.iter().map(|s| to_triples(s)).collect();
+        let refs: Vec<&[Triple]> = slices.iter().map(Vec::as_slice).collect();
+        let mut reference: BTreeSet<Triple> = slices.iter().flatten().copied().collect();
+        let idx = FilterIndex::from_slices(&refs);
+        assert_filter_matches(&idx, &reference);
+        assert_filter_matches(&FilterIndex::new(), &BTreeSet::new());
+
+        let delta = GraphDelta::new(to_triples(&insert), to_triples(&delete));
+        let (live, _) = LiveFilterIndex::from_base(std::sync::Arc::new(idx)).apply(&delta);
+        reference.extend(delta.insert.iter().copied());
+        for t in &delta.delete {
+            reference.remove(t);
+        }
+        assert_filter_matches(&live.rebuilt(), &reference);
     }
 
     #[test]

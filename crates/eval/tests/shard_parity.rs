@@ -21,7 +21,6 @@ use kg_eval::evaluate_full;
 use kg_eval::ranker::{filtered_rank_from_scores, queries_of};
 use kg_eval::TieBreak;
 use kg_models::engine::{self, ScoringEngine};
-use kg_models::io::snapshot_model;
 use kg_models::{build_model, KgcModel, ModelKind, Precision, QuantizedModel};
 use proptest::prelude::*;
 
@@ -256,10 +255,9 @@ fn every_model(n: usize, nr: usize) -> Vec<Box<dyn KgcModel>> {
     for kind in ModelKind::ALL {
         let model = build(kind, 7, n, nr);
         if !matches!(kind, ModelKind::TuckEr | ModelKind::ConvE) {
-            let snap = snapshot_model(model.as_ref(), kind).expect("snapshot");
             for precision in [Precision::F16, Precision::Int8] {
                 out.push(Box::new(
-                    QuantizedModel::from_snapshot(&snap, precision).expect("quantize"),
+                    QuantizedModel::from_model(model.as_ref(), kind, precision).expect("quantize"),
                 ));
             }
         }

@@ -69,14 +69,10 @@ struct Forward {
 }
 
 impl ConvE {
-    /// New model; `dim` must be a multiple of [`WIDTH`] (default 4).
+    /// New model; `dim` must be a multiple of [`WIDTH`] (default 4) and at
+    /// least `2 · WIDTH` (see [`ConvE::table_lens`]).
     pub fn new<R: Rng>(num_entities: usize, num_relations: usize, dim: usize, rng: &mut R) -> Self {
-        assert!(dim.is_multiple_of(WIDTH), "ConvE dim must be a multiple of {WIDTH}");
-        let height = dim / WIDTH;
-        let out_h = 2 * height - (K - 1);
-        let out_w = WIDTH - (K - 1);
-        assert!(out_w >= 1 && out_h >= 1, "embedding image too small for {K}x{K} conv");
-        let flat = FILTERS * out_h * out_w;
+        let (height, out_h, out_w, flat) = Self::image(dim).unwrap_or_else(|e| panic!("{e}"));
         ConvE {
             entities: EmbeddingTable::xavier(num_entities, dim, rng),
             relations: EmbeddingTable::xavier(2 * num_relations, dim, rng),
@@ -92,6 +88,40 @@ impl ConvE {
             out_w,
             flat,
         }
+    }
+
+    /// The embedding image for `dim`: `(height, out_h, out_w, flat)`, or
+    /// why no ConvE has that dimension.
+    fn image(dim: usize) -> Result<(usize, usize, usize, usize), String> {
+        if dim == 0 || !dim.is_multiple_of(WIDTH) {
+            return Err(format!("ConvE dim must be a positive multiple of {WIDTH}, got {dim}"));
+        }
+        let height = dim / WIDTH;
+        let out_w = WIDTH - (K - 1);
+        let out_h = (2 * height).checked_sub(K - 1).filter(|&h| h >= 1).ok_or_else(|| {
+            format!("ConvE dim {dim}: embedding image too small for {K}x{K} conv")
+        })?;
+        let flat = out_h
+            .checked_mul(FILTERS * out_w)
+            .ok_or_else(|| format!("ConvE dim {dim} overflows usize"))?;
+        Ok((height, out_h, out_w, flat))
+    }
+
+    /// The lengths of the parameter tables `new` allocates, in
+    /// `param_tables` order, or why it would refuse the shape.
+    pub(crate) fn table_lens(ne: usize, nr: usize, dim: usize) -> Result<Vec<usize>, String> {
+        let (_, _, _, flat) = Self::image(dim)?;
+        let overflow = || format!("ConvE {ne}x{nr}x{dim} overflows usize");
+        let mul = |a: usize, b: usize| a.checked_mul(b).ok_or_else(overflow);
+        Ok(vec![
+            mul(ne, dim)?,
+            mul(mul(2, nr)?, dim)?,
+            FILTERS * K * K,
+            FILTERS,
+            mul(dim, flat)?,
+            dim,
+            ne,
+        ])
     }
 
     /// Forward pass computing the query vector from `(entity, relation row)`.

@@ -35,9 +35,11 @@ impl EmbeddingTable {
         Self::uniform(count, dim, bound, rng)
     }
 
-    /// New table initialised uniformly in `±bound`.
+    /// New table initialised uniformly in `±bound`, drawn straight into
+    /// its storage. The Adagrad accumulators are zero-allocated, so a table
+    /// that is only ever scored never touches (or pays RSS for) them.
     pub fn uniform<R: Rng>(count: usize, dim: usize, bound: f32, rng: &mut R) -> Self {
-        let data = (0..count * dim).map(|_| rng.gen_range(-bound..=bound)).collect();
+        let data = AlignedVec::from_fn(count * dim, |_| rng.gen_range(-bound..=bound));
         EmbeddingTable { dim, data, accum: vec![0.0; count * dim] }
     }
 

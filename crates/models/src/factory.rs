@@ -70,6 +70,34 @@ impl ModelKind {
             _ => 32,
         }
     }
+
+    /// The lengths of the parameter tables [`build_model`] allocates for
+    /// this family at `ne` entities × `nr` relations × `dim`, in
+    /// [`TrainableModel::param_tables`] order — or why the constructor
+    /// would refuse that shape, or that its size overflows `usize`. A
+    /// snapshot reader checks a header against this before allocating.
+    pub fn table_lens(self, ne: usize, nr: usize, dim: usize) -> Result<Vec<usize>, String> {
+        let name = self.name();
+        if dim == 0 {
+            return Err(format!("{name} needs a positive dimension"));
+        }
+        let even = |dim: usize| match dim.is_multiple_of(2) {
+            true => Ok(dim),
+            false => Err(format!("{name} needs an even dimension, got {dim}")),
+        };
+        let mul = |a: usize, b: usize| {
+            a.checked_mul(b).ok_or_else(|| format!("{name} {ne}x{nr}x{dim} overflows usize"))
+        };
+        let entities = mul(ne, dim)?;
+        Ok(match self {
+            ModelKind::TransE | ModelKind::DistMult => vec![entities, mul(nr, dim)?],
+            ModelKind::ComplEx => vec![entities, mul(nr, even(dim)?)?],
+            ModelKind::Rescal => vec![entities, mul(nr, mul(dim, dim)?)?],
+            ModelKind::RotatE => vec![entities, mul(nr, even(dim)? / 2)?],
+            ModelKind::TuckEr => vec![entities, mul(nr, dim)?, mul(dim, mul(dim, dim)?)?],
+            ModelKind::ConvE => crate::ConvE::table_lens(ne, nr, dim)?,
+        })
+    }
 }
 
 /// Build a freshly initialised model.
@@ -128,6 +156,39 @@ mod tests {
             let s = m.score(EntityId(1), RelationId(2), EntityId(5));
             assert!(s.is_finite(), "{} produced non-finite score", k.name());
         }
+    }
+
+    /// `table_lens` is what the reader trusts instead of building a model
+    /// from an unchecked header, so it must predict every constructor.
+    #[test]
+    fn table_lens_match_what_build_model_allocates() {
+        for kind in ModelKind::ALL {
+            for (ne, nr, dim) in [(1, 1, 8), (9, 3, 12), (5, 2, 16), (0, 4, 8), (7, 0, 24)] {
+                let model = build_model(kind, ne, nr, dim, 1);
+                let built: Vec<usize> = model.param_tables().iter().map(|t| t.len()).collect();
+                assert_eq!(
+                    kind.table_lens(ne, nr, dim),
+                    Ok(built),
+                    "{} {ne}x{nr}x{dim}",
+                    kind.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_lens_refuse_what_the_constructors_refuse() {
+        for kind in ModelKind::ALL {
+            assert!(kind.table_lens(3, 2, 0).unwrap_err().contains("positive dimension"));
+            assert!(kind.table_lens(usize::MAX / 2, 2, 8).unwrap_err().contains("overflows"));
+        }
+        for kind in [ModelKind::RotatE, ModelKind::ComplEx] {
+            assert!(kind.table_lens(3, 2, 3).unwrap_err().contains("even dimension, got 3"));
+        }
+        assert!(ModelKind::ConvE.table_lens(3, 2, 5).unwrap_err().contains("multiple of 4"));
+        assert!(ModelKind::ConvE.table_lens(3, 2, 4).unwrap_err().contains("too small"));
+        assert!(ModelKind::TuckEr.table_lens(1, 1, 1 << 22).unwrap_err().contains("overflows"));
+        assert!(ModelKind::TransE.table_lens(3, 2, 3).is_ok(), "odd dims are fine for TransE");
     }
 
     #[test]

@@ -183,7 +183,7 @@ impl QuantizedTable {
         assert!(precision.is_quantized(), "use EmbeddingTable for exact f32 storage");
         let count = data.len() / dim;
         let repr = match precision {
-            Precision::F16 => Repr::F16(data.iter().map(|&v| f32_to_f16(v)).collect()),
+            Precision::F16 => Repr::F16(AlignedVec::from_fn(data.len(), |i| f32_to_f16(data[i]))),
             Precision::Int8 => {
                 let mut lo = vec![f32::INFINITY; dim];
                 let mut hi = vec![f32::NEG_INFINITY; dim];

@@ -43,7 +43,7 @@ pub use distmult::DistMult;
 pub use embedding::EmbeddingTable;
 pub use engine::ScoringEngine;
 pub use factory::{build_model, ModelKind};
-pub use io::{load_model, save_model};
+pub use io::{read_model, save_model};
 pub use kernels::{Isa, Precision, QuantizedTable};
 pub use model::{KgcModel, TrainableModel};
 pub use negative::{NegativeSampler, NegativeSource};

@@ -142,38 +142,27 @@ pub trait TrainableModel: KgcModel {
         lr: f32,
     );
 
-    /// Export all parameter tables in a model-defined stable order (for
-    /// persistence; see [`crate::io`]). Empty = persistence unsupported.
-    fn export_tables(&self) -> Vec<Vec<f32>> {
-        Vec::new()
-    }
+    /// Every parameter table, borrowed, in a model-defined stable order:
+    /// what [`crate::io`] writes, with the lengths
+    /// [`crate::ModelKind::table_lens`] predicts.
+    fn param_tables(&self) -> Vec<&[f32]>;
 
-    /// Restore parameters exported by [`TrainableModel::export_tables`].
-    fn import_tables(&mut self, _tables: &[Vec<f32>]) -> Result<(), String> {
-        Err("persistence not supported by this model".into())
-    }
+    /// [`TrainableModel::param_tables`], writable: what a snapshot load
+    /// reads into.
+    fn param_tables_mut(&mut self) -> Vec<&mut [f32]>;
 }
 
-/// Helper for implementing `export_tables`/`import_tables` over a fixed set
-/// of embedding tables.
+/// Implements `param_tables`/`param_tables_mut` over a fixed list of
+/// embedding-table fields.
 #[macro_export]
 macro_rules! impl_persistence_tables {
     ($($field:ident),+ $(,)?) => {
-        fn export_tables(&self) -> Vec<Vec<f32>> {
-            vec![$(self.$field.as_slice().to_vec()),+]
+        fn param_tables(&self) -> Vec<&[f32]> {
+            vec![$(self.$field.as_slice()),+]
         }
 
-        fn import_tables(&mut self, tables: &[Vec<f32>]) -> Result<(), String> {
-            let expected = [$(stringify!($field)),+].len();
-            if tables.len() != expected {
-                return Err(format!("expected {expected} tables, got {}", tables.len()));
-            }
-            let mut it = tables.iter();
-            $(
-                $crate::io::copy_table(&mut self.$field, it.next().unwrap())
-                    .map_err(|e| format!(concat!(stringify!($field), ": {}"), e))?;
-            )+
-            Ok(())
+        fn param_tables_mut(&mut self) -> Vec<&mut [f32]> {
+            vec![$(self.$field.as_mut_slice()),+]
         }
     };
 }

@@ -21,15 +21,14 @@ use kg_core::triple::QuerySide;
 use kg_core::{EntityId, KgError, RelationId, Triple};
 
 use crate::factory::ModelKind;
-use crate::io::ModelSnapshot;
 use crate::kernels::{Combine, Precision, QuantizedTable};
-use crate::model::KgcModel;
+use crate::model::{KgcModel, TrainableModel};
 use crate::{ComplEx, DistMult, Rescal, RotatE, TransE};
 
 /// A trained model re-materialised for serving with quantized entity
-/// storage. Built from a [`ModelSnapshot`] via
-/// [`QuantizedModel::from_snapshot`]; supports the full scoring surface
-/// but not training.
+/// storage. Built from an exact model's tables via
+/// [`QuantizedModel::from_model`]; supports the full scoring surface but
+/// not training.
 pub struct QuantizedModel {
     kind: ModelKind,
     dim: usize,
@@ -43,19 +42,23 @@ pub struct QuantizedModel {
 }
 
 impl QuantizedModel {
-    /// Quantize a snapshot's entity table to `precision`.
+    /// Quantize the entity table of `model`, a `kind`, to `precision`,
+    /// reading its tables where they are.
     ///
-    /// Errors when `precision` is [`Precision::F32`] (nothing to do — load
+    /// Errors when `precision` is [`Precision::F32`] (nothing to do — serve
     /// the exact model instead), when the family has no quantized scoring
-    /// path (TuckER, ConvE), or when the snapshot's tables do not have the
-    /// shape the family declares.
-    pub fn from_snapshot(snapshot: &ModelSnapshot, precision: Precision) -> Result<Self, KgError> {
+    /// path (TuckER, ConvE), or when the model's tables do not have the
+    /// shape `kind` declares.
+    pub fn from_model(
+        model: &dyn TrainableModel,
+        kind: ModelKind,
+        precision: Precision,
+    ) -> Result<Self, KgError> {
         let fail = |msg: String| KgError::InvalidInput(format!("quantized load: {msg}"));
         if !precision.is_quantized() {
             return Err(fail("precision f32 is not a quantized representation".into()));
         }
-        let kind = snapshot.kind;
-        let dim = snapshot.dim;
+        let dim = model.dim();
         let rel_stride = match kind {
             ModelKind::TransE | ModelKind::DistMult | ModelKind::ComplEx => dim,
             ModelKind::Rescal => dim * dim,
@@ -68,37 +71,35 @@ impl QuantizedModel {
             }
         };
         if dim == 0 {
-            return Err(fail("snapshot has dim 0".into()));
+            return Err(fail("model has dim 0".into()));
         }
-        if snapshot.tables.len() < 2 {
+        let tables = model.param_tables();
+        let &[ents, rels] = tables.as_slice() else {
             return Err(fail(format!(
-                "{} snapshot needs entity + relation tables, got {}",
+                "{} needs entity + relation tables, got {}",
                 kind.name(),
-                snapshot.tables.len()
+                tables.len()
+            )));
+        };
+        let (num_entities, num_relations) = (model.num_entities(), model.num_relations());
+        if ents.len() != num_entities * dim {
+            return Err(fail(format!(
+                "entity table length {} != {num_entities} entities × dim {dim}",
+                ents.len()
             )));
         }
-        let ents = &snapshot.tables[0];
-        let rels = &snapshot.tables[1];
-        if ents.len() != snapshot.num_entities * dim {
+        if rels.len() != num_relations * rel_stride {
             return Err(fail(format!(
-                "entity table length {} != {} entities × dim {dim}",
-                ents.len(),
-                snapshot.num_entities
-            )));
-        }
-        if rels.len() != snapshot.num_relations * rel_stride {
-            return Err(fail(format!(
-                "relation table length {} != {} relations × stride {rel_stride}",
-                rels.len(),
-                snapshot.num_relations
+                "relation table length {} != {num_relations} relations × stride {rel_stride}",
+                rels.len()
             )));
         }
         Ok(QuantizedModel {
             kind,
             dim,
-            num_relations: snapshot.num_relations,
+            num_relations,
             entities: QuantizedTable::from_rows(ents, dim, precision),
-            relations: rels.clone(),
+            relations: rels.to_vec(),
             rel_stride,
         })
     }
@@ -205,11 +206,17 @@ impl KgcModel for QuantizedModel {
 mod tests {
     use super::*;
     use crate::factory::build_model;
-    use crate::io::snapshot_model;
 
-    fn snapshot_for(kind: ModelKind, dim: usize) -> ModelSnapshot {
-        let model = build_model(kind, 10, 3, dim, 99);
-        snapshot_model(model.as_ref(), kind).unwrap()
+    fn model_for(kind: ModelKind, dim: usize) -> Box<dyn TrainableModel> {
+        build_model(kind, 10, 3, dim, 99)
+    }
+
+    fn quantize(
+        kind: ModelKind,
+        dim: usize,
+        precision: Precision,
+    ) -> Result<QuantizedModel, KgError> {
+        QuantizedModel::from_model(model_for(kind, dim).as_ref(), kind, precision)
     }
 
     const QUANT_KINDS: [ModelKind; 5] = [
@@ -224,10 +231,9 @@ mod tests {
     fn quantized_tracks_f32_scores_within_budget() {
         for kind in QUANT_KINDS {
             let dim = if kind == ModelKind::Rescal { 8 } else { 12 };
-            let snap = snapshot_for(kind, dim);
-            let exact = crate::io::model_from_snapshot(&snap).unwrap();
+            let exact = model_for(kind, dim);
             for precision in [Precision::F16, Precision::Int8] {
-                let quant = QuantizedModel::from_snapshot(&snap, precision).unwrap();
+                let quant = QuantizedModel::from_model(exact.as_ref(), kind, precision).unwrap();
                 assert_eq!(quant.precision(), precision);
                 assert_eq!(quant.name(), exact.name());
                 let n = quant.num_entities();
@@ -255,8 +261,7 @@ mod tests {
     fn range_and_candidate_scorers_match_full_pass() {
         for kind in QUANT_KINDS {
             let dim = if kind == ModelKind::Rescal { 8 } else { 12 };
-            let snap = snapshot_for(kind, dim);
-            let quant = QuantizedModel::from_snapshot(&snap, Precision::Int8).unwrap();
+            let quant = quantize(kind, dim, Precision::Int8).unwrap();
             let n = quant.num_entities();
             let mut full = vec![0.0f32; n];
             let query = Triple::new(0, 0, 7);
@@ -281,11 +286,12 @@ mod tests {
 
     #[test]
     fn unsupported_families_and_precisions_are_rejected() {
-        let snap = snapshot_for(ModelKind::TuckEr, 8);
-        assert!(QuantizedModel::from_snapshot(&snap, Precision::Int8).is_err());
-        let snap = snapshot_for(ModelKind::ConvE, 16);
-        assert!(QuantizedModel::from_snapshot(&snap, Precision::F16).is_err());
-        let snap = snapshot_for(ModelKind::TransE, 8);
-        assert!(QuantizedModel::from_snapshot(&snap, Precision::F32).is_err());
+        assert!(quantize(ModelKind::TuckEr, 8, Precision::Int8).is_err());
+        assert!(quantize(ModelKind::ConvE, 16, Precision::F16).is_err());
+        assert!(quantize(ModelKind::TransE, 8, Precision::F32).is_err());
+        // A model quantized as a family it is not has the wrong tables.
+        let rescal = model_for(ModelKind::Rescal, 8);
+        assert!(QuantizedModel::from_model(rescal.as_ref(), ModelKind::DistMult, Precision::Int8)
+            .is_err());
     }
 }

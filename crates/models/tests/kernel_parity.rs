@@ -13,7 +13,7 @@
 use kg_core::sample::seeded_rng;
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, RelationId, Triple};
-use kg_models::io::snapshot_model;
+use kg_models::io::{read_model, save_model};
 use kg_models::kernels::{self, Combine, Isa};
 use kg_models::trainer::{train_epoch, TrainConfig};
 use kg_models::{
@@ -255,7 +255,6 @@ fn quantized_accuracy_budget_on_trained_model() {
     for _ in 0..40 {
         train_epoch(model.as_mut(), &triples, &TrainConfig::default(), &mut rng);
     }
-    let snap = snapshot_model(model.as_ref(), ModelKind::DistMult).unwrap();
 
     // Optimistic rank of the true tail under full ranking.
     let rank_of = |m: &dyn kg_models::KgcModel, t: &Triple| -> usize {
@@ -277,7 +276,8 @@ fn quantized_accuracy_budget_on_trained_model() {
     for (precision, mrr_tol, hits_tol, disp_tol) in
         [(Precision::F16, 0.005, 0.05, 1usize), (Precision::Int8, 0.05, 0.10, 4usize)]
     {
-        let quant = QuantizedModel::from_snapshot(&snap, precision).unwrap();
+        let quant =
+            QuantizedModel::from_model(model.as_ref(), ModelKind::DistMult, precision).unwrap();
         let (mrr_q, hits3_q, ranks_q) = stats(&quant);
         assert!(
             (mrr_f32 - mrr_q).abs() <= mrr_tol,
@@ -305,8 +305,10 @@ fn quantized_accuracy_budget_on_trained_model() {
 fn precision_is_explicit_and_force_clamps() {
     let model = build_model(ModelKind::ComplEx, 8, 2, 8, 1);
     assert_eq!(model.precision(), Precision::F32);
-    let snap = snapshot_model(model.as_ref(), ModelKind::ComplEx).unwrap();
-    assert_eq!(snap.precision_hint, Precision::F32);
+    let mut saved = Vec::new();
+    save_model(model.as_ref(), ModelKind::ComplEx, &mut saved).unwrap();
+    let loaded = read_model(&mut saved.as_slice(), saved.len() as u64).unwrap();
+    assert_eq!(loaded.precision_hint, Precision::F32);
     for isa in kernels::available() {
         assert!(kernels::is_available(isa));
     }

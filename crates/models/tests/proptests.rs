@@ -3,9 +3,9 @@
 
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, Triple};
-use kg_models::io::snapshot_model;
+use kg_models::io::{read_model, save_model};
 use kg_models::loss::{loss_and_coeffs, sigmoid, softplus, LossKind};
-use kg_models::{build_model, KgcModel, ModelKind, Precision, QuantizedModel};
+use kg_models::{build_model, KgcModel, ModelKind, Precision, QuantizedModel, TrainableModel};
 use proptest::prelude::*;
 
 fn kind_strategy() -> impl Strategy<Value = ModelKind> {
@@ -18,6 +18,35 @@ fn kind_strategy() -> impl Strategy<Value = ModelKind> {
         Just(ModelKind::TuckEr),
         Just(ModelKind::ConvE),
     ]
+}
+
+/// The file header (v2: 33 bytes) plus the first table's length word.
+const SNAPSHOT_HEADER: usize = 33 + 8;
+
+/// A small model of `kind` and the bytes `save_model` writes for it.
+fn saved_snapshot(kind: ModelKind, seed: u64) -> (Box<dyn TrainableModel>, Vec<u8>) {
+    let dim = if kind == ModelKind::ConvE { 8 } else { 4 };
+    let model = build_model(kind, 5, 2, dim, seed);
+    let mut bytes = Vec::new();
+    save_model(model.as_ref(), kind, &mut bytes).unwrap();
+    (model, bytes)
+}
+
+/// Whether `raw` is refused, or else loads exactly `source`'s shape and
+/// table bits. A panic inside `read_model` fails the test either way.
+fn refused_or_identical(raw: &[u8], source: &dyn TrainableModel) -> Result<(), String> {
+    let Ok(loaded) = read_model(&mut &raw[..], raw.len() as u64) else {
+        return Ok(());
+    };
+    let m = loaded.model;
+    let shape = |m: &dyn TrainableModel| (m.num_entities(), m.num_relations(), m.dim());
+    let bits = |m: &dyn TrainableModel| -> Vec<Vec<u32>> {
+        m.param_tables().iter().map(|t| t.iter().map(|v| v.to_bits()).collect()).collect()
+    };
+    if shape(m.as_ref()) != shape(source) || bits(m.as_ref()) != bits(source) {
+        return Err(format!("{} bytes loaded a different model", raw.len()));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -42,14 +71,14 @@ proptest! {
             _ => 12,
         };
         let exact = build_model(kind, n, 3, dim, seed);
-        let snapshot = snapshot_model(exact.as_ref(), kind).unwrap();
-        let mut models: Vec<Box<dyn KgcModel>> = vec![exact];
+        let mut models: Vec<Box<dyn KgcModel>> = Vec::new();
         for precision in [Precision::F16, Precision::Int8] {
             // TuckER and ConvE have no quantized scoring path.
-            if let Ok(quant) = QuantizedModel::from_snapshot(&snapshot, precision) {
+            if let Ok(quant) = QuantizedModel::from_model(exact.as_ref(), kind, precision) {
                 models.push(Box::new(quant));
             }
         }
+        models.insert(0, exact);
         let mut bounds = cuts;
         bounds.extend([0, n]);
         bounds.sort_unstable();
@@ -110,6 +139,41 @@ proptest! {
         model.step_group(pos, QuerySide::Head, &[pos.head, EntityId(2)], &[0.0, 0.0], 0.1);
         let after = model.score(pos.head, pos.relation, pos.tail);
         prop_assert_eq!(before, after, "{}", kind.name());
+    }
+
+    /// Adversarial snapshot bytes: a valid snapshot of every family cut at
+    /// every header offset and at a random payload offset is refused, and
+    /// one with any single header byte flipped is refused or loads the very
+    /// same tables (a flipped precision hint, or a kind tag naming a family
+    /// of the same shape) — never a panic, never a different model.
+    #[test]
+    fn hostile_snapshot_bytes_are_refused_or_load_the_source_exactly(
+        kind in kind_strategy(),
+        seed in 0u64..50,
+        payload_cut in 0usize..1 << 16,
+        flip in 1u8..=255,
+    ) {
+        let (source, bytes) = saved_snapshot(kind, seed);
+        let len = bytes.len() as u64;
+        prop_assert!(read_model(&mut &bytes[..], len).is_ok());
+        let payload_cut = SNAPSHOT_HEADER + payload_cut % (bytes.len() - SNAPSHOT_HEADER);
+        for cut in (0..SNAPSHOT_HEADER).chain([payload_cut]) {
+            let short = &bytes[..cut];
+            // Cut honestly (the length says so) and dishonestly (the
+            // stream ends before the length it claims).
+            for claimed in [cut as u64, len] {
+                prop_assert!(
+                    read_model(&mut &short[..], claimed).is_err(),
+                    "{} cut at {}/{} claiming {} loaded", kind.name(), cut, len, claimed
+                );
+            }
+        }
+        for at in 0..SNAPSHOT_HEADER {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= flip;
+            let verdict = refused_or_identical(&flipped, source.as_ref());
+            prop_assert!(verdict.is_ok(), "{} byte {} ^ {:#x}: {:?}", kind.name(), at, flip, verdict);
+        }
     }
 
     #[test]

@@ -592,21 +592,20 @@ impl ModelRegistry {
 
     /// Load a snapshot at the precision the deployment resolves to:
     /// explicit `request` > [`RegistryConfig::precision`] > the snapshot's
-    /// own hint. Quantized precisions build a [`QuantizedModel`] (entity
-    /// table re-encoded at load; the file always stores f32), which fails
+    /// own hint. Quantized precisions build a [`QuantizedModel`] from the
+    /// loaded model's tables (the file always stores f32), which fails
     /// loudly for families without a quantized scoring path.
     fn load_serving_model(
         &self,
         path: impl AsRef<std::path::Path>,
         request: Option<Precision>,
     ) -> Result<Arc<dyn KgcModel>, kg_core::KgError> {
-        let snapshot = kg_models::io::read_snapshot_from_path(path)?;
-        let precision = request.or(self.config.precision).unwrap_or(snapshot.precision_hint);
+        let loaded = kg_models::io::read_model_from_path(path)?;
+        let precision = request.or(self.config.precision).unwrap_or(loaded.precision_hint);
         if precision.is_quantized() {
-            Ok(Arc::new(QuantizedModel::from_snapshot(&snapshot, precision)?))
+            Ok(Arc::new(QuantizedModel::from_model(loaded.model.as_ref(), loaded.kind, precision)?))
         } else {
-            let model = kg_models::io::model_from_snapshot(&snapshot)?;
-            Ok(Arc::from(model as Box<dyn KgcModel>))
+            Ok(Arc::from(loaded.model as Box<dyn KgcModel>))
         }
     }
 

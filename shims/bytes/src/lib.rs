@@ -1,6 +1,7 @@
-//! In-tree, std-only stand-in for the `bytes` crate: just enough of
-//! `Buf`/`BufMut`/`Bytes`/`BytesMut` for the model-snapshot codec in
-//! `kg_models::io` (little-endian scalar puts/gets over `Vec<u8>`).
+//! In-tree, std-only stand-in for the `bytes` crate: little-endian scalar
+//! puts/gets over `Vec<u8>` behind `Buf`/`BufMut`/`Bytes`/`BytesMut`.
+//! No workspace code calls it; `kg-models` still lists it because
+//! dropping that line rewrites the frozen `perf/Cargo.lock`.
 
 /// Read side: a cursor over immutable bytes.
 pub trait Buf {

@@ -430,6 +430,65 @@ fn admin_hot_reload_swaps_the_model_without_downtime() {
     fx.server.shutdown();
 }
 
+/// A snapshot whose header disagrees with what its family can build is a
+/// 422 with the reason, and the model already registered keeps serving.
+/// (These headers used to reach the model constructor unchecked: a panic,
+/// hence a 500, for the first two, and an 8 TiB allocation that aborted
+/// the process for the third.)
+#[test]
+fn admin_reload_of_a_hostile_snapshot_header_is_a_422_and_the_server_keeps_serving() {
+    let fx = Fixture::start();
+    let addr = fx.server.addr();
+    // Format-2 header: magic, version, kind tag, f32 hint, shape, table count.
+    let header = |kind_tag: u8, [ne, nr, dim]: [u64; 3], n_tables: u8| {
+        let mut raw = b"KGEV".to_vec();
+        raw.extend(2u16.to_le_bytes());
+        raw.extend([kind_tag, 0]);
+        for field in [ne, nr, dim] {
+            raw.extend(field.to_le_bytes());
+        }
+        raw.push(n_tables);
+        raw
+    };
+    let mut odd_rotate = header(4, [2, 1, 3], 2);
+    for len in [6u64, 1] {
+        odd_rotate.extend(len.to_le_bytes());
+        odd_rotate.extend(std::iter::repeat_n(0u8, 4 * len as usize));
+    }
+    let mut conve_dim_5 = header(6, [2, 1, 5], 7);
+    conve_dim_5.extend([0u8; 64]);
+    let mut huge = header(0, [1 << 36, 1, 32], 2);
+    huge.extend((32u64 << 36).to_le_bytes());
+
+    let dir = std::env::temp_dir().join(format!("kg-serve-http-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let t = fx.test[0];
+    let score_body =
+        format!("{{\"model\":\"m\",\"triples\":[[{},{},{}]]}}", t.head.0, t.relation.0, t.tail.0);
+    let want = fx.model.score(t.head, t.relation, t.tail).to_bits();
+    for (file, bytes, reason) in [
+        ("rotate.kgev", odd_rotate, "RotatE needs an even dimension, got 3"),
+        ("conve.kgev", conve_dim_5, "ConvE dim must be a positive multiple of 4, got 5"),
+        ("huge.kgev", huge, "truncated table payload"),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, bytes).unwrap();
+        let reload = format!("{{\"name\":\"m\",\"path\":\"{}\"}}", path.display());
+        let (status, response) = client::post_json(addr, "/admin/models", &reload).unwrap();
+        assert_eq!(status, 422, "{file}: {response}");
+        assert!(response.contains(reason), "{file}: {response}");
+        let (status, response) = client::post_json(addr, "/score", &score_body).unwrap();
+        assert_eq!(status, 200, "after {file}: {response}");
+        let served = Json::parse(&response).unwrap().get("scores").and_then(Json::as_array).unwrap()
+            [0]
+        .as_f64()
+        .unwrap() as f32;
+        assert_eq!(served.to_bits(), want, "after {file}: the old model still serves");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    fx.server.shutdown();
+}
+
 #[test]
 fn keepalive_connection_reuses_one_socket_and_matches_fresh_connections() {
     let fx = Fixture::start();
