@@ -30,6 +30,7 @@ pub mod sparse;
 pub mod stats;
 pub mod timing;
 pub mod topk;
+mod trie;
 pub mod triple;
 pub mod types;
 pub mod vocab;

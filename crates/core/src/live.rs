@@ -11,6 +11,9 @@
 //! base and every list the delta did not change by `Arc`, so readers
 //! holding the previous index are never blocked or disturbed — the same
 //! atomic-flip discipline the serving registry uses for hot model reloads.
+//! The touched keys live in persistent hash tries, so the new index copies
+//! only the trie nodes above the keys the delta changes: a write costs
+//! O(delta · log keys), not the graph's history.
 //!
 //! [`LiveGraph`] wraps the flip: a writer applies deltas one at a time
 //! under a mutex, while readers take a snapshot (one brief `RwLock` read,
@@ -35,13 +38,12 @@
 //! the graph carried between the reader taking `s` and getting its reply.
 
 use std::borrow::Cow;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::fxhash::FxHashMap;
 use crate::ids::{EntityId, RelationId};
 use crate::index::FilterIndex;
+use crate::trie::HashTrie;
 use crate::triple::{QuerySide, Triple};
 
 /// A batch of writes against a live graph.
@@ -99,27 +101,30 @@ struct Owned {
 }
 
 /// The touched keys of one direction (tail keys or head keys).
-type Overlay<K> = FxHashMap<K, Owned>;
+type Overlay<K> = HashTrie<K, Owned>;
 
-/// The lists one `apply` is editing, keyed like an [`Overlay`].
-type Working<K> = FxHashMap<K, Vec<EntityId>>;
-
-/// Make `e` a member of sorted `list`, or not one.
-fn set_member(list: &mut Vec<EntityId>, e: EntityId, member: bool) {
-    match (list.binary_search(&e), member) {
-        (Err(i), true) => list.insert(i, e),
-        (Ok(i), false) => {
-            list.remove(i);
+/// Sorted `answers` with sorted `changes` applied — `(e, true)` adds an
+/// absent `e`, `(e, false)` removes a present one — built in the reusable
+/// `scratch` and allocated once.
+fn edited(
+    scratch: &mut Vec<EntityId>,
+    answers: &[EntityId],
+    changes: impl IntoIterator<Item = (EntityId, bool)>,
+) -> Arc<[EntityId]> {
+    scratch.clear();
+    let mut rest = answers;
+    for (e, add) in changes {
+        let at = rest.partition_point(|&x| x < e);
+        scratch.extend_from_slice(&rest[..at]);
+        if add {
+            scratch.push(e);
+            rest = &rest[at..];
+        } else {
+            rest = &rest[at + 1..];
         }
-        _ => {}
     }
-}
-
-/// Freeze the lists a delta edited into `overlay`, stamped `version`.
-fn freeze<K: Hash + Eq>(overlay: &mut Overlay<K>, working: Working<K>, version: u64) {
-    overlay.extend(
-        working.into_iter().map(|(k, v)| (k, Owned { answers: v.into(), changed_at: version })),
-    );
+    scratch.extend_from_slice(rest);
+    Arc::from(&scratch[..])
 }
 
 /// A delta-aware known-triple index: a frozen base snapshot plus, for each
@@ -224,15 +229,15 @@ impl LiveFilterIndex {
     /// Visit every known-true triple (order unspecified).
     pub fn for_each_triple(&self, mut f: impl FnMut(Triple)) {
         self.base.for_each_triple(|t| {
-            if !self.tails.contains_key(&t.hr()) {
+            if self.tails.get(&t.hr()).is_none() {
                 f(t);
             }
         });
-        for (&(h, r), owned) in &self.tails {
+        self.tails.for_each(|&(h, r), owned| {
             for &t in owned.answers.iter() {
                 f(Triple { head: h, relation: r, tail: t });
             }
-        }
+        });
     }
 
     /// A [`FilterIndex`] over exactly this index's triple set — the
@@ -245,40 +250,64 @@ impl LiveFilterIndex {
     }
 
     /// This index with `delta` applied (inserts first, then deletes), and
-    /// what changed. Each key an effective write names gets one working
-    /// copy of its list, edited in place and frozen at the new version;
-    /// the base and every other list are shared — `self` is untouched, so
-    /// readers holding it are undisturbed.
+    /// what changed — in one pass grouped by key. The operations are
+    /// sorted by triple, so each tail key's operations are contiguous and
+    /// each triple's inserts precede its deletes; which of them take effect
+    /// is decided against that key's one list, and the key's new list is
+    /// built once at the new version, in the same walk of the trie. The
+    /// head-keyed lists are built the same way from the operations that
+    /// took effect. The base and every other list are shared — `self` is
+    /// untouched, so readers holding it are undisturbed.
     pub fn apply(&self, delta: &GraphDelta) -> (LiveFilterIndex, ApplyOutcome) {
-        let mut tails: Working<(EntityId, RelationId)> = Working::default();
-        let mut heads: Working<(RelationId, EntityId)> = Working::default();
-        let (mut inserted, mut deleted) = (0usize, 0usize);
-        let passes = [(true, &delta.insert, &mut inserted), (false, &delta.delete, &mut deleted)];
-        for (member, triples, effective) in passes {
-            for &t in triples {
-                let present = match tails.get(&t.hr()) {
-                    Some(list) => list.binary_search(&t.tail).is_ok(),
-                    None => self.contains(t),
-                };
-                if present == member {
-                    continue;
-                }
-                let list = tails
-                    .entry(t.hr())
-                    .or_insert_with(|| self.known_tails(t.head, t.relation).to_vec());
-                set_member(list, t.tail, member);
-                let list = heads
-                    .entry(t.rt())
-                    .or_insert_with(|| self.known_heads(t.relation, t.tail).to_vec());
-                set_member(list, t.head, member);
-                *effective += 1;
-            }
-        }
+        let mut ops = Vec::with_capacity(delta.insert.len() + delta.delete.len());
+        ops.extend(delta.insert.iter().map(|&t| (t, true)));
+        ops.extend(delta.delete.iter().map(|&t| (t, false)));
+        // Stable, so a triple's inserts stay before its deletes.
+        ops.sort_by_key(|&(t, _)| t);
+        // Any key stamped below is stamped by an effective operation, which
+        // makes this the new version.
+        let stamp = self.version + 1;
         let mut next = self.clone();
+        let mut scratch = Vec::new();
+        // Triples an operation took effect on, with the membership change
+        // (`None` when an insert and a delete of an absent triple cancel).
+        let mut effective: Vec<(Triple, Option<bool>)> = Vec::with_capacity(ops.len());
+        let (mut inserted, mut deleted) = (0usize, 0usize);
+        for key_ops in ops.chunk_by(|a, b| a.0.hr() == b.0.hr()) {
+            let (h, r) = key_ops[0].0.hr();
+            next.tails.update((h, r), |owned| {
+                let answers = owned.map_or_else(|| self.base.known_tails(h, r), |o| &o.answers);
+                let first = effective.len();
+                for triple_ops in key_ops.chunk_by(|a, b| a.0 == b.0) {
+                    let t = triple_ops[0].0;
+                    let present = answers.binary_search(&t.tail).is_ok();
+                    let insert = triple_ops[0].1 && !present;
+                    let delete = !triple_ops[triple_ops.len() - 1].1 && (present || insert);
+                    inserted += usize::from(insert);
+                    deleted += usize::from(delete);
+                    if insert || delete {
+                        effective.push((t, (insert != delete).then_some(insert)));
+                    }
+                }
+                let changes = effective[first..].iter().filter_map(|&(t, c)| Some((t.tail, c?)));
+                let touched = effective.len() > first;
+                touched.then(|| Owned {
+                    answers: edited(&mut scratch, answers, changes),
+                    changed_at: stamp,
+                })
+            });
+        }
+        effective.sort_unstable_by_key(|&(t, _)| (t.relation, t.tail, t.head));
+        for key_effects in effective.chunk_by(|a, b| a.0.rt() == b.0.rt()) {
+            let (r, t) = key_effects[0].0.rt();
+            let changes = key_effects.iter().filter_map(|&(t, c)| Some((t.head, c?)));
+            next.heads.update((r, t), |owned| {
+                let answers = owned.map_or_else(|| self.base.known_heads(r, t), |o| &o.answers);
+                Some(Owned { answers: edited(&mut scratch, answers, changes), changed_at: stamp })
+            });
+        }
         next.version += u64::from(inserted + deleted > 0);
         next.len = self.len + inserted - deleted;
-        freeze(&mut next.tails, tails, next.version);
-        freeze(&mut next.heads, heads, next.version);
         let outcome = ApplyOutcome { version: next.version, inserted, deleted, len: next.len };
         (next, outcome)
     }

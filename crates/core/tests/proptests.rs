@@ -74,6 +74,14 @@ fn assert_filter_matches(idx: &FilterIndex, reference: &BTreeSet<Triple>) {
     assert_eq!(visited, reference.iter().copied().collect::<Vec<_>>(), "each triple exactly once");
 }
 
+/// `t`'s query key on `side`, tagged with the side (`true` = tail query).
+fn query_key(t: Triple, side: QuerySide) -> (bool, u32, u32) {
+    match side {
+        QuerySide::Tail => (true, t.head.0, t.relation.0),
+        QuerySide::Head => (false, t.relation.0, t.tail.0),
+    }
+}
+
 proptest! {
     #[test]
     fn transpose_is_involution(d in matrix_strategy(9)) {
@@ -273,7 +281,9 @@ proptest! {
         base in proptest::collection::vec((0u32..8, 0u32..3, 0u32..8), 0..40),
         deltas in proptest::collection::vec(
             (proptest::collection::vec((0u32..8, 0u32..3, 0u32..8), 0..10),
-             proptest::collection::vec((0u32..8, 0u32..3, 0u32..8), 0..10)),
+             proptest::collection::vec((0u32..8, 0u32..3, 0u32..8), 0..10),
+             0usize..4,
+             0usize..4),
             0..6,
         ),
     ) {
@@ -282,20 +292,54 @@ proptest! {
         let base_triples = to_triples(&base);
         let mut live =
             LiveFilterIndex::from_base(std::sync::Arc::new(FilterIndex::from_slices(&[&base_triples])));
-        // Naive model of the contract: a set with inserts applied before
-        // deletes within each delta (a triple named in both ends absent).
+        // Naive per-triple model of the contract: a set with inserts applied
+        // before deletes within each delta (a triple named in both ends
+        // absent), and per query key the version of the last delta in which
+        // an effective operation named it (0 = never).
         let mut naive: std::collections::HashSet<Triple> = base_triples.iter().copied().collect();
-        for (ins, del) in &deltas {
-            let delta = GraphDelta::new(to_triples(ins), to_triples(del));
+        let mut stamps: std::collections::HashMap<(bool, u32, u32), u64> = Default::default();
+        // Every snapshot taken so far, with what it answered when taken.
+        let mut history = vec![(live.clone(), naive.clone(), stamps.clone())];
+        for (ins, del, dup, echo) in &deltas {
+            // `dup` inserts named twice, and `echo` inserts deleted again,
+            // within the same delta.
+            let mut insert = to_triples(ins);
+            insert.extend_from_within(..(*dup).min(insert.len()));
+            let mut delete = to_triples(del);
+            delete.extend_from_slice(&insert[..(*echo).min(insert.len())]);
+            let delta = GraphDelta::new(insert, delete);
             let (next, outcome) = live.apply(&delta);
-            live = next;
-            for t in &delta.insert {
-                naive.insert(*t);
+            let inserted: Vec<Triple> = delta.insert.iter().copied().filter(|&t| naive.insert(t)).collect();
+            let deleted: Vec<Triple> = delta.delete.iter().copied().filter(|t| naive.remove(t)).collect();
+            let changed = !inserted.is_empty() || !deleted.is_empty();
+            for &t in inserted.iter().chain(&deleted) {
+                for side in QuerySide::BOTH {
+                    stamps.insert(query_key(t, side), live.version() + 1);
+                }
             }
-            for t in &delta.delete {
-                naive.remove(t);
-            }
+            prop_assert_eq!((outcome.inserted, outcome.deleted), (inserted.len(), deleted.len()));
             prop_assert_eq!(outcome.len, naive.len());
+            prop_assert_eq!(outcome.version, live.version() + u64::from(changed));
+            live = next;
+            history.push((live.clone(), naive.clone(), stamps.clone()));
+            for (at, (snapshot, set, stamps)) in history.iter().enumerate() {
+                prop_assert_eq!(snapshot.len(), set.len());
+                for h in 0..8u32 {
+                    for r in 0..3u32 {
+                        for t in 0..8u32 {
+                            let tri = Triple::new(h, r, t);
+                            prop_assert_eq!(snapshot.contains(tri), set.contains(&tri), "snapshot {}: {:?}", at, tri);
+                            for side in QuerySide::BOTH {
+                                prop_assert_eq!(
+                                    snapshot.answers_changed_at(tri, side),
+                                    stamps.get(&query_key(tri, side)).copied().unwrap_or(0),
+                                    "snapshot {}: {:?} {:?}", at, tri, side
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
         prop_assert_eq!(live.len(), naive.len());
         // The load-bearing contract: the overlay index answers exactly like

@@ -21,6 +21,7 @@
 //! (inserted triples join it, deleted triples leave it) and wakes the
 //! thread.
 
+use std::collections::HashSet;
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread;
 use std::time::Duration;
@@ -35,8 +36,9 @@ use crate::registry::{ModelRegistry, SampleKey};
 #[derive(Clone, Debug)]
 pub struct MonitorConfig {
     /// Initial held-out window (typically the validation split). Inserted
-    /// triples are appended, deleted triples removed, and the window is
-    /// truncated from the *front* (oldest first) at `capacity`.
+    /// triples not already held are appended, then deleted triples
+    /// removed, and the window is truncated from the *front* (oldest
+    /// first) at `capacity`.
     pub window: Vec<Triple>,
     /// Maximum held-out triples kept (minimum 1).
     pub capacity: usize,
@@ -243,15 +245,7 @@ impl Monitor {
     /// entries beyond capacity.
     pub fn on_delta(&self, delta: &GraphDelta) {
         let mut state = self.shared.state.lock().unwrap();
-        if !delta.delete.is_empty() {
-            state.window.retain(|t| !delta.delete.contains(t));
-        }
-        state.window.extend(delta.insert.iter().copied());
-        let capacity = self.shared.config.capacity.max(1);
-        if state.window.len() > capacity {
-            let overflow = state.window.len() - capacity;
-            state.window.drain(..overflow);
-        }
+        slide(&mut state.window, delta, self.shared.config.capacity.max(1));
         state.pending = true;
         drop(state);
         self.shared.cond.notify_all();
@@ -271,6 +265,24 @@ impl Monitor {
     /// Current status snapshot.
     pub fn status(&self) -> MonitorStatus {
         self.shared.status(&self.shared.state.lock().unwrap())
+    }
+}
+
+/// Slide `window` past `delta` in the graph's own order — inserts first
+/// (each triple held once), then deletes — and keep its newest `capacity`
+/// triples: O(window + delta).
+fn slide(window: &mut Vec<Triple>, delta: &GraphDelta, capacity: usize) {
+    if !delta.insert.is_empty() {
+        let mut held: HashSet<Triple> = window.iter().copied().collect();
+        window.extend(delta.insert.iter().copied().filter(|&t| held.insert(t)));
+    }
+    if !delta.delete.is_empty() {
+        let gone: HashSet<Triple> = delta.delete.iter().copied().collect();
+        window.retain(|t| !gone.contains(t));
+    }
+    if window.len() > capacity {
+        let overflow = window.len() - capacity;
+        window.drain(..overflow);
     }
 }
 
@@ -296,5 +308,29 @@ impl Drop for Monitor {
         if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn t(h: u32, r: u32, tail: u32) -> Triple {
+        Triple::new(h, r, tail)
+    }
+
+    #[test]
+    fn a_triple_inserted_and_deleted_in_one_delta_leaves_the_window() {
+        let mut window = vec![t(0, 0, 1)];
+        slide(&mut window, &GraphDelta::new(vec![t(2, 0, 3)], vec![t(2, 0, 3)]), 8);
+        assert_eq!(window, [t(0, 0, 1)]);
+    }
+
+    #[test]
+    fn a_reinserted_triple_is_held_once() {
+        let mut window = vec![t(0, 0, 1), t(1, 0, 2)];
+        let delta = GraphDelta::new(vec![t(0, 0, 1), t(4, 0, 5), t(4, 0, 5)], vec![]);
+        slide(&mut window, &delta, 8);
+        assert_eq!(window, [t(0, 0, 1), t(1, 0, 2), t(4, 0, 5)]);
     }
 }
