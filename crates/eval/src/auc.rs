@@ -9,12 +9,24 @@
 //! and the per-query AUCs are averaged. With uniform random negatives this
 //! is the inductive-KGC protocol the paper cites (Teru et al.); with
 //! recommender-guided negatives it scores against *hard* candidates.
+//!
+//! The protocol is the ranking's: the per-query `(higher, ties)` counters
+//! come from the same pass as [`crate::evaluate_sampled`] and compare under
+//! the same order ([`kg_core::topk::cmp_score`], NaN worst), so AUC-PR is
+//! the sampled MRR and ROC-AUC is `(negatives − higher − ties/2) /
+//! negatives`.
 
-use kg_core::{EntityId, FilterIndex, Triple};
+use std::cmp::Ordering;
+
+use kg_core::partial::PartialRankCounts;
+use kg_core::topk::cmp_score;
+use kg_core::{EntityId, KnownIndex, Triple};
 use kg_models::KgcModel;
 use kg_recommend::SampledCandidates;
 
-use crate::sampled::{grouped_pass, PreparedQuery, TileFold};
+use crate::ranker::queries_of;
+use crate::sampled::sampled_counts;
+use crate::{RankingMetrics, TieBreak};
 
 /// Aggregated classification metrics over all queries.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -23,100 +35,80 @@ pub struct AucMetrics {
     /// sampled negative; ties count half).
     pub roc_auc: f64,
     /// Mean per-query average precision with a single positive:
-    /// `1 / rank` of the positive among the candidates — which is why the
-    /// paper's MRR and AUC-PR coincide in the single-positive setting.
+    /// `1 / rank` of the positive among the candidates (mean tie-break) —
+    /// the sampled MRR of [`crate::evaluate_sampled`] under
+    /// [`TieBreak::Mean`], bit for bit.
     pub auc_pr: f64,
     /// Number of queries aggregated.
     pub count: usize,
 }
 
-/// How one positive score compares with its negatives (IEEE comparisons:
-/// a NaN on either side is neither a win, a tie nor a loss).
-#[derive(Clone, Copy, Debug, Default)]
-struct Comparisons {
-    negatives: usize,
-    lower: usize,
-    ties: usize,
-    higher: usize,
+/// Mann–Whitney win fraction of a positive with rank counters `c` against
+/// `negatives` negatives, ties counting half; no negatives is perfect.
+fn roc_auc(c: PartialRankCounts, negatives: usize) -> f64 {
+    if negatives == 0 {
+        return 1.0;
+    }
+    (negatives as f64 - c.higher as f64 - c.ties as f64 / 2.0) / negatives as f64
 }
 
-impl Comparisons {
-    fn add(&mut self, positive: f32, negative: f32) {
-        self.negatives += 1;
-        self.lower += usize::from(positive > negative);
-        self.ties += usize::from(positive == negative);
-        self.higher += usize::from(negative > positive);
-    }
-
-    fn of(positive: f32, negatives: &[f32]) -> Self {
-        let mut c = Comparisons::default();
-        negatives.iter().for_each(|&n| c.add(positive, n));
-        c
-    }
-
-    /// Mann–Whitney win fraction, ties counting half.
-    fn roc_auc(&self) -> f64 {
-        if self.negatives == 0 {
-            return 1.0;
-        }
-        (self.lower as f64 + self.ties as f64 / 2.0) / self.negatives as f64
-    }
-
-    /// `1 / rank` of the positive (mean tie-break).
-    fn average_precision(&self) -> f64 {
-        1.0 / (1.0 + self.higher as f64 + self.ties as f64 / 2.0)
-    }
-}
-
-impl TileFold for Comparisons {
-    /// Filtered: candidates that are the answer or known-true are not
-    /// negatives.
-    fn fold_tile(&mut self, query: &PreparedQuery<'_>, candidates: &[EntityId], scores: &[f32]) {
-        for (&c, &s) in candidates.iter().zip(scores) {
-            if c != query.answer && query.known.binary_search(&c).is_err() {
-                self.add(query.s_true, s);
-            }
+/// `(higher, ties)` of `positive` among `negatives` under
+/// [`cmp_score`]'s order, the one every ranking path uses (NaN is the worst
+/// score).
+fn counts_of(positive: f32, negatives: &[f32]) -> PartialRankCounts {
+    let mut c = PartialRankCounts::ZERO;
+    for &n in negatives {
+        match cmp_score(n, positive) {
+            Ordering::Greater => c.higher += 1,
+            Ordering::Equal => c.ties += 1,
+            Ordering::Less => {}
         }
     }
-
-    fn combine(&mut self, other: Self) {
-        self.negatives += other.negatives;
-        self.lower += other.lower;
-        self.ties += other.ties;
-        self.higher += other.higher;
-    }
+    c
 }
 
 /// ROC-AUC of one positive score against negative scores (Mann–Whitney).
 pub fn roc_auc_single(positive: f32, negatives: &[f32]) -> f64 {
-    Comparisons::of(positive, negatives).roc_auc()
+    roc_auc(counts_of(positive, negatives), negatives.len())
 }
 
 /// Average precision with a single positive at (1-based) rank `r` is `1/r`.
 pub fn average_precision_single(positive: f32, negatives: &[f32]) -> f64 {
-    Comparisons::of(positive, negatives).average_precision()
+    let c = counts_of(positive, negatives);
+    1.0 / TieBreak::Mean.rank(c.higher as usize, c.ties as usize)
 }
 
 /// Evaluate ROC-AUC / AUC-PR over `triples` using per-relation candidate
-/// samples as negatives (filtered: known-true candidates are excluded),
-/// through the same column-grouped pass as
-/// [`crate::evaluate_sampled`].
-pub fn evaluate_auc(
+/// samples as negatives (filtered: the answer and known-true candidates are
+/// not negatives): a view of the rank counters of
+/// [`crate::evaluate_sampled`]'s pass, plus each query's filtered-negative
+/// count.
+pub fn evaluate_auc<F: KnownIndex + ?Sized>(
     model: &dyn KgcModel,
     triples: &[Triple],
-    filter: &FilterIndex,
+    filter: &F,
     samples: &SampledCandidates,
     threads: usize,
 ) -> AucMetrics {
-    let per_query: Vec<Comparisons> = grouped_pass(model, triples, filter, samples, threads);
-    if per_query.is_empty() {
+    let counts = sampled_counts(model, triples, filter, samples, threads);
+    if counts.is_empty() {
         return AucMetrics::default();
     }
-    let n = per_query.len() as f64;
+    let roc: f64 = queries_of(triples)
+        .into_iter()
+        .zip(&counts)
+        .map(|((t, side), &c)| {
+            let (answer, known) = (side.answer(t), filter.known_answers(t, side));
+            let negative = |e: &&EntityId| **e != answer && known.binary_search(e).is_err();
+            roc_auc(c, samples.for_query(t.relation, side).iter().filter(negative).count())
+        })
+        .sum();
+    let ranks: Vec<f64> =
+        counts.iter().map(|c| TieBreak::Mean.rank(c.higher as usize, c.ties as usize)).collect();
     AucMetrics {
-        roc_auc: per_query.iter().map(Comparisons::roc_auc).sum::<f64>() / n,
-        auc_pr: per_query.iter().map(Comparisons::average_precision).sum::<f64>() / n,
-        count: per_query.len(),
+        roc_auc: roc / counts.len() as f64,
+        auc_pr: RankingMetrics::from_ranks(&ranks).mrr,
+        count: counts.len(),
     }
 }
 
@@ -125,7 +117,7 @@ mod tests {
     use super::*;
     use kg_core::sample::seeded_rng;
     use kg_core::triple::QuerySide;
-    use kg_core::EntityId;
+    use kg_core::FilterIndex;
     use kg_recommend::{sample_candidates, SamplingStrategy};
 
     #[test]
@@ -146,6 +138,22 @@ mod tests {
     fn average_precision_is_reciprocal_rank() {
         assert_eq!(average_precision_single(1.0, &[0.0, 0.5]), 1.0);
         assert_eq!(average_precision_single(0.4, &[0.9, 0.8, 0.1]), 1.0 / 3.0);
+    }
+
+    #[test]
+    fn a_nan_positive_ranks_behind_every_real_negative() {
+        // Under IEEE comparisons a NaN positive was neither beaten nor
+        // tied, so it scored a perfect 1.
+        assert_eq!(average_precision_single(f32::NAN, &[0.1, 0.2, 0.9]), 0.25);
+        assert_eq!(roc_auc_single(f32::NAN, &[0.1, 0.2, 0.9]), 0.0);
+        assert_eq!(roc_auc_single(f32::NAN, &[f32::NAN, 0.9]), 0.25, "NaN ties NaN");
+    }
+
+    #[test]
+    fn a_nan_negative_is_beaten_by_every_real_positive() {
+        // Under IEEE comparisons a NaN negative counted as a loss.
+        assert_eq!(roc_auc_single(0.5, &[f32::NAN, 0.9]), 0.5);
+        assert_eq!(average_precision_single(0.5, &[f32::NAN, 0.9]), 0.5);
     }
 
     struct MockModel {

@@ -2,18 +2,22 @@
 //! protocol whose cost the paper's framework avoids, and the ground truth
 //! every estimator is compared against.
 //!
-//! The ranking pass streams cache-resident tiles of the entity table
+//! The ranking pass (`rank_pass`) streams cache-resident tiles of rows
 //! through [`kg_models::engine`] for a block of queries at a time instead
 //! of materialising a `num_entities()`-sized row per query: each query is
 //! prepared once, `higher`/`ties` counters accumulate tile by tile, and
-//! the tile scratch is pooled across the whole pass.
+//! the tile scratch is pooled across the whole pass. It is the pass of
+//! both estimators: full ranking walks the entity range, sampled ranking
+//! ([`crate::sampled`]) the same walker over each column's candidate list.
 
 use kg_core::parallel::{parallel_map_indexed, two_level_split, BufferPool, ShardPlan};
+use kg_core::partial::PartialRankCounts;
 use kg_core::timing::Stopwatch;
 use kg_core::topk::cmp_score;
 use kg_core::triple::QuerySide;
 use kg_core::{KnownIndex, Triple};
-use kg_models::{engine, KgcModel};
+use kg_models::engine::{self, partial_rank_counts_block, RowSource};
+use kg_models::KgcModel;
 
 use crate::metrics::{RankingMetrics, TieBreak};
 
@@ -27,6 +31,16 @@ pub struct EvalResult {
     pub ranks: Vec<f64>,
     /// Wall-clock seconds of the scoring + ranking work.
     pub seconds: f64,
+}
+
+impl EvalResult {
+    /// Ranks under `tie` from a pass's counters, timed since `sw` started.
+    pub(crate) fn from_counts(counts: &[PartialRankCounts], tie: TieBreak, sw: Stopwatch) -> Self {
+        let ranks: Vec<f64> =
+            counts.iter().map(|c| tie.rank(c.higher as usize, c.ties as usize)).collect();
+        let seconds = sw.seconds();
+        EvalResult { metrics: RankingMetrics::from_ranks(&ranks), ranks, seconds }
+    }
 }
 
 /// Expand triples into the standard query list: for each test triple, a
@@ -86,23 +100,74 @@ pub fn filtered_rank_from_scores(
     tie.rank(higher, ties)
 }
 
-/// Evaluate `model` on `triples` with the full filtered protocol.
+/// Row count below which a block's pass is not split across spare
+/// threads: spawning a thread team costs more than scoring this few rows.
+pub(crate) const FANOUT_MIN_ROWS: usize = 1024;
+
+/// The one ranking pass behind [`evaluate_full`],
+/// [`crate::evaluate_sampled`] and [`crate::evaluate_auc`]: the
+/// filtered-rank counters of every query of `queries_of(triples)`, in that
+/// order, each over the rows `rows(key(query))`.
 ///
-/// Queries are ranked in blocks of [`engine::BLOCK_QUERIES`]
-/// ([`kg_models::engine::partial_rank_counts_block`] over the full range):
-/// each block streams the entity table once, tile by cache-resident tile,
-/// and every query of the block scores a tile while it is hot — no
-/// `num_entities()`-sized row is materialised, and the tile scratch is
-/// pooled across the whole pass.
-///
-/// The thread budget follows the two-level work plan
-/// ([`kg_core::parallel::two_level_split`]): the queries are cut into
-/// `outer` contiguous pieces, one per thread, each ranked block by block
-/// (the throughput regime); with fewer queries than threads the spare
-/// threads fan each block's pass out over contiguous pieces of the entity
-/// range, so a single-query evaluation uses the whole budget instead of
-/// one core. Per-row arithmetic, the comparison order, and the counter
-/// sums are all partition-, block- and schedule-independent, so
+/// Queries are sorted stably by `key`, so queries that share their rows
+/// sit together; the sorted list is cut into `outer` even pieces of the
+/// two-level work plan ([`two_level_split`]), one per thread, and each run
+/// of equal keys is ranked in blocks of [`engine::BLOCK_QUERIES`]
+/// ([`partial_rank_counts_block`]): a block reads its rows once,
+/// tile by cache-resident tile, every query scoring a tile while it is
+/// hot. With fewer queries than threads the spare `inner` threads split a
+/// block's rows between them, when there are at least
+/// [`FANOUT_MIN_ROWS`] of them. Per-row arithmetic, the comparison order
+/// and the counter sums are all partition-, block- and
+/// schedule-independent, so the counters are bit-for-bit identical for
+/// every `threads`.
+pub(crate) fn rank_pass<K, R, F>(
+    model: &dyn KgcModel,
+    triples: &[Triple],
+    filter: &F,
+    threads: usize,
+    key: impl Fn(&(Triple, QuerySide)) -> K + Sync,
+    rows: impl Fn(K) -> R + Sync,
+) -> Vec<PartialRankCounts>
+where
+    K: Ord,
+    R: RowSource,
+    F: KnownIndex + ?Sized,
+{
+    let mut queries: Vec<_> = queries_of(triples).into_iter().enumerate().collect();
+    queries.sort_by_key(|(_, q)| key(q));
+    let split = two_level_split(queries.len(), threads);
+    let pieces = ShardPlan::new(queries.len(), split.outer);
+    let pool = BufferPool::new(engine::BLOCK_QUERIES * engine::tile_rows(model.dim()));
+    let counted = parallel_map_indexed(pieces.num_shards(), split.outer, |p| {
+        let mut out = Vec::with_capacity(pieces.range(p).len());
+        for run in queries[pieces.range(p)].chunk_by(|(_, a), (_, b)| key(a) == key(b)) {
+            let rows = rows(key(&run[0].1));
+            let inner = if rows.num_rows() < FANOUT_MIN_ROWS { 1 } else { split.inner };
+            for block in run.chunks(engine::BLOCK_QUERIES) {
+                let known: Vec<_> =
+                    block.iter().map(|&(_, (t, side))| filter.known_answers(t, side)).collect();
+                let asks: Vec<_> =
+                    block.iter().zip(&known).map(|(&(_, (t, s)), k)| (t, s, &k[..])).collect();
+                out.extend(partial_rank_counts_block(model, &pool, &asks, rows.clone(), inner));
+            }
+        }
+        out
+    });
+    let mut counts = vec![PartialRankCounts::ZERO; queries.len()];
+    for (&(qi, _), c) in queries.iter().zip(counted.into_iter().flatten()) {
+        counts[qi] = c;
+    }
+    counts
+}
+
+/// Evaluate `model` on `triples` with the full filtered protocol: every
+/// query ranks against the whole entity range `0..|E|` through the one
+/// ranking pass (`rank_pass`, which documents the work plan). A block of
+/// [`engine::BLOCK_QUERIES`] queries streams the entity table once, tile by
+/// cache-resident tile, so no `num_entities()`-sized row is materialised;
+/// with fewer queries than threads the spare threads split each block's
+/// range, so a single-query evaluation uses the whole budget.
 /// `EvalResult::ranks` is bit-for-bit identical for every `threads`.
 pub fn evaluate_full<F: KnownIndex + ?Sized>(
     model: &dyn KgcModel,
@@ -111,28 +176,10 @@ pub fn evaluate_full<F: KnownIndex + ?Sized>(
     tie: TieBreak,
     threads: usize,
 ) -> EvalResult {
-    let queries = queries_of(triples);
     let n_entities = model.num_entities();
-    let split = two_level_split(queries.len(), threads);
-    let pieces = ShardPlan::new(queries.len(), split.outer);
-    let pool = BufferPool::new(engine::BLOCK_QUERIES * engine::tile_rows(model.dim()));
     let sw = Stopwatch::start();
-    let ranks = parallel_map_indexed(pieces.num_shards(), split.outer, |p| {
-        let mut ranks = Vec::with_capacity(pieces.range(p).len());
-        for block in queries[pieces.range(p)].chunks(engine::BLOCK_QUERIES) {
-            let known: Vec<_> =
-                block.iter().map(|&(t, side)| filter.known_answers(t, side)).collect();
-            let asks: Vec<_> =
-                block.iter().zip(&known).map(|(&(t, side), k)| (t, side, &k[..])).collect();
-            let counts =
-                engine::partial_rank_counts_block(model, &pool, &asks, 0..n_entities, split.inner);
-            ranks.extend(counts.iter().map(|c| tie.rank(c.higher as usize, c.ties as usize)));
-        }
-        ranks
-    })
-    .concat();
-    let seconds = sw.seconds();
-    EvalResult { metrics: RankingMetrics::from_ranks(&ranks), ranks, seconds }
+    let counts = rank_pass(model, triples, filter, threads, |_| (), |()| 0..n_entities);
+    EvalResult::from_counts(&counts, tie, sw)
 }
 
 #[cfg(test)]
@@ -278,7 +325,8 @@ mod tests {
                 ModelKind::Rescal | ModelKind::TuckEr => 8,
                 _ => 12,
             };
-            let model = build_model(kind, 29, 3, dim, 5);
+            // Enough entities that a block's range is worth splitting.
+            let model = build_model(kind, FANOUT_MIN_ROWS + 29, 3, dim, 5);
             let triples = vec![Triple::new(4, 1, 22)];
             let filter = FilterIndex::from_slices(&[&triples]);
             let serial = evaluate_full(model.as_ref(), &triples, &filter, TieBreak::Mean, 1);

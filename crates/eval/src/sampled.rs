@@ -6,12 +6,12 @@
 //! this is the optimistic estimator the paper analyses; with recommender-
 //! guided samples the candidate pool contains essentially every entity that
 //! could outrank the answer, so the sampled rank approaches the full rank
-//! (Theorem 1).
+//! (Theorem 1). The estimator *is* the full filtered rank over a smaller
+//! candidate set, and the code says so: both run the one ranking pass of
+//! [`crate::ranker`], this one over each column's candidate list instead of
+//! the entity range, so at `n_s = |E|` the two are the same number.
 
-use std::borrow::Cow;
-
-use kg_core::parallel::{parallel_map_indexed, two_level_split, ShardPlan};
-use kg_core::partial::{Partial, PartialRankCounts};
+use kg_core::partial::PartialRankCounts;
 use kg_core::timing::Stopwatch;
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, KnownIndex, Triple};
@@ -19,16 +19,7 @@ use kg_models::{engine, KgcModel};
 use kg_recommend::SampledCandidates;
 
 use crate::metrics::TieBreak;
-use crate::ranker::{queries_of, EvalResult};
-use crate::RankingMetrics;
-
-/// Queries scored against one walk over a column's tiles; bounds the
-/// prepared-query scratch however many queries a column serves.
-const GROUP_QUERIES: usize = 256;
-
-/// Candidate count below which a column's scoring is not split across
-/// spare threads: spawning a thread team costs more than scoring this few.
-const FANOUT_MIN_CANDIDATES: usize = 1024;
+use crate::ranker::{rank_pass, EvalResult};
 
 /// Rank `answer` against `candidates` under the filtered protocol.
 ///
@@ -50,173 +41,36 @@ pub fn sampled_rank(
     tie.rank(counts.higher as usize, counts.ties as usize)
 }
 
-/// What a grouped pass accumulates for one query, tile by tile.
-pub(crate) trait TileFold: Clone + Default + Send {
-    /// Fold in one scored tile of the query's candidates.
-    fn fold_tile(&mut self, query: &PreparedQuery<'_>, candidates: &[EntityId], scores: &[f32]);
-
-    /// Add the accumulator of a disjoint part of the same candidate list.
-    fn combine(&mut self, other: Self);
-}
-
-/// The per-query state a tile is folded against.
-pub(crate) struct PreparedQuery<'a> {
-    pub(crate) answer: EntityId,
-    /// The answer's own score.
-    pub(crate) s_true: f32,
-    /// Known answers of the query, ascending.
-    pub(crate) known: Cow<'a, [EntityId]>,
-}
-
-impl TileFold for PartialRankCounts {
-    fn fold_tile(&mut self, query: &PreparedQuery<'_>, candidates: &[EntityId], scores: &[f32]) {
-        self.merge(engine::count_gathered(
-            scores,
-            candidates,
-            query.answer,
-            query.s_true,
-            &query.known,
-        ));
-    }
-
-    fn combine(&mut self, other: Self) {
-        self.merge(other);
-    }
-}
-
-/// The pass behind [`evaluate_sampled`] (which documents the work plan) and
-/// [`crate::auc::evaluate_auc`]: one accumulator per query of
-/// `queries_of(triples)`, in that order.
-pub(crate) fn grouped_pass<A: TileFold, F: KnownIndex + ?Sized>(
+/// The filtered-rank counters of every query of `queries_of(triples)`
+/// within its `(relation, side)` column's sample, in query order: the
+/// pass behind [`evaluate_sampled`] (which documents it) and
+/// [`crate::evaluate_auc`].
+pub(crate) fn sampled_counts<F: KnownIndex + ?Sized>(
     model: &dyn KgcModel,
     triples: &[Triple],
     filter: &F,
     samples: &SampledCandidates,
     threads: usize,
-) -> Vec<A> {
-    let queries = queries_of(triples);
-    if queries.is_empty() {
-        return Vec::new();
-    }
-    let column = |qi: &usize| (queries[*qi].0.relation, queries[*qi].1 == QuerySide::Tail);
-    let mut order: Vec<usize> = (0..queries.len()).collect();
-    order.sort_by_key(column);
-    let split = two_level_split(queries.len(), threads);
-    let pieces = ShardPlan::new(order.len(), split.outer);
-    let tile = engine::tile_rows(model.dim());
-    let scored = parallel_map_indexed(pieces.num_shards(), split.outer, |p| {
-        let piece = &order[pieces.range(p)];
-        let mut out: Vec<A> = Vec::with_capacity(piece.len());
-        let mut q = Vec::new();
-        for group in piece.chunk_by(|a, b| column(a) == column(b)) {
-            for group in group.chunks(GROUP_QUERIES) {
-                let group = Group::prepare(model, filter, samples, &queries, group, &mut q);
-                out.extend(group.score(tile, split.inner));
-            }
-        }
-        out
-    });
-    let mut result = vec![A::default(); queries.len()];
-    for (&qi, acc) in order.iter().zip(scored.into_iter().flatten()) {
-        result[qi] = acc;
-    }
-    result
-}
-
-/// Queries of one column, prepared against its shared candidate list.
-struct Group<'a> {
-    model: &'a dyn KgcModel,
-    candidates: &'a [EntityId],
-    /// The prepared query vectors, `query_len` floats each, back to back.
-    q: &'a [f32],
-    queries: Vec<PreparedQuery<'a>>,
-}
-
-impl<'a> Group<'a> {
-    /// Build every member's query vector (into `q`, reused across groups),
-    /// reference score and known answers — once per `(triple, side)`.
-    fn prepare<F: KnownIndex + ?Sized>(
-        model: &'a dyn KgcModel,
-        filter: &'a F,
-        samples: &'a SampledCandidates,
-        all: &[(Triple, QuerySide)],
-        members: &[usize],
-        q: &'a mut Vec<f32>,
-    ) -> Self {
-        let (first, side) = all[members[0]];
-        let len = model.query_len();
-        q.clear();
-        q.resize(members.len() * len, 0.0);
-        let queries = members
-            .iter()
-            .enumerate()
-            .map(|(i, &qi)| {
-                let (triple, side) = all[qi];
-                let q = &mut q[i * len..(i + 1) * len];
-                model.build_query(triple, side, q);
-                let answer = side.answer(triple);
-                let mut s_true = [0.0f32];
-                model.score_gathered(q, &[answer], &mut s_true);
-                let [s_true] = s_true;
-                PreparedQuery { answer, s_true, known: filter.known_answers(triple, side) }
-            })
-            .collect();
-        Group { model, candidates: samples.for_query(first.relation, side), q, queries }
-    }
-
-    /// One accumulator per member, over the whole candidate list: folded
-    /// in `fanout` contiguous parts, one thread each, and combined. A list
-    /// too short to repay a thread team is one part.
-    fn score<A: TileFold>(&self, tile: usize, fanout: usize) -> Vec<A> {
-        let fanout = if self.candidates.len() < FANOUT_MIN_CANDIDATES { 1 } else { fanout };
-        let parts = ShardPlan::new(self.candidates.len(), fanout);
-        let mut folded = parallel_map_indexed(parts.num_shards(), fanout, |s| {
-            self.fold::<A>(&self.candidates[parts.range(s)], tile)
-        })
-        .into_iter();
-        let mut accs = folded.next().unwrap_or_default();
-        for part in folded {
-            for (acc, other) in accs.iter_mut().zip(part) {
-                acc.combine(other);
-            }
-        }
-        accs
-    }
-
-    /// Walk `candidates` tile by tile; every member scores a tile before
-    /// the next one is gathered.
-    fn fold<A: TileFold>(&self, candidates: &[EntityId], tile: usize) -> Vec<A> {
-        let len = self.model.query_len();
-        let mut accs = vec![A::default(); self.queries.len()];
-        let mut scores = vec![0.0f32; tile.min(candidates.len())];
-        for tile in candidates.chunks(tile) {
-            let scores = &mut scores[..tile.len()];
-            for (i, (query, acc)) in self.queries.iter().zip(&mut accs).enumerate() {
-                self.model.score_gathered(&self.q[i * len..(i + 1) * len], tile, scores);
-                acc.fold_tile(query, tile, scores);
-            }
-        }
-        accs
-    }
+) -> Vec<PartialRankCounts> {
+    let column = |&(t, side): &(Triple, QuerySide)| (t.relation, side == QuerySide::Tail);
+    rank_pass(model, triples, filter, threads, column, |(relation, tail)| {
+        samples.for_query(relation, if tail { QuerySide::Tail } else { QuerySide::Head })
+    })
 }
 
 /// Evaluate `model` on `triples` using per-relation candidate samples: the
 /// filtered rank of every query's answer within its column's sample.
 ///
-/// Candidates are drawn per `(relation, side)` column, so queries are
-/// grouped by column and each column's candidate rows are gathered in
-/// L1-sized tiles that *every* query of the column scores while they are
-/// hot — a column serving hundreds of queries reads its rows from memory
-/// once, not once per query. Each query is prepared once
-/// ([`KgcModel::build_query`]); a tile costs one
-/// [`KgcModel::score_gathered`] per query.
-///
-/// The thread budget follows [`two_level_split`]: the column-sorted
-/// queries are cut into `outer` even pieces, and with fewer queries than
-/// threads the spare threads split a column's candidates between them.
-/// A candidate's score depends on the query and its row alone and the
-/// per-tile counts add up, so ranks are bit-for-bit identical for every
-/// `threads`.
+/// This is [`crate::evaluate_full`]'s pass over another row source:
+/// candidates are drawn per `(relation, side)` column, so queries are
+/// grouped by column and ranked in blocks of [`engine::BLOCK_QUERIES`]
+/// against the column's candidate list. A block's candidate rows are
+/// gathered in L1-sized tiles that every query of the block scores while
+/// they are hot ([`KgcModel::score_gathered`] per query), so a column
+/// serving many queries reads its rows from memory once per block, not
+/// once per query; each query is prepared once. The thread budget splits
+/// as in `evaluate_full`, and ranks are bit-for-bit identical for every
+/// `threads`; with every entity sampled they are the full filtered ranks.
 pub fn evaluate_sampled<F: KnownIndex + ?Sized>(
     model: &dyn KgcModel,
     triples: &[Triple],
@@ -226,11 +80,8 @@ pub fn evaluate_sampled<F: KnownIndex + ?Sized>(
     threads: usize,
 ) -> EvalResult {
     let sw = Stopwatch::start();
-    let counts: Vec<PartialRankCounts> = grouped_pass(model, triples, filter, samples, threads);
-    let ranks: Vec<f64> =
-        counts.iter().map(|c| tie.rank(c.higher as usize, c.ties as usize)).collect();
-    let seconds = sw.seconds();
-    EvalResult { metrics: RankingMetrics::from_ranks(&ranks), ranks, seconds }
+    let counts = sampled_counts(model, triples, filter, samples, threads);
+    EvalResult::from_counts(&counts, tie, sw)
 }
 
 /// OGB-style repeated estimation: draw `repeats` independent candidate
@@ -403,7 +254,7 @@ mod tests {
     fn single_query_candidate_fanout_matches_serial() {
         // One triple + a candidate sample wide enough to be split across
         // the spare threads: ranks must stay bit-for-bit serial.
-        let n = FANOUT_MIN_CANDIDATES * 2;
+        let n = crate::ranker::FANOUT_MIN_ROWS * 2;
         let scores: Vec<f32> = (0..n).map(|i| ((i * 31) % n) as f32 / n as f32).collect();
         let model = MockModel { n, tail_scores: scores };
         let triples = vec![Triple::new(0, 0, 7)];
@@ -412,7 +263,7 @@ mod tests {
             SamplingStrategy::Random,
             n,
             1,
-            FANOUT_MIN_CANDIDATES + 100,
+            crate::ranker::FANOUT_MIN_ROWS + 100,
             None,
             None,
             &mut seeded_rng(6),

@@ -4,7 +4,8 @@
 //! each column's candidates in tiles, compares the score before it looks
 //! at the filter, and splits work across threads two ways. None of that
 //! may show in a rank: the reference here scores one query at a time
-//! (`score_candidates`) and ranks it with `sampled_rank`.
+//! (`score_candidates`) and ranks it with `sampled_rank`. `evaluate_auc`
+//! is a view of the same counters, checked against the same reference.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -15,8 +16,8 @@ use kg_core::triple::QuerySide;
 use kg_core::{EntityId, FilterIndex, Triple, TripleStore};
 use kg_eval::ranker::queries_of;
 use kg_eval::sampled::sampled_rank;
-use kg_eval::{evaluate_sampled, TieBreak};
-use kg_models::{build_model, KgcModel, ModelKind};
+use kg_eval::{evaluate_auc, evaluate_sampled, AucMetrics, TieBreak};
+use kg_models::{build_model, engine, KgcModel, ModelKind};
 use kg_recommend::{
     sample_candidates, CandidateSets, SampledCandidates, SamplingStrategy, SeenSets,
 };
@@ -95,15 +96,18 @@ fn known_graph() -> Vec<Triple> {
     known
 }
 
+const TIES: [TieBreak; 3] = [TieBreak::Mean, TieBreak::Optimistic, TieBreak::Pessimistic];
+
 /// One query at a time, every candidate scored, the filter consulted
-/// before the score: `sampled_rank`, and the same rule spelled out.
-fn reference_ranks(
+/// before the score: `(higher, ties, negatives)` per query under
+/// `cmp_score`, with every tie policy's rank checked against
+/// `sampled_rank`.
+fn reference_counts(
     model: &dyn KgcModel,
     slice: &[Triple],
     filter: &FilterIndex,
     samples: &SampledCandidates,
-    tie: TieBreak,
-) -> Vec<f64> {
+) -> Vec<(usize, usize, usize)> {
     queries_of(slice)
         .into_iter()
         .map(|(triple, side)| {
@@ -113,22 +117,46 @@ fn reference_ranks(
             let mut scores = vec![0.0f32; ids.len()];
             model.score_candidates(triple, side, &ids, &mut scores);
             let known = filter.known_answers(triple, side);
-            let (mut higher, mut ties) = (0, 0);
+            let (mut higher, mut ties, mut negatives) = (0, 0, 0);
             for (c, &s) in candidates.iter().zip(&scores[1..]) {
                 if *c == ids[0] || known.contains(c) {
                     continue;
                 }
+                negatives += 1;
                 match cmp_score(s, scores[0]) {
                     std::cmp::Ordering::Greater => higher += 1,
                     std::cmp::Ordering::Equal => ties += 1,
                     std::cmp::Ordering::Less => {}
                 }
             }
-            let rank = sampled_rank(ids[0], candidates, &scores, known, tie);
-            assert_eq!(rank.to_bits(), tie.rank(higher, ties).to_bits());
-            rank
+            for tie in TIES {
+                let rank = sampled_rank(ids[0], candidates, &scores, known, tie);
+                assert_eq!(rank.to_bits(), tie.rank(higher, ties).to_bits());
+            }
+            (higher, ties, negatives)
         })
         .collect()
+}
+
+/// ROC-AUC and AUC-PR spelled out from the reference counts.
+fn reference_auc(counts: &[(usize, usize, usize)]) -> AucMetrics {
+    let n = counts.len() as f64;
+    let roc = |&(h, t, neg): &(usize, usize, usize)| {
+        if neg == 0 {
+            1.0
+        } else {
+            (neg as f64 - h as f64 - t as f64 / 2.0) / neg as f64
+        }
+    };
+    AucMetrics {
+        roc_auc: counts.iter().map(roc).sum::<f64>() / n,
+        auc_pr: counts
+            .iter()
+            .map(|&(h, t, _)| 1.0 / (1.0 + h as f64 + t as f64 / 2.0))
+            .sum::<f64>()
+            / n,
+        count: counts.len(),
+    }
 }
 
 #[test]
@@ -152,6 +180,10 @@ fn grouped_pass_matches_the_per_query_reference_for_every_family_thread_count_an
     // relations repeated and interleaved, plus the small and empty columns.
     let mut slice: Vec<Triple> = known.iter().copied().step_by(3).collect();
     slice.extend([Triple::new(201, 3, 302), Triple::new(7, 4, 9), Triple::new(8, 4, 9)]);
+    // Enough relation-0 queries that their columns span three blocks.
+    slice.extend((0..50u32).map(|i| Triple::new(6 + i, 0, 100 + i)));
+    let widest = slice.iter().filter(|t| t.relation == kg_core::RelationId(0)).count();
+    assert!(widest > 2 * engine::BLOCK_QUERIES + 1, "{widest} queries per relation-0 column");
     let cases: [(&str, SampledCandidates, &[Triple]); 3] = [
         ("static", draw(SamplingStrategy::Static, 24, 1), &slice),
         ("random", draw(SamplingStrategy::Random, 24, 2), &slice),
@@ -166,8 +198,10 @@ fn grouped_pass_matches_the_per_query_reference_for_every_family_thread_count_an
     for kind in ModelKind::ALL {
         let model = doctored(kind);
         for (case, samples, slice) in &cases {
-            for tie in [TieBreak::Mean, TieBreak::Optimistic, TieBreak::Pessimistic] {
-                let want = reference_ranks(&model, slice, &filter, samples, tie);
+            let counts = reference_counts(&model, slice, &filter, samples);
+            let want_auc = reference_auc(&counts);
+            for tie in TIES {
+                let want: Vec<f64> = counts.iter().map(|&(h, t, _)| tie.rank(h, t)).collect();
                 assert!(want.iter().all(|r| *r >= 1.0), "{kind:?} {case}: {want:?}");
                 for threads in [1usize, 2, 8] {
                     model.builds.store(0, Ordering::Relaxed);
@@ -181,6 +215,17 @@ fn grouped_pass_matches_the_per_query_reference_for_every_family_thread_count_an
                         model.builds.load(Ordering::Relaxed),
                         2 * slice.len(),
                         "{kind:?} {case} threads={threads}: one query build per (triple, side)"
+                    );
+                    if tie != TieBreak::Mean {
+                        continue;
+                    }
+                    let auc = evaluate_auc(&model, slice, &filter, samples, threads);
+                    let bits = |m: AucMetrics| (m.roc_auc.to_bits(), m.auc_pr.to_bits(), m.count);
+                    assert_eq!(bits(auc), bits(want_auc), "{kind:?} {case} threads={threads}: AUC");
+                    assert_eq!(
+                        auc.auc_pr.to_bits(),
+                        got.metrics.mrr.to_bits(),
+                        "{kind:?} {case} threads={threads}: AUC-PR is the mean-tie sampled MRR"
                     );
                 }
             }

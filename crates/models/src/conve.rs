@@ -69,8 +69,8 @@ struct Forward {
 }
 
 impl ConvE {
-    /// New model; `dim` must be a multiple of [`WIDTH`] (default 4) and at
-    /// least `2 · WIDTH` (see [`ConvE::table_lens`]).
+    /// New model; `dim` must be a multiple of `WIDTH` (default 4) and at
+    /// least `2 · WIDTH` (see `ConvE::table_lens`).
     pub fn new<R: Rng>(num_entities: usize, num_relations: usize, dim: usize, rng: &mut R) -> Self {
         let (height, out_h, out_w, flat) = Self::image(dim).unwrap_or_else(|e| panic!("{e}"));
         ConvE {

@@ -1,16 +1,21 @@
-//! The scoring engine — the single full-ranking entry point.
+//! The scoring engine — the single ranking entry point.
 //!
 //! A model is a prepared query and a table ([`KgcModel`]), so ranking is
 //! one loop: **build each query once per `(triple, side)`**, then walk the
-//! requested entity range in cache-resident **tiles** of rows; every
-//! query of a *block* scores a tile ([`KgcModel::score_rows_block`]) while
-//! it is hot, and folds its slice into a mergeable partial from
-//! [`kg_core::partial`] before the next tile is read. A block of Q queries
-//! streams the table once, not Q times. That walker is the only loop:
+//! requested rows in cache-resident **tiles**; every query of a *block*
+//! scores a tile while it is hot, and folds its slice into a mergeable
+//! partial from [`kg_core::partial`] before the next tile is read. A block
+//! of Q queries reads its rows once, not Q times. The rows come from one
+//! of two [`RowSource`]s: a contiguous entity range (a tile is one
+//! [`KgcModel::score_rows_block`]) or a gathered candidate list (a tile is
+//! one [`KgcModel::score_gathered`] per query). That walker is the only
+//! loop:
 //!
 //! * [`partial_rank_counts_block`] computes the [`PartialRankCounts`] of a
 //!   block of queries over an **explicit entity range** — full filtered
-//!   ranking ranks its test queries this way;
+//!   ranking ranks its test queries this way — or over a **candidate
+//!   list**, counted by [`count_gathered`] — sampled evaluation ranks its
+//!   queries this way, so both estimators are the same pass;
 //! * [`partial_rank_counts`] / [`ScoringEngine::partial_top_k`] are the
 //!   one-query forms (a block of one) — the primitive a shard server
 //!   evaluates for its configured range and ships over the wire. With
@@ -21,9 +26,7 @@
 //!   [`ScoringEngine::top_k_fanout`] pass the full `0..|E|` range, so
 //!   in-process fan-out and remote shard endpoints share **exactly one
 //!   ranking code path** and one merge implementation, for every model
-//!   family;
-//! * [`count_gathered`] is the same counter over gathered candidates, so
-//!   sampled evaluation counts under the one order too.
+//!   family.
 //!
 //! No path scores or allocates an `|E|`-sized row: scratch is one tile per
 //! query of the block, whatever the model.
@@ -59,13 +62,11 @@ use crate::model::{prepared_query, KgcModel};
 
 /// Floats of rows one tile spans, counting `dim` per row: 8 KiB of rows
 /// (16 KiB for families that store two halves), so a tile stays in L1
-/// while every query of a block scores it. The sampled pass tiles its
-/// gathered candidates by the same budget.
+/// while every query of a block scores it, from either row source.
 pub const TILE_FLOATS: usize = 2048;
 
-/// Queries a full-ranking block holds: the table streams once per block,
-/// and the block's query vectors and tile scores stay in L1/L2 beside the
-/// tile.
+/// Queries a ranking block holds: its rows stream once per block, and the
+/// block's query vectors and tile scores stay in L1/L2 beside the tile.
 pub const BLOCK_QUERIES: usize = 32;
 
 /// Rows in one tile of a `dim`-wide model (see [`TILE_FLOATS`]).
@@ -142,20 +143,100 @@ fn heap_scored_range(heap: &mut TopKHeap, scores: &[f32], base: usize, known: &[
     }
 }
 
-/// The tile walker: score `range` tile by tile against every prepared
+/// The rows a block pass walks ([`partial_rank_counts_block`]): a
+/// contiguous entity range, scored a tile at a time with
+/// [`KgcModel::score_rows_block`], or a gathered candidate list, scored
+/// with one [`KgcModel::score_gathered`] per query. Positions
+/// `0..num_rows()` index the rows in walk order; the row contract makes a
+/// row's score the same bits from either source.
+pub trait RowSource: Clone + Sync {
+    /// Number of rows.
+    fn num_rows(&self) -> usize;
+
+    /// The rows at positions `at`.
+    fn piece(&self, at: Range<usize>) -> Self;
+
+    /// Score every row against each query of a block (`qs`, `query_len`
+    /// floats each, back to back), one row of scores per query in `out`.
+    fn score_block(&self, model: &dyn KgcModel, qs: &[f32], out: &mut [f32]);
+
+    /// One query's filtered-rank counters over these rows, given their
+    /// `scores`: the answer never competes with itself and `known`
+    /// (ascending) entities are skipped.
+    fn count(
+        &self,
+        scores: &[f32],
+        answer: EntityId,
+        s_true: f32,
+        known: &[EntityId],
+    ) -> PartialRankCounts;
+}
+
+impl RowSource for Range<usize> {
+    fn num_rows(&self) -> usize {
+        self.len()
+    }
+
+    fn piece(&self, at: Range<usize>) -> Self {
+        self.start + at.start..self.start + at.end
+    }
+
+    fn score_block(&self, model: &dyn KgcModel, qs: &[f32], out: &mut [f32]) {
+        model.score_rows_block(qs, self.clone(), out);
+    }
+
+    fn count(
+        &self,
+        scores: &[f32],
+        answer: EntityId,
+        s_true: f32,
+        known: &[EntityId],
+    ) -> PartialRankCounts {
+        count_scored_range(scores, self.start, answer.index(), s_true, known)
+    }
+}
+
+impl RowSource for &[EntityId] {
+    fn num_rows(&self) -> usize {
+        self.len()
+    }
+
+    fn piece(&self, at: Range<usize>) -> Self {
+        &self[at]
+    }
+
+    fn score_block(&self, model: &dyn KgcModel, qs: &[f32], out: &mut [f32]) {
+        let len = model.query_len();
+        for (i, out) in out.chunks_exact_mut(self.len()).enumerate() {
+            model.score_gathered(&qs[i * len..(i + 1) * len], self, out);
+        }
+    }
+
+    fn count(
+        &self,
+        scores: &[f32],
+        answer: EntityId,
+        s_true: f32,
+        known: &[EntityId],
+    ) -> PartialRankCounts {
+        count_gathered(scores, self, answer, s_true, known)
+    }
+}
+
+/// The tile walker: score `rows` tile by tile against every prepared
 /// query of a block (`qs`, `query_len` floats each, back to back) and hand
 /// `fold` each query's index, accumulator, scored slice of the tile and
-/// the tile's first entity id, before the next tile is scored.
+/// the tile's rows, before the next tile is scored.
 ///
 /// A block's tile is [`tile_rows`] wide, or narrower when `scratch` cannot
 /// hold one per query; `scratch` must hold at least one float per query.
-fn walk_tiles<A>(
+fn walk_tiles<A, R: RowSource>(
     model: &dyn KgcModel,
     qs: &[f32],
     accs: &mut [A],
     scratch: &mut [f32],
-    range: Range<usize>,
-    fold: impl Fn(usize, &mut A, &[f32], usize),
+    rows: R,
+    fold: impl Fn(usize, &mut A, &[f32], &R),
 ) {
     if accs.is_empty() {
         return;
@@ -166,37 +247,37 @@ fn walk_tiles<A>(
     // fewer calls, and the single-query paths keep their chunking.
     let tile =
         if nq == 1 { scratch.len() } else { (scratch.len() / nq).min(tile_rows(model.dim())) };
-    for start in range.clone().step_by(tile) {
-        let end = (start + tile).min(range.end);
+    let n = rows.num_rows();
+    for start in (0..n).step_by(tile) {
+        let end = (start + tile).min(n);
+        let tile = rows.piece(start..end);
         let scores = &mut scratch[..nq * (end - start)];
-        model.score_rows_block(qs, start..end, scores);
+        tile.score_block(model, qs, scores);
         for (i, (acc, scores)) in accs.iter_mut().zip(scores.chunks_exact(end - start)).enumerate()
         {
-            fold(i, acc, scores, start);
+            fold(i, acc, scores, &tile);
         }
     }
 }
 
-/// One partial per query of a block over `range`: `piece(scratch,
-/// sub_range)` run serially on the whole range, or — the in-process
-/// latency path — on `threads` contiguous pieces in parallel with each
-/// query's per-piece partials merged in piece order. Bit-for-bit the
-/// serial partials for every `threads` (merging is associative). Scratch
-/// comes from `pool`, so a caller ranking many blocks reuses one pool
-/// across all of them.
-fn fan_out<P: Partial + Send + Clone>(
+/// One partial per query of a block over `rows`: `piece(scratch, rows)`
+/// run serially on all of them, or — the in-process latency path — on
+/// `threads` contiguous pieces in parallel with each query's per-piece
+/// partials merged in piece order. Bit-for-bit the serial partials for
+/// every `threads` (merging is associative). Scratch comes from `pool`, so
+/// a caller ranking many blocks reuses one pool across all of them.
+fn fan_out<P: Partial + Send + Clone, R: RowSource>(
     pool: &BufferPool,
-    range: Range<usize>,
+    rows: R,
     threads: usize,
-    piece: impl Fn(&mut [f32], Range<usize>) -> Vec<P> + Sync,
+    piece: impl Fn(&mut [f32], R) -> Vec<P> + Sync,
 ) -> Vec<P> {
-    if threads <= 1 || range.len() <= 1 {
-        return piece(&mut pool.acquire(), range);
+    if threads <= 1 || rows.num_rows() <= 1 {
+        return piece(&mut pool.acquire(), rows);
     }
-    let pieces = ShardPlan::new(range.len(), threads);
+    let pieces = ShardPlan::new(rows.num_rows(), threads);
     let mut parts = parallel_map_indexed(pieces.num_shards(), threads, |s| {
-        let r = pieces.range(s);
-        piece(&mut pool.acquire(), range.start + r.start..range.start + r.end)
+        piece(&mut pool.acquire(), rows.piece(pieces.range(s)))
     })
     .into_iter();
     let mut acc = parts.next().unwrap_or_default();
@@ -209,46 +290,43 @@ fn fan_out<P: Partial + Send + Clone>(
 }
 
 /// The filtered-rank counters of a block of queries — `(triple, side,
-/// known answers ascending)` each — restricted to `range`, fanned across
-/// `threads` workers, in query order. Every query is built once; each tile
-/// of the range is scored for the whole block while it is cache-resident.
-/// A query's counters are bit-for-bit those of [`partial_rank_counts`] on
-/// it alone, whatever the block around it.
+/// known answers ascending)` each — restricted to `rows` (an entity range
+/// or a gathered candidate list, see [`RowSource`]), fanned across
+/// `threads` workers, in query order. Every query is built once, even
+/// over no rows; each tile is scored for the whole block while it is
+/// cache-resident. A query's counters are bit-for-bit those of
+/// [`partial_rank_counts`] on it alone, whatever the block around it.
 ///
 /// `pool` supplies the tile scratch: buffers must hold at least one float
 /// per query; [`BLOCK_QUERIES`] × [`tile_rows`] floats keep whole tiles.
-pub fn partial_rank_counts_block(
+pub fn partial_rank_counts_block<R: RowSource>(
     model: &dyn KgcModel,
     pool: &BufferPool,
     queries: &[(Triple, QuerySide, &[EntityId])],
-    range: Range<usize>,
+    rows: R,
     threads: usize,
 ) -> Vec<PartialRankCounts> {
-    debug_assert!(range.end <= model.num_entities());
-    if range.is_empty() {
-        return vec![PartialRankCounts::ZERO; queries.len()];
-    }
     // Built once: the reference scores, every tile and every fan-out
     // worker below share them read-only.
     let len = model.query_len();
     let mut qs = vec![0.0f32; queries.len() * len];
-    let answers: Vec<(usize, f32)> = queries
+    let answers: Vec<(EntityId, f32)> = queries
         .iter()
         .enumerate()
         .map(|(i, &(triple, side, _))| {
             let q = &mut qs[i * len..(i + 1) * len];
             model.build_query(triple, side, q);
-            let answer = side.answer(triple).index();
+            let answer = side.answer(triple);
             let mut s_true = [0.0f32];
-            model.score_rows(q, answer..answer + 1, &mut s_true);
+            model.score_rows(q, answer.index()..answer.index() + 1, &mut s_true);
             (answer, s_true[0])
         })
         .collect();
-    fan_out(pool, range, threads, |scratch, piece| {
+    fan_out(pool, rows, threads, |scratch, piece| {
         let mut accs = vec![PartialRankCounts::ZERO; queries.len()];
-        walk_tiles(model, &qs, &mut accs, scratch, piece, |i, acc, scores, base| {
+        walk_tiles(model, &qs, &mut accs, scratch, piece, |i, acc, scores, tile| {
             let (answer, s_true) = answers[i];
-            acc.merge(count_scored_range(scores, base, answer, s_true, queries[i].2));
+            acc.merge(tile.count(scores, answer, s_true, queries[i].2));
         });
         accs
     })
@@ -276,8 +354,7 @@ pub fn partial_rank_counts(
 }
 
 /// Count strictly-higher and tied competitors among gathered candidates —
-/// the sampled counterpart of the range counter above, and the one place
-/// sampled evaluation compares scores.
+/// the gathered counterpart of the range counter above.
 ///
 /// `scores` is parallel to `candidates`; the answer itself and `known`
 /// (ascending) entities never compete. The score is compared first: a
@@ -403,8 +480,8 @@ impl ScoringEngine {
         let q = prepared_query(model, triple, side);
         let mut top = fan_out(&self.pool, range, threads, |scratch, piece| {
             let mut heaps = [TopKHeap::new(k)];
-            walk_tiles(model, &q, &mut heaps, scratch, piece, |_, heap, scores, base| {
-                heap_scored_range(heap, scores, base, known);
+            walk_tiles(model, &q, &mut heaps, scratch, piece, |_, heap, scores, tile| {
+                heap_scored_range(heap, scores, tile.start, known);
             });
             heaps.map(|heap| PartialTopK::from_entries(k, heap.into_sorted())).into()
         });
@@ -819,7 +896,8 @@ mod tests {
     /// A block's counters are each query's own, over any block size (odd
     /// ones leave a query out of the 2-query kernel blocks), sub-range,
     /// fan-out, and scratch width (down to one row per query per tile) —
-    /// against the materialised row, not another engine path.
+    /// against the materialised row, not another engine path — and the
+    /// same rows as a gathered list count the same.
     #[test]
     fn block_counts_match_the_full_row_across_block_tile_and_fanout_boundaries() {
         for model in models() {
@@ -849,6 +927,11 @@ mod tests {
                         range.clone(),
                         threads,
                     );
+                    // The same rows gathered count the same.
+                    let ids: Vec<EntityId> = range.clone().map(|e| EntityId(e as u32)).collect();
+                    let gathered =
+                        partial_rank_counts_block(model.as_ref(), &pool, &block, &ids[..], threads);
+                    assert_eq!(gathered, got, "{} nq={nq} {range:?} gathered", model.name());
                     for (&(triple, side, known), got) in block.iter().zip(&got) {
                         model.score_all(triple, side, &mut row);
                         let answer = side.answer(triple).index();

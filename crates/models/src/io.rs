@@ -17,7 +17,7 @@
 //! snapshots load with an implicit f32 hint.
 //!
 //! Both directions hold each table once. The writer streams the model's
-//! borrowed tables through one fixed [`CHUNK`]-byte buffer. The reader
+//! borrowed tables through one fixed `CHUNK`-byte buffer. The reader
 //! derives every table's length from the header
 //! ([`ModelKind::table_lens`]), checks the header plus those tables against
 //! the stream's length before it allocates anything, then reads each table
@@ -95,7 +95,7 @@ pub fn save_model<W: Write>(
 /// Save a trained model with a serving-precision recommendation baked into
 /// the snapshot header (tables are still written at exact f32). The only
 /// writer: it streams the model's borrowed tables through one
-/// [`CHUNK`]-byte buffer and never copies a table whole.
+/// `CHUNK`-byte buffer and never copies a table whole.
 pub fn save_model_with_hint<W: Write>(
     model: &dyn TrainableModel,
     kind: ModelKind,

@@ -15,7 +15,7 @@
 //!   gateway. The win comes from 8-wide lanes and 4-row register blocking
 //!   (2 queries × 4 rows for a block of queries, [`combine_rows_block`]),
 //!   not from fusion.
-//! * [`neon`] is the arm64 path (two 4-lane vectors emulating the same
+//! * `neon` is the arm64 path (two 4-lane vectors emulating the same
 //!   8-lane virtual vector).
 //! * [`quant`] holds the quantized-table kernels (f16 / int8 per-dimension
 //!   affine), which are opt-in and documented with an accuracy budget.

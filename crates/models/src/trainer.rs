@@ -55,7 +55,7 @@ pub fn train_epoch(
     train_epoch_with_source(model, triples, config, &sampler, rng)
 }
 
-/// Run one epoch drawing negatives from an arbitrary [`NegativeSource`] —
+/// Run one epoch drawing negatives from an arbitrary [`crate::NegativeSource`] —
 /// the hook for the paper's future-work extension of recommender-guided
 /// *training-time* negative sampling.
 pub fn train_epoch_with_source(

@@ -378,8 +378,8 @@ impl CachedTopK {
 /// Coalesces concurrent `/topk` requests for one model into a single
 /// multi-query fan-out pass.
 ///
-/// Same [`BatchCore`] leadership protocol as [`ScoreBatcher`], but the
-/// merged batch is executed as one [`ranked_pass`]: the coalesced queries
+/// Same `BatchCore` leadership protocol as [`ScoreBatcher`], but the
+/// merged batch is executed as one `ranked_pass`: the coalesced queries
 /// are spread across worker threads, and any spare threads fan each
 /// query's entity shards out via [`ScoringEngine::top_k_fanout`]. One
 /// concurrent query → pure shard fan-out; `threads`+ concurrent queries →

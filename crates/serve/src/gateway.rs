@@ -9,7 +9,7 @@
 //! the in-process sharded engine uses, so boundaries need no
 //! negotiation). The gateway holds no models at all; it scatters each
 //! request across the workers over pooled keep-alive
-//! [`client::Connection`]s and recombines the pieces:
+//! [`crate::client::Connection`]s and recombines the pieces:
 //!
 //! * `/topk` → every worker's internal `POST /shard/topk` evaluates the
 //!   queries over its configured range and returns wire-encoded

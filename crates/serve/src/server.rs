@@ -1,8 +1,8 @@
 //! Dependency-free HTTP/1.1 server on `std::net::TcpListener`.
 //!
 //! Serving is split between one **reactor** thread and a fixed worker
-//! pool (see [`crate::reactor`]): the reactor multiplexes every
-//! connection over a readiness poller ([`crate::poll`], epoll on Linux,
+//! pool (see the crate-private `reactor` module): the reactor multiplexes
+//! every connection over a readiness poller (`poll`, epoll on Linux,
 //! kqueue on the BSDs/macOS), frames requests incrementally off
 //! non-blocking sockets, and hands each completed request to the pool;
 //! a worker is busy only while a request executes. Thousands of mostly
