@@ -68,7 +68,8 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// `HashMap` keyed with the fast Fx hash.
+/// `HashMap` keyed with the fast Fx hash. For integer keys: string keys
+/// that share a prefix collide in the bucket bits (see [`crate::vocab`]).
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// `HashSet` keyed with the fast Fx hash.

@@ -1,6 +1,18 @@
 //! String-interning vocabulary mapping external labels to dense ids.
+//!
+//! Labels are hashed with std's SipHash, not [`crate::fxhash`]: Fx mixes a
+//! string eight bytes at a time and lets the first bytes decide the bucket
+//! bits, so labels that share a prefix (the generator's `e0` … `e49999`)
+//! collide into a few hundred buckets and every lookup walks a long probe
+//! chain. SipHash sees every byte. Its keys are fixed, so the table's
+//! layout repeats run to run; ids never depend on it — they are handed out
+//! in first-occurrence order.
 
-use crate::fxhash::FxHashMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher};
+
+/// The label index's hasher: SipHash with fixed keys.
+type LabelHasher = BuildHasherDefault<DefaultHasher>;
 
 /// Bidirectional mapping between string labels and dense `u32` indices.
 ///
@@ -10,7 +22,7 @@ use crate::fxhash::FxHashMap;
 #[derive(Clone, Debug, Default)]
 pub struct Vocab {
     labels: Vec<String>,
-    index: FxHashMap<String, u32>,
+    index: HashMap<String, u32, LabelHasher>,
 }
 
 impl Vocab {
@@ -32,7 +44,7 @@ impl Vocab {
     pub fn with_capacity(n: usize) -> Self {
         Vocab {
             labels: Vec::with_capacity(n),
-            index: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            index: HashMap::with_capacity_and_hasher(n, LabelHasher::default()),
         }
     }
 
@@ -103,6 +115,30 @@ mod tests {
         assert_eq!(v.len(), 3);
         assert_eq!(v.label(0), Some("e0"));
         assert_eq!(v.get("e2"), Some(2));
+    }
+
+    #[test]
+    fn hasher_spreads_labels_that_share_a_prefix() {
+        use std::hash::BuildHasher;
+        // Fx gives these 50 000 labels 256 distinct low-16-bit patterns.
+        let hasher = LabelHasher::default();
+        let mut patterns: Vec<u16> =
+            (0..50_000).map(|i| hasher.hash_one(format!("e{i}")) as u16).collect();
+        patterns.sort_unstable();
+        patterns.dedup();
+        assert!(patterns.len() >= 30_000, "{} distinct low-16-bit patterns", patterns.len());
+    }
+
+    #[test]
+    fn ids_follow_first_occurrence_across_splits() {
+        // Three "splits" interned in turn, repeats within and across them.
+        let splits = [["e7", "e3", "e7"], ["e3", "e11", "e0"], ["e0", "e7", "e5"]];
+        let mut v = Vocab::new();
+        let ids: Vec<Vec<u32>> =
+            splits.iter().map(|split| split.iter().map(|l| v.intern(l)).collect()).collect();
+        assert_eq!(ids, vec![vec![0, 1, 0], vec![1, 2, 3], vec![3, 0, 4]]);
+        let labels: Vec<&str> = v.iter().map(|(_, l)| l).collect();
+        assert_eq!(labels, ["e7", "e3", "e11", "e0", "e5"]);
     }
 
     #[test]

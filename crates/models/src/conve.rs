@@ -19,9 +19,8 @@ use std::ops::Range;
 
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, Triple};
-use rand::Rng;
 
-use crate::embedding::EmbeddingTable;
+use crate::embedding::{EmbeddingTable, TableInit};
 use crate::model::{KgcModel, TrainableModel};
 
 /// Number of convolution filters.
@@ -71,16 +70,21 @@ struct Forward {
 impl ConvE {
     /// New model; `dim` must be a multiple of `WIDTH` (default 4) and at
     /// least `2 · WIDTH` (see `ConvE::table_lens`).
-    pub fn new<R: Rng>(num_entities: usize, num_relations: usize, dim: usize, rng: &mut R) -> Self {
+    pub fn new(
+        num_entities: usize,
+        num_relations: usize,
+        dim: usize,
+        init: &mut impl TableInit,
+    ) -> Self {
         let (height, out_h, out_w, flat) = Self::image(dim).unwrap_or_else(|e| panic!("{e}"));
         ConvE {
-            entities: EmbeddingTable::xavier(num_entities, dim, rng),
-            relations: EmbeddingTable::xavier(2 * num_relations, dim, rng),
-            kernels: EmbeddingTable::xavier(1, FILTERS * K * K, rng),
-            kernel_bias: EmbeddingTable::uniform(1, FILTERS, 0.0, rng),
-            fc: EmbeddingTable::xavier(1, dim * flat, rng),
-            fc_bias: EmbeddingTable::uniform(1, dim, 0.0, rng),
-            entity_bias: EmbeddingTable::uniform(1, num_entities, 0.0, rng),
+            entities: init.xavier(num_entities, dim),
+            relations: init.xavier(2 * num_relations, dim),
+            kernels: init.xavier(1, FILTERS * K * K),
+            kernel_bias: init.uniform(1, FILTERS, 0.0),
+            fc: init.xavier(1, dim * flat),
+            fc_bias: init.uniform(1, dim, 0.0),
+            entity_bias: init.uniform(1, num_entities, 0.0),
             num_relations,
             dim,
             height,

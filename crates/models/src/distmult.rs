@@ -4,10 +4,9 @@ use std::ops::Range;
 
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, Triple};
-use rand::Rng;
 
 use crate::embedding::{
-    combine_candidates, combine_range, combine_range_block, Combine, EmbeddingTable,
+    combine_candidates, combine_range, combine_range_block, Combine, EmbeddingTable, TableInit,
 };
 use crate::model::{KgcModel, TrainableModel};
 
@@ -20,10 +19,15 @@ pub struct DistMult {
 
 impl DistMult {
     /// New model with Xavier-initialised embeddings.
-    pub fn new<R: Rng>(num_entities: usize, num_relations: usize, dim: usize, rng: &mut R) -> Self {
+    pub fn new(
+        num_entities: usize,
+        num_relations: usize,
+        dim: usize,
+        init: &mut impl TableInit,
+    ) -> Self {
         DistMult {
-            entities: EmbeddingTable::xavier(num_entities, dim, rng),
-            relations: EmbeddingTable::xavier(num_relations, dim, rng),
+            entities: init.xavier(num_entities, dim),
+            relations: init.xavier(num_relations, dim),
             dim,
         }
     }

@@ -31,8 +31,7 @@ impl EmbeddingTable {
     /// New table initialised uniformly in `±sqrt(6 / (count + dim))`
     /// (Xavier/Glorot range).
     pub fn xavier<R: Rng>(count: usize, dim: usize, rng: &mut R) -> Self {
-        let bound = (6.0 / (count + dim) as f64).sqrt() as f32;
-        Self::uniform(count, dim, bound, rng)
+        rng.xavier(count, dim)
     }
 
     /// New table initialised uniformly in `±bound`, drawn straight into
@@ -109,6 +108,35 @@ impl EmbeddingTable {
     /// Raw parameter slice (mutable; for tests constructing exact values).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
+    }
+}
+
+/// Where a new model's tables come from. Every `Rng` is one: it draws
+/// them, for a model that will be trained. The snapshot reader passes a
+/// crate-private zeroed source instead, since it overwrites every value.
+pub trait TableInit {
+    /// A `count × dim` table, uniform in `±bound` when drawn.
+    fn uniform(&mut self, count: usize, dim: usize, bound: f32) -> EmbeddingTable;
+
+    /// A `count × dim` table in the Xavier/Glorot range when drawn.
+    fn xavier(&mut self, count: usize, dim: usize) -> EmbeddingTable {
+        self.uniform(count, dim, (6.0 / (count + dim) as f64).sqrt() as f32)
+    }
+}
+
+impl<R: Rng> TableInit for R {
+    fn uniform(&mut self, count: usize, dim: usize, bound: f32) -> EmbeddingTable {
+        EmbeddingTable::uniform(count, dim, bound, self)
+    }
+}
+
+/// Zero-filled tables, no draw: the load path's shell.
+pub(crate) struct Zeroed;
+
+impl TableInit for Zeroed {
+    fn uniform(&mut self, count: usize, dim: usize, _bound: f32) -> EmbeddingTable {
+        let len = count * dim;
+        EmbeddingTable { dim, data: AlignedVec::zeroed(len), accum: vec![0.0; len] }
     }
 }
 

@@ -2,6 +2,7 @@
 
 use kg_core::sample::seeded_rng;
 
+use crate::embedding::TableInit;
 use crate::model::TrainableModel;
 
 /// Which KGC model to build (§5.2's model zoo).
@@ -108,27 +109,27 @@ pub fn build_model(
     dim: usize,
     seed: u64,
 ) -> Box<dyn TrainableModel> {
-    let mut rng = seeded_rng(seed);
+    build_with(kind, num_entities, num_relations, dim, &mut seeded_rng(seed))
+}
+
+/// Build a model whose tables come from `init`: [`build_model`] draws
+/// them, the snapshot reader takes them zeroed.
+pub(crate) fn build_with(
+    kind: ModelKind,
+    num_entities: usize,
+    num_relations: usize,
+    dim: usize,
+    init: &mut impl TableInit,
+) -> Box<dyn TrainableModel> {
+    let (ne, nr) = (num_entities, num_relations);
     match kind {
-        ModelKind::TransE => {
-            Box::new(crate::TransE::new(num_entities, num_relations, dim, &mut rng))
-        }
-        ModelKind::DistMult => {
-            Box::new(crate::DistMult::new(num_entities, num_relations, dim, &mut rng))
-        }
-        ModelKind::ComplEx => {
-            Box::new(crate::ComplEx::new(num_entities, num_relations, dim, &mut rng))
-        }
-        ModelKind::Rescal => {
-            Box::new(crate::Rescal::new(num_entities, num_relations, dim, &mut rng))
-        }
-        ModelKind::RotatE => {
-            Box::new(crate::RotatE::new(num_entities, num_relations, dim, &mut rng))
-        }
-        ModelKind::TuckEr => {
-            Box::new(crate::TuckEr::new(num_entities, num_relations, dim, &mut rng))
-        }
-        ModelKind::ConvE => Box::new(crate::ConvE::new(num_entities, num_relations, dim, &mut rng)),
+        ModelKind::TransE => Box::new(crate::TransE::new(ne, nr, dim, init)),
+        ModelKind::DistMult => Box::new(crate::DistMult::new(ne, nr, dim, init)),
+        ModelKind::ComplEx => Box::new(crate::ComplEx::new(ne, nr, dim, init)),
+        ModelKind::Rescal => Box::new(crate::Rescal::new(ne, nr, dim, init)),
+        ModelKind::RotatE => Box::new(crate::RotatE::new(ne, nr, dim, init)),
+        ModelKind::TuckEr => Box::new(crate::TuckEr::new(ne, nr, dim, init)),
+        ModelKind::ConvE => Box::new(crate::ConvE::new(ne, nr, dim, init)),
     }
 }
 

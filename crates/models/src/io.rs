@@ -31,7 +31,8 @@ use std::path::Path;
 
 use kg_core::KgError;
 
-use crate::factory::{build_model, ModelKind};
+use crate::embedding::Zeroed;
+use crate::factory::{build_with, ModelKind};
 use crate::kernels::Precision;
 use crate::model::TrainableModel;
 use crate::quantized::QuantizedModel;
@@ -202,7 +203,8 @@ pub fn read_model<R: Read>(r: &mut R, len: u64) -> Result<LoadedModel, KgError> 
         return Err(fail(format!("{} bytes past the last table", len - end)));
     }
 
-    let mut model = build_model(kind, ne, nr, dim, 0);
+    // Zeroed, not drawn: every value is about to be overwritten.
+    let mut model = build_with(kind, ne, nr, dim, &mut Zeroed);
     let mut left = len - header_len;
     let mut buf = vec![0u8; CHUNK];
     for (i, table) in model.param_tables_mut().into_iter().enumerate() {
@@ -292,6 +294,7 @@ pub fn roundtrip(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factory::build_model;
     use crate::model::KgcModel;
     use kg_core::{EntityId, RelationId};
 

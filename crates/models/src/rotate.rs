@@ -8,9 +8,8 @@ use std::ops::Range;
 
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, Triple};
-use rand::Rng;
 
-use crate::embedding::EmbeddingTable;
+use crate::embedding::{EmbeddingTable, TableInit};
 use crate::model::{KgcModel, TrainableModel};
 
 /// Guard against division by a zero modulus.
@@ -27,12 +26,17 @@ pub struct RotatE {
 
 impl RotatE {
     /// New model; `dim` must be even.
-    pub fn new<R: Rng>(num_entities: usize, num_relations: usize, dim: usize, rng: &mut R) -> Self {
+    pub fn new(
+        num_entities: usize,
+        num_relations: usize,
+        dim: usize,
+        init: &mut impl TableInit,
+    ) -> Self {
         assert!(dim.is_multiple_of(2), "RotatE needs an even dimension");
         let half = dim / 2;
         RotatE {
-            entities: EmbeddingTable::xavier(num_entities, dim, rng),
-            phases: EmbeddingTable::uniform(num_relations, half, std::f32::consts::PI, rng),
+            entities: init.xavier(num_entities, dim),
+            phases: init.uniform(num_relations, half, std::f32::consts::PI),
             dim,
             half,
         }

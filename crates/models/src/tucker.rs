@@ -12,10 +12,9 @@ use std::ops::Range;
 
 use kg_core::triple::QuerySide;
 use kg_core::{EntityId, RelationId, Triple};
-use rand::Rng;
 
 use crate::embedding::{
-    combine_candidates, combine_range, combine_range_block, Combine, EmbeddingTable,
+    combine_candidates, combine_range, combine_range_block, Combine, EmbeddingTable, TableInit,
 };
 use crate::model::{KgcModel, TrainableModel};
 
@@ -30,12 +29,17 @@ pub struct TuckEr {
 
 impl TuckEr {
     /// New model; the core tensor has `dim³` parameters.
-    pub fn new<R: Rng>(num_entities: usize, num_relations: usize, dim: usize, rng: &mut R) -> Self {
+    pub fn new(
+        num_entities: usize,
+        num_relations: usize,
+        dim: usize,
+        init: &mut impl TableInit,
+    ) -> Self {
         TuckEr {
-            entities: EmbeddingTable::xavier(num_entities, dim, rng),
-            relations: EmbeddingTable::xavier(num_relations, dim, rng),
+            entities: init.xavier(num_entities, dim),
+            relations: init.xavier(num_relations, dim),
             // Near-identity-magnitude uniform init keeps early scores tame.
-            core: EmbeddingTable::uniform(1, dim * dim * dim, 1.0 / dim as f32, rng),
+            core: init.uniform(1, dim * dim * dim, 1.0 / dim as f32),
             dim,
         }
     }

@@ -8,6 +8,13 @@
 //! the filtered-out fraction of `|E|`. The final set is the thresholded
 //! entities united with the seen set (the paper combines every method with
 //! PT "to simulate a practical scenario").
+//!
+//! The sweep orders a column by score with a radix sort over `u32` keys:
+//! the score's f32 bits shifted up one, with the entity's seen flag in the
+//! low bit. Scores are positive, so bit order is value order, and the
+//! sweep needs nothing else — not the entity, not a lookup. The chosen set
+//! is then `{e : score ≥ threshold}`, read off the column already in
+//! entity order and merged with the (sorted) union column.
 
 use kg_core::triple::QuerySide;
 use kg_core::{DrColumn, RelationId, Triple};
@@ -47,58 +54,43 @@ impl CandidateSets {
         let nc = matrix.num_columns();
         let mut sets = Vec::with_capacity(nc);
         let mut thresholds = Vec::with_capacity(nc);
-        let mut member = vec![false; ne];
+        let (mut keys, mut scratch) = (Vec::new(), Vec::new());
         for c in 0..nc {
             let col = DrColumn(c as u32);
             let (entities, scores) = matrix.column(col);
             let seen_col = recall_reference.column(col);
-            for &e in seen_col {
-                member[e as usize] = true;
-            }
+            seen_keys(entities, scores, seen_col, &mut keys);
+            radix_sort(&mut keys, &mut scratch);
 
-            // Entities sorted by descending score.
-            let mut order: Vec<u32> = (0..entities.len() as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                scores[b as usize].partial_cmp(&scores[a as usize]).unwrap()
-            });
-
-            // Sweep prefixes; evaluate the objective at each distinct score.
+            // Sweep prefixes by descending score; evaluate the objective
+            // once per distinct score, after all entries tied at it.
             let total_seen = seen_col.len().max(1);
             let mut hit_seen = 0usize;
             let mut best = f64::INFINITY;
-            let mut best_len = 0usize;
             let mut best_threshold = f32::INFINITY;
             let mut i = 0;
-            while i < order.len() {
-                let s = scores[order[i] as usize];
-                // Extend the prefix to include all entries tied at score s.
-                while i < order.len() && scores[order[i] as usize] == s {
-                    if member[entities[order[i] as usize] as usize] {
-                        hit_seen += 1;
-                    }
+            let mut rest = keys.as_slice();
+            while let Some(&top) = rest.last() {
+                let bits = top >> 1;
+                while let Some((&k, below)) = rest.split_last().filter(|(&k, _)| k >> 1 == bits) {
+                    hit_seen += (k & 1) as usize;
                     i += 1;
+                    rest = below;
                 }
                 let cr = hit_seen as f64 / total_seen as f64;
                 let rr = 1.0 - i as f64 / ne as f64;
                 let obj = (1.0 - cr) * (1.0 - cr) + (1.0 - rr) * (1.0 - rr);
                 if obj < best {
                     best = obj;
-                    best_len = i;
-                    best_threshold = s;
+                    best_threshold = f32::from_bits(bits);
                 }
             }
 
-            let mut set: Vec<u32> =
-                order[..best_len].iter().map(|&o| entities[o as usize]).collect();
-            set.extend_from_slice(union_with.column(col));
-            set.sort_unstable();
-            set.dedup();
-            sets.push(set);
+            // The optimal prefix is every entity scoring ≥ the threshold,
+            // already ascending; merge in the union column.
+            let above = entities.iter().zip(scores).filter(|&(_, &s)| s >= best_threshold);
+            sets.push(merge_sorted(above.map(|(&e, _)| e), union_with.column(col)));
             thresholds.push(best_threshold);
-
-            for &e in seen_col {
-                member[e as usize] = false;
-            }
         }
         CandidateSets { num_relations: matrix.num_relations(), num_entities: ne, sets, thresholds }
     }
@@ -157,6 +149,72 @@ impl CandidateSets {
         }
         self.sets.iter().map(Vec::len).sum::<usize>() as f64 / self.sets.len() as f64
     }
+}
+
+/// One radix key per scored entity of a column: the score's f32 bits
+/// shifted up one, with whether `seen` holds the entity in the low bit.
+/// Scores are positive, so the sign bit is free and key order is score
+/// order. `entities` and `seen` are both ascending: one merge walk.
+fn seen_keys(entities: &[u32], scores: &[f32], seen: &[u32], keys: &mut Vec<u32>) {
+    keys.clear();
+    let mut seen = seen.iter().peekable();
+    for (&e, &s) in entities.iter().zip(scores) {
+        debug_assert!(s > 0.0, "score matrices hold positive scores");
+        while seen.next_if(|&&x| x < e).is_some() {}
+        let hit = seen.next_if_eq(&&e).is_some();
+        keys.push(s.to_bits() << 1 | u32::from(hit));
+    }
+}
+
+/// Sort `keys` ascending: least-significant digit first, three digits of
+/// 11, 11 and 10 bits, and no pass for a digit every key shares.
+fn radix_sort(keys: &mut Vec<u32>, scratch: &mut Vec<u32>) {
+    const BITS: u32 = 11;
+    const MASK: u32 = (1 << BITS) - 1;
+    let mut counts = vec![[0u32; 1 << BITS]; 3];
+    for &k in keys.iter() {
+        counts[0][(k & MASK) as usize] += 1;
+        counts[1][(k >> BITS & MASK) as usize] += 1;
+        counts[2][(k >> (2 * BITS)) as usize] += 1;
+    }
+    scratch.resize(keys.len(), 0);
+    for (d, count) in counts.iter_mut().enumerate() {
+        if count.contains(&(keys.len() as u32)) {
+            continue;
+        }
+        let mut at = 0;
+        for n in count.iter_mut() {
+            (*n, at) = (at, at + *n);
+        }
+        let shift = BITS * d as u32;
+        for &k in keys.iter() {
+            let slot = &mut count[(k >> shift & MASK) as usize];
+            scratch[*slot as usize] = k;
+            *slot += 1;
+        }
+        std::mem::swap(keys, scratch);
+    }
+}
+
+/// The sorted, duplicate-free union of two ascending sequences.
+fn merge_sorted(a: impl Iterator<Item = u32>, b: &[u32]) -> Vec<u32> {
+    let mut out = Vec::with_capacity(b.len());
+    let mut b = b.iter().copied().peekable();
+    let push = |out: &mut Vec<u32>, x: u32| {
+        if out.last() != Some(&x) {
+            out.push(x);
+        }
+    };
+    for x in a {
+        while let Some(y) = b.next_if(|&y| y <= x) {
+            push(&mut out, y);
+        }
+        push(&mut out, x);
+    }
+    for y in b {
+        push(&mut out, y);
+    }
+    out
 }
 
 /// Candidate Recall / Reduction Rate over a test split (one Table 5 row).
@@ -229,7 +287,8 @@ pub fn test_queries(dataset: &Dataset) -> impl Iterator<Item = (Triple, QuerySid
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kg_core::{Triple, TypeAssignment};
+    use kg_core::{Triple, TripleStore, TypeAssignment};
+    use proptest::prelude::*;
 
     fn dataset() -> Dataset {
         Dataset::new(
@@ -327,5 +386,137 @@ mod tests {
         let seen = SeenSets::from_store(&d.train);
         let sets = CandidateSets::from_seen(&seen);
         assert!((sets.mean_size() - 2.0).abs() < 1e-9);
+    }
+
+    /// The construction the radix sweep replaced: indices comparison-sorted
+    /// by descending score, the optimal prefix collected, united with
+    /// `union_with`, sorted and deduplicated. Returns sets and thresholds.
+    fn static_sets_reference(
+        matrix: &ScoreMatrix,
+        union_with: &SeenSets,
+        recall_reference: &SeenSets,
+    ) -> (Vec<Vec<u32>>, Vec<f32>) {
+        let ne = matrix.num_entities();
+        let mut sets = Vec::new();
+        let mut thresholds = Vec::new();
+        let mut member = vec![false; ne];
+        for c in 0..matrix.num_columns() {
+            let col = DrColumn(c as u32);
+            let (entities, scores) = matrix.column(col);
+            let seen_col = recall_reference.column(col);
+            for &e in seen_col {
+                member[e as usize] = true;
+            }
+            let mut order: Vec<u32> = (0..entities.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| {
+                scores[b as usize].partial_cmp(&scores[a as usize]).unwrap()
+            });
+            let total_seen = seen_col.len().max(1);
+            let mut hit_seen = 0usize;
+            let mut best = f64::INFINITY;
+            let mut best_len = 0usize;
+            let mut best_threshold = f32::INFINITY;
+            let mut i = 0;
+            while i < order.len() {
+                let s = scores[order[i] as usize];
+                while i < order.len() && scores[order[i] as usize] == s {
+                    if member[entities[order[i] as usize] as usize] {
+                        hit_seen += 1;
+                    }
+                    i += 1;
+                }
+                let cr = hit_seen as f64 / total_seen as f64;
+                let rr = 1.0 - i as f64 / ne as f64;
+                let obj = (1.0 - cr) * (1.0 - cr) + (1.0 - rr) * (1.0 - rr);
+                if obj < best {
+                    best = obj;
+                    best_len = i;
+                    best_threshold = s;
+                }
+            }
+            let mut set: Vec<u32> =
+                order[..best_len].iter().map(|&o| entities[o as usize]).collect();
+            set.extend_from_slice(union_with.column(col));
+            set.sort_unstable();
+            set.dedup();
+            sets.push(set);
+            thresholds.push(best_threshold);
+            for &e in seen_col {
+                member[e as usize] = false;
+            }
+        }
+        (sets, thresholds)
+    }
+
+    /// Both constructors against the reference, in sets and threshold bits.
+    fn assert_matches_reference(matrix: &ScoreMatrix, union_with: &SeenSets, recall: &SeenSets) {
+        let cases = [
+            (
+                CandidateSets::static_sets_with_recall_reference(matrix, union_with, recall),
+                union_with,
+            ),
+            (CandidateSets::static_sets(matrix, recall), recall),
+        ];
+        for (got, union_with) in cases {
+            let (sets, thresholds) = static_sets_reference(matrix, union_with, recall);
+            for c in 0..matrix.num_columns() {
+                let col = DrColumn(c as u32);
+                assert_eq!(got.column(col), sets[c], "set of column {c}");
+                assert_eq!(got.threshold(col).to_bits(), thresholds[c].to_bits(), "column {c}");
+            }
+        }
+    }
+
+    /// Seen sets over `ne` entities and `nr` relations from raw triples.
+    fn seen_of(triples: &[(u32, u32, u32)], ne: usize, nr: usize) -> SeenSets {
+        let triples = triples.iter().map(|&(h, r, t)| Triple::new(h, r, t)).collect();
+        SeenSets::from_store(&TripleStore::from_triples(triples, ne, nr))
+    }
+
+    #[test]
+    fn radix_sweep_matches_the_comparison_sort_on_edge_columns() {
+        // Column 0: the optimum ends inside a three-way tie at 0.5.
+        // Column 1: every scored entity is seen. Column 2: empty.
+        // Column 3: a single entity, unseen.
+        let matrix = ScoreMatrix::from_columns(
+            8,
+            2,
+            vec![
+                vec![(0, 1.0), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.125)],
+                vec![(5, 2.0), (6, 1.0), (7, 1.0)],
+                vec![],
+                vec![(4, 0.75)],
+            ],
+        );
+        let recall = seen_of(&[(0, 0, 1), (1, 0, 3), (5, 1, 6), (7, 1, 6)], 8, 2);
+        let sets = CandidateSets::static_sets(&matrix, &recall);
+        assert_eq!(sets.threshold(DrColumn(0)), 0.5, "the tie group is kept whole");
+        assert_eq!(sets.column(DrColumn(1)), &[5, 6, 7]);
+        assert_eq!(sets.threshold(DrColumn(2)), f32::INFINITY, "an empty column thresholds at ∞");
+        assert_matches_reference(&matrix, &recall, &recall);
+        // The `repro ablate-pt-union` case: no union at all.
+        assert_matches_reference(&matrix, &seen_of(&[], 8, 2), &recall);
+    }
+
+    proptest! {
+        #[test]
+        fn radix_sweep_matches_the_comparison_sort(
+            columns in proptest::collection::vec(
+                proptest::collection::vec((0u32..16, 1u32..6), 0..14),
+                4,
+            ),
+            recall in proptest::collection::vec((0u32..16, 0u32..2, 0u32..16), 0..24),
+            union_with in proptest::collection::vec((0u32..16, 0u32..2, 0u32..16), 0..8),
+        ) {
+            // Scores on a coarse grid, so ties are common; duplicates sum.
+            let columns = columns
+                .into_iter()
+                .map(|col| col.into_iter().map(|(e, k)| (e, k as f32 * 0.25)).collect())
+                .collect();
+            let matrix = ScoreMatrix::from_columns(16, 2, columns);
+            let recall = seen_of(&recall, 16, 2);
+            assert_matches_reference(&matrix, &seen_of(&union_with, 16, 2), &recall);
+            assert_matches_reference(&matrix, &seen_of(&[], 16, 2), &recall);
+        }
     }
 }

@@ -11,8 +11,15 @@
 //! Table 1 credits it with. Intuitively `W` is the adjacency matrix of a
 //! global graph over domains/ranges (Figure 2); an entity inherits the
 //! outgoing confidence mass of every domain/range it participates in.
+//!
+//! Step 4 is one pass that never holds `X`: `ScoreMatrix::propagate`
+//! accumulates each entity's row in `spgemm`'s order and writes its
+//! `2|R|` domain/range cells straight into the column-major score matrix,
+//! bit for bit what the sparse product would hold. `W` is small
+//! (`(2|R| + |T|)²`), so it stays a sparse product; only the `|E|`-row side
+//! is streamed. WD ([`crate::wd`]) shares the incidence matrix and the pass.
 
-use kg_core::sparse::{row_normalize_l1, spgemm, transpose, CooBuilder};
+use kg_core::sparse::{row_normalize_l1, spgemm, transpose, CooBuilder, CsrMatrix};
 use kg_datasets::Dataset;
 
 use crate::recommender::{RecommenderCriteria, RelationRecommender};
@@ -60,39 +67,40 @@ impl RelationRecommender for Lwd {
     }
 
     fn fit(&self, dataset: &Dataset) -> ScoreMatrix {
-        let ne = dataset.num_entities();
-        let nr = dataset.num_relations();
-        let nt = if self.use_types { dataset.types.num_types() } else { 0 };
-        let cols = 2 * nr + nt;
-
-        // Step 1: binary incidence matrix B.
-        let mut b = CooBuilder::with_capacity(ne, cols, dataset.train.len() * 2);
-        for r in 0..nr {
-            let rel = kg_core::RelationId(r as u32);
-            for ec in dataset.train.heads_of(rel) {
-                b.push(ec.entity.index(), r, 1.0);
-            }
-            for ec in dataset.train.tails_of(rel) {
-                b.push(ec.entity.index(), nr + r, 1.0);
-            }
-        }
-        if self.use_types {
-            for e in 0..ne {
-                for &ty in dataset.types.types_of(kg_core::EntityId(e as u32)) {
-                    b.push(e, 2 * nr + ty.index(), 1.0);
-                }
-            }
-        }
-        let b = b.build();
-
+        let b = incidence(dataset, self.use_types);
         // Steps 2–3: W = BᵀB, row-normalised.
         let mut w = spgemm(&transpose(&b), &b);
         row_normalize_l1(&mut w);
-
-        // Step 4: X = B·W; keep the 2|R| domain/range columns.
-        let x = spgemm(&b, &w);
-        ScoreMatrix::from_entity_major(&x, nr)
+        // Step 4: X = B·W on the 2|R| domain/range columns.
+        ScoreMatrix::propagate(&b, &w, dataset.num_relations(), |x, _| x)
     }
+}
+
+/// Step 1: the binary incidence matrix `B` — `|E|` rows; columns are the
+/// `|R|` domains, the `|R|` ranges, then (with `use_types`) the `|T|`
+/// types. Shared with WD.
+pub(crate) fn incidence(dataset: &Dataset, use_types: bool) -> CsrMatrix {
+    let ne = dataset.num_entities();
+    let nr = dataset.num_relations();
+    let nt = if use_types { dataset.types.num_types() } else { 0 };
+    let mut b = CooBuilder::with_capacity(ne, 2 * nr + nt, dataset.train.len() * 2);
+    for r in 0..nr {
+        let rel = kg_core::RelationId(r as u32);
+        for ec in dataset.train.heads_of(rel) {
+            b.push(ec.entity.index(), r, 1.0);
+        }
+        for ec in dataset.train.tails_of(rel) {
+            b.push(ec.entity.index(), nr + r, 1.0);
+        }
+    }
+    if use_types {
+        for e in 0..ne {
+            for &ty in dataset.types.types_of(kg_core::EntityId(e as u32)) {
+                b.push(e, 2 * nr + ty.index(), 1.0);
+            }
+        }
+    }
+    b.build()
 }
 
 #[cfg(test)]

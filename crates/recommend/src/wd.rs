@@ -9,10 +9,15 @@
 //! * co-occurrence confidences below `min_confidence` are dropped,
 //! * an entity's score for a column is the **average of squared**
 //!   confidences over its incident columns (L-WD *sums* raw confidences).
+//!
+//! It shares L-WD's incidence matrix and its one-pass propagation
+//! (`ScoreMatrix::propagate`); the average is a division of each
+//! accumulated cell by the entity's degree, applied as the cell is written.
 
 use kg_core::sparse::{row_normalize_l1, spgemm, transpose, CooBuilder, CsrMatrix};
 use kg_datasets::Dataset;
 
+use crate::lwd::incidence;
 use crate::recommender::{RecommenderCriteria, RelationRecommender};
 use crate::score_matrix::ScoreMatrix;
 
@@ -64,53 +69,17 @@ impl RelationRecommender for Wd {
     }
 
     fn fit(&self, dataset: &Dataset) -> ScoreMatrix {
-        let ne = dataset.num_entities();
-        let nr = dataset.num_relations();
-        let nt = if self.use_types { dataset.types.num_types() } else { 0 };
-        let cols = 2 * nr + nt;
-
         // Incidence matrix B, exactly as in L-WD.
-        let mut b = CooBuilder::with_capacity(ne, cols, dataset.train.len() * 2);
-        for r in 0..nr {
-            let rel = kg_core::RelationId(r as u32);
-            for ec in dataset.train.heads_of(rel) {
-                b.push(ec.entity.index(), r, 1.0);
-            }
-            for ec in dataset.train.tails_of(rel) {
-                b.push(ec.entity.index(), nr + r, 1.0);
-            }
-        }
-        if self.use_types {
-            for e in 0..ne {
-                for &ty in dataset.types.types_of(kg_core::EntityId(e as u32)) {
-                    b.push(e, 2 * nr + ty.index(), 1.0);
-                }
-            }
-        }
-        let b = b.build();
+        let b = incidence(dataset, self.use_types);
 
         // Confidence matrix, thresholded and squared.
         let mut w = spgemm(&transpose(&b), &b);
         row_normalize_l1(&mut w);
         let w = threshold_and_square(&w, self.min_confidence);
 
-        // Average (not sum) of squared confidences: divide each entity row
-        // by its number of incident columns.
-        let x = spgemm(&b, &w);
-        let mut columns: Vec<Vec<(u32, f32)>> = vec![Vec::new(); 2 * nr];
-        for e in 0..ne {
-            let deg = b.row_nnz(e);
-            if deg == 0 {
-                continue;
-            }
-            let (idx, vals) = x.row(e);
-            for (&c, &v) in idx.iter().zip(vals) {
-                if (c as usize) < 2 * nr && v > 0.0 {
-                    columns[c as usize].push((e as u32, v / deg as f32));
-                }
-            }
-        }
-        ScoreMatrix::from_columns(ne, nr, columns)
+        // Average (not sum) of squared confidences: divide each entity's
+        // cells by its number of incident columns.
+        ScoreMatrix::propagate(&b, &w, dataset.num_relations(), |x, deg| x / deg as f32)
     }
 }
 
