@@ -183,13 +183,6 @@ impl TripleStore {
     pub fn degree(&self, e: EntityId) -> u32 {
         self.degree[e.index()]
     }
-
-    /// Relations sorted by descending triple count (frequency order).
-    pub fn relations_by_frequency(&self) -> Vec<RelationId> {
-        let mut rels: Vec<RelationId> = (0..self.num_relations as u32).map(RelationId).collect();
-        rels.sort_by_key(|r| std::cmp::Reverse(self.triples_of(*r).len()));
-        rels
-    }
 }
 
 #[cfg(test)]
@@ -259,12 +252,6 @@ mod tests {
         assert_eq!(s.degree(EntityId(0)), 2); // head of two triples
         assert_eq!(s.degree(EntityId(1)), 3); // tail twice + head once
         assert_eq!(s.degree(EntityId(2)), 1);
-    }
-
-    #[test]
-    fn relations_by_frequency_orders_descending() {
-        let s = store();
-        assert_eq!(s.relations_by_frequency(), vec![RelationId(0), RelationId(1)]);
     }
 
     #[test]

@@ -82,20 +82,6 @@ impl ShardPlan {
         self.len / self.num_shards + usize::from(!self.len.is_multiple_of(self.num_shards))
     }
 
-    /// The shard containing item `i`.
-    #[inline]
-    pub fn shard_of(&self, i: usize) -> usize {
-        debug_assert!(i < self.len);
-        let base = self.len / self.num_shards;
-        let rem = self.len % self.num_shards;
-        let big = base + 1;
-        if i < rem * big {
-            i / big
-        } else {
-            rem + (i - rem * big) / base
-        }
-    }
-
     /// Iterator over every shard's range, in shard order.
     pub fn ranges(&self) -> impl Iterator<Item = Range<usize>> + '_ {
         (0..self.num_shards).map(|s| self.range(s))
@@ -147,11 +133,6 @@ impl BufferPool {
     /// Pool of buffers holding `buf_len` f32s each.
     pub fn new(buf_len: usize) -> Self {
         BufferPool { buf_len, free: Mutex::new(Vec::new()) }
-    }
-
-    /// Length of every buffer this pool hands out.
-    pub fn buffer_len(&self) -> usize {
-        self.buf_len
     }
 
     /// Buffers currently idle in the pool (for tests / introspection).
@@ -313,9 +294,6 @@ mod tests {
             for (s, r) in plan.ranges().enumerate() {
                 assert_eq!(r.start, next, "shard {s} not contiguous");
                 assert!(r.len() <= plan.max_shard_len());
-                for i in r.clone() {
-                    assert_eq!(plan.shard_of(i), s, "shard_of({i}) disagrees with range");
-                }
                 next = r.end;
             }
             assert_eq!(next, len, "shards must cover 0..len");

@@ -91,14 +91,6 @@ pub fn uniform_without_replacement_into<R: Rng>(
     seen.remove_all(&out[start..]);
 }
 
-/// Sample `k` distinct elements from `items` uniformly.
-pub fn sample_slice<R: Rng, T: Copy>(rng: &mut R, items: &[T], k: usize) -> Vec<T> {
-    uniform_without_replacement(rng, items.len(), k)
-        .into_iter()
-        .map(|i| items[i as usize])
-        .collect()
-}
-
 #[derive(PartialEq)]
 struct HeapEntry {
     key: f64,
@@ -368,16 +360,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 10);
-    }
-
-    #[test]
-    fn sample_slice_picks_from_items() {
-        let mut rng = seeded_rng(11);
-        let items = [10u32, 20, 30, 40];
-        let s = sample_slice(&mut rng, &items, 2);
-        assert_eq!(s.len(), 2);
-        assert!(s.iter().all(|x| items.contains(x)));
-        assert_ne!(s[0], s[1]);
     }
 
     #[test]

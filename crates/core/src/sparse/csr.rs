@@ -127,21 +127,6 @@ impl CsrMatrix {
         CsrMatrix::from_parts(rows, cols, indptr, indices, values)
     }
 
-    /// Multiply by a dense vector: `y = A·x`.
-    #[allow(clippy::needless_range_loop)] // index math mirrors the CSR layout
-    pub fn matvec(&self, x: &[f32], y: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "matvec: x length");
-        assert_eq!(y.len(), self.rows, "matvec: y length");
-        for i in 0..self.rows {
-            let (idx, vals) = self.row(i);
-            let mut acc = 0.0f32;
-            for (&j, &v) in idx.iter().zip(vals) {
-                acc += v * x[j as usize];
-            }
-            y[i] = acc;
-        }
-    }
-
     /// Check the CSR invariants.
     pub fn validate(&self) -> Result<(), String> {
         if self.indptr.len() != self.rows + 1 {
@@ -202,15 +187,6 @@ mod tests {
         assert_eq!(a.row_indices(2), &[0, 1]);
         assert_eq!(a.row_values(2), &[3.0, 4.0]);
         assert_eq!(a.row_nnz(1), 0);
-    }
-
-    #[test]
-    fn matvec_matches_dense() {
-        let a = m();
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [0.0f32; 3];
-        a.matvec(&x, &mut y);
-        assert_eq!(y, [7.0, 0.0, 11.0]);
     }
 
     #[test]

@@ -118,29 +118,10 @@ impl TopKHeap {
     }
 }
 
-/// Merge per-shard top-k lists (each best-first, as produced by
-/// [`TopKHeap::into_sorted`]) into the global best-first top-k.
-///
-/// Because [`cmp_entry`] is a total order and entity ids are unique, the
-/// global top-k set is unique — merging per-shard winners is bit-for-bit
-/// identical to selecting over the concatenated row, for any shard count.
-///
-/// The merge itself lives on [`crate::partial::PartialTopK`] (the
-/// serializable partial-result type the multi-node gateway recombines);
-/// this function is the Vec-shaped convenience wrapper over it, so
-/// in-process and cross-node merging share one implementation.
-pub fn merge_topk(shard_tops: Vec<Vec<(u32, f32)>>, k: usize) -> Vec<(u32, f32)> {
-    use crate::partial::{merge_all, PartialTopK};
-    merge_all(
-        PartialTopK::empty(k),
-        shard_tops.into_iter().map(|t| PartialTopK::from_entries(k, t)),
-    )
-    .into_entries()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partial::{merge_all, PartialTopK};
 
     /// Reference: full sort of the row, known ids excluded.
     fn naive_topk(scores: &[f32], k: usize) -> Vec<(u32, f32)> {
@@ -216,7 +197,11 @@ mod tests {
                 }
                 per_shard.push(h.into_sorted());
             }
-            let got = merge_topk(per_shard, k);
+            let got = merge_all(
+                PartialTopK::empty(k),
+                per_shard.into_iter().map(|t| PartialTopK::from_entries(k, t)),
+            )
+            .into_entries();
             assert_eq!(got, want, "{shards} shards diverged");
         }
     }

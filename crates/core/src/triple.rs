@@ -20,13 +20,6 @@ impl Triple {
         Triple { head: EntityId(h), relation: RelationId(r), tail: EntityId(t) }
     }
 
-    /// The triple with head and tail swapped (used when treating head
-    /// queries `(?, r, t)` as inverse tail queries).
-    #[inline]
-    pub fn reversed(self) -> Self {
-        Triple { head: self.tail, relation: self.relation, tail: self.head }
-    }
-
     /// `(head, relation)` pair, the key of a tail query.
     #[inline]
     pub fn hr(self) -> (EntityId, RelationId) {
@@ -87,14 +80,6 @@ mod tests {
         assert_eq!(t.tail, EntityId(3));
         assert_eq!(t.hr(), (EntityId(1), RelationId(2)));
         assert_eq!(t.rt(), (RelationId(2), EntityId(3)));
-    }
-
-    #[test]
-    fn reversed_swaps_head_and_tail() {
-        let t = Triple::new(1, 2, 3);
-        let r = t.reversed();
-        assert_eq!(r, Triple::new(3, 2, 1));
-        assert_eq!(r.reversed(), t);
     }
 
     #[test]

@@ -57,12 +57,6 @@ impl Dataset {
     pub fn num_triples(&self) -> usize {
         self.train.len() + self.valid.len() + self.test.len()
     }
-
-    /// Train ∪ valid triples (the "seen" set used when computing *Unseen*
-    /// candidate recall in Table 5).
-    pub fn seen_triples(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.train.triples().iter().copied().chain(self.valid.iter().copied())
-    }
 }
 
 #[cfg(test)]
@@ -98,14 +92,5 @@ mod tests {
         assert!(d.filter.contains(Triple::new(2, 0, 3))); // valid
         assert!(d.filter.contains(Triple::new(3, 0, 4))); // test
         assert!(!d.filter.contains(Triple::new(4, 0, 0)));
-    }
-
-    #[test]
-    fn seen_triples_is_train_plus_valid() {
-        let d = tiny();
-        let seen: Vec<Triple> = d.seen_triples().collect();
-        assert_eq!(seen.len(), 3);
-        assert!(seen.contains(&Triple::new(2, 0, 3)));
-        assert!(!seen.contains(&Triple::new(3, 0, 4)));
     }
 }

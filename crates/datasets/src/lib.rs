@@ -19,7 +19,6 @@
 pub mod dataset;
 pub mod generator;
 pub mod loader;
-pub mod noise;
 pub mod presets;
 pub mod schema;
 pub mod split;

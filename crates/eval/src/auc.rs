@@ -16,10 +16,7 @@
 //! the sampled MRR and ROC-AUC is `(negatives − higher − ties/2) /
 //! negatives`.
 
-use std::cmp::Ordering;
-
 use kg_core::partial::PartialRankCounts;
-use kg_core::topk::cmp_score;
 use kg_core::{EntityId, KnownIndex, Triple};
 use kg_models::KgcModel;
 use kg_recommend::SampledCandidates;
@@ -50,32 +47,6 @@ fn roc_auc(c: PartialRankCounts, negatives: usize) -> f64 {
         return 1.0;
     }
     (negatives as f64 - c.higher as f64 - c.ties as f64 / 2.0) / negatives as f64
-}
-
-/// `(higher, ties)` of `positive` among `negatives` under
-/// [`cmp_score`]'s order, the one every ranking path uses (NaN is the worst
-/// score).
-fn counts_of(positive: f32, negatives: &[f32]) -> PartialRankCounts {
-    let mut c = PartialRankCounts::ZERO;
-    for &n in negatives {
-        match cmp_score(n, positive) {
-            Ordering::Greater => c.higher += 1,
-            Ordering::Equal => c.ties += 1,
-            Ordering::Less => {}
-        }
-    }
-    c
-}
-
-/// ROC-AUC of one positive score against negative scores (Mann–Whitney).
-pub fn roc_auc_single(positive: f32, negatives: &[f32]) -> f64 {
-    roc_auc(counts_of(positive, negatives), negatives.len())
-}
-
-/// Average precision with a single positive at (1-based) rank `r` is `1/r`.
-pub fn average_precision_single(positive: f32, negatives: &[f32]) -> f64 {
-    let c = counts_of(positive, negatives);
-    1.0 / TieBreak::Mean.rank(c.higher as usize, c.ties as usize)
 }
 
 /// Evaluate ROC-AUC / AUC-PR over `triples` using per-relation candidate
@@ -114,11 +85,40 @@ pub fn evaluate_auc<F: KnownIndex + ?Sized>(
 
 #[cfg(test)]
 mod tests {
+    use std::cmp::Ordering;
+
     use super::*;
     use kg_core::sample::seeded_rng;
+    use kg_core::topk::cmp_score;
     use kg_core::triple::QuerySide;
     use kg_core::FilterIndex;
     use kg_recommend::{sample_candidates, SamplingStrategy};
+
+    /// `(higher, ties)` of `positive` among `negatives` under
+    /// [`cmp_score`]'s order, the one every ranking path uses (NaN is the
+    /// worst score).
+    fn counts_of(positive: f32, negatives: &[f32]) -> PartialRankCounts {
+        let mut c = PartialRankCounts::ZERO;
+        for &n in negatives {
+            match cmp_score(n, positive) {
+                Ordering::Greater => c.higher += 1,
+                Ordering::Equal => c.ties += 1,
+                Ordering::Less => {}
+            }
+        }
+        c
+    }
+
+    /// ROC-AUC of one positive score against negative scores (Mann–Whitney).
+    fn roc_auc_single(positive: f32, negatives: &[f32]) -> f64 {
+        roc_auc(counts_of(positive, negatives), negatives.len())
+    }
+
+    /// Average precision with a single positive at (1-based) rank `r` is `1/r`.
+    fn average_precision_single(positive: f32, negatives: &[f32]) -> f64 {
+        let c = counts_of(positive, negatives);
+        1.0 / TieBreak::Mean.rank(c.higher as usize, c.ties as usize)
+    }
 
     #[test]
     fn roc_auc_extremes() {

@@ -1,7 +1,7 @@
 //! Estimator quality: series of (estimate, truth) pairs per metric, with
 //! the MAE / MAPE / Pearson summaries the paper's tables report.
 
-use kg_core::stats::{kendall_tau, mae, mape, pearson};
+use kg_core::stats::{mae, mape, pearson};
 
 /// Which ranking metric a series tracks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -19,9 +19,6 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// The metrics reported across Tables 6/7/12–15.
-    pub const TABLED: [Metric; 4] = [Metric::Mrr, Metric::Hits1, Metric::Hits3, Metric::Hits10];
-
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -79,11 +76,6 @@ impl EstimatorSeries {
         pearson(&self.estimates, &self.truths)
     }
 
-    /// Kendall-τ between the two series (Table 8 uses this across models).
-    pub fn kendall(&self) -> Option<f64> {
-        kendall_tau(&self.estimates, &self.truths)
-    }
-
     /// The estimate series.
     pub fn estimates(&self) -> &[f64] {
         &self.estimates
@@ -107,7 +99,6 @@ mod tests {
         s.push(0.7, 0.6);
         assert!((s.mae() - 0.1).abs() < 1e-12);
         assert!((s.pearson().unwrap() - 1.0).abs() < 1e-9, "perfectly correlated");
-        assert_eq!(s.kendall(), Some(1.0));
         assert_eq!(s.len(), 3);
     }
 
@@ -118,13 +109,11 @@ mod tests {
             s.push(i as f64, -(i as f64));
         }
         assert!((s.pearson().unwrap() + 1.0).abs() < 1e-9);
-        assert_eq!(s.kendall(), Some(-1.0));
     }
 
     #[test]
     fn metric_names() {
         assert_eq!(Metric::Mrr.name(), "MRR");
-        assert_eq!(Metric::TABLED.len(), 4);
     }
 
     #[test]

@@ -157,11 +157,6 @@ impl TrainEvalRun {
         let samples: Vec<f64> = self.records.iter().map(|r| r.full_seconds).collect();
         kg_core::stats::mean_std(&samples)
     }
-
-    /// The true metric trajectory.
-    pub fn truth_trajectory(&self, metric: Metric) -> Vec<f64> {
-        self.records.iter().map(|r| r.full.get(metric)).collect()
-    }
 }
 
 /// Deterministic evaluation-triple selection (prefix cap).

@@ -34,5 +34,5 @@ pub use estimator::{EstimatorSeries, Metric};
 pub use harness::{run_train_eval, EpochRecord, HarnessConfig, TrainEvalRun};
 pub use metrics::{RankingMetrics, TieBreak};
 pub use ranker::{evaluate_full, EvalResult};
-pub use sampled::{evaluate_sampled, evaluate_sampled_repeated, RepeatedEstimate};
+pub use sampled::evaluate_sampled;
 pub use training::HardNegativeSampler;

@@ -84,72 +84,6 @@ pub fn evaluate_sampled<F: KnownIndex + ?Sized>(
     EvalResult::from_counts(&counts, tie, sw)
 }
 
-/// OGB-style repeated estimation: draw `repeats` independent candidate
-/// samples and report the per-metric mean ± sample std of the estimates
-/// (ogbl-wikikg2 reports MRR this way; the paper's Figures 4/5 average five
-/// samplings).
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_sampled_repeated<F: KnownIndex + ?Sized, R: rand::Rng>(
-    model: &dyn KgcModel,
-    triples: &[Triple],
-    filter: &F,
-    strategy: kg_recommend::SamplingStrategy,
-    n_s: usize,
-    repeats: usize,
-    matrix: Option<&kg_recommend::ScoreMatrix>,
-    sets: Option<&kg_recommend::CandidateSets>,
-    tie: TieBreak,
-    threads: usize,
-    rng: &mut R,
-) -> RepeatedEstimate {
-    assert!(repeats >= 1);
-    let mut mrr = Vec::with_capacity(repeats);
-    let mut hits10 = Vec::with_capacity(repeats);
-    let mut seconds = Vec::with_capacity(repeats);
-    // One alias-table build serves every repeat.
-    let cache = match (strategy, matrix) {
-        (kg_recommend::SamplingStrategy::Probabilistic, Some(m)) => {
-            Some(kg_recommend::ProbabilisticCache::new(m))
-        }
-        _ => None,
-    };
-    for _ in 0..repeats {
-        let samples = kg_recommend::sample_candidates_cached(
-            strategy,
-            model.num_entities(),
-            model.num_relations(),
-            n_s,
-            matrix,
-            sets,
-            cache.as_ref(),
-            rng,
-        );
-        let r = evaluate_sampled(model, triples, filter, &samples, tie, threads);
-        mrr.push(r.metrics.mrr);
-        hits10.push(r.metrics.hits10);
-        seconds.push(r.seconds);
-    }
-    RepeatedEstimate {
-        mrr: kg_core::stats::mean_std(&mrr),
-        hits10: kg_core::stats::mean_std(&hits10),
-        seconds: kg_core::stats::mean_std(&seconds),
-        repeats,
-    }
-}
-
-/// Mean ± std of repeated sampled estimates.
-#[derive(Clone, Copy, Debug)]
-pub struct RepeatedEstimate {
-    /// `(mean, std)` of the MRR estimates.
-    pub mrr: (f64, f64),
-    /// `(mean, std)` of the Hits@10 estimates.
-    pub hits10: (f64, f64),
-    /// `(mean, std)` of wall seconds per estimate.
-    pub seconds: (f64, f64),
-    /// Number of repetitions.
-    pub repeats: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,32 +205,6 @@ mod tests {
         let serial = evaluate_sampled(&model, &triples, &filter, &samples, TieBreak::Mean, 1);
         let fanned = evaluate_sampled(&model, &triples, &filter, &samples, TieBreak::Mean, 8);
         assert_eq!(serial.ranks, fanned.ranks);
-    }
-
-    #[test]
-    fn repeated_estimation_reports_mean_and_std() {
-        let scores: Vec<f32> = (0..100).map(|i| ((i * 13) % 100) as f32 / 100.0).collect();
-        let model = MockModel { n: 100, tail_scores: scores };
-        let triples: Vec<Triple> = (0..20).map(|i| Triple::new(i, 0, (i + 1) % 100)).collect();
-        let filter = FilterIndex::from_slices(&[&triples]);
-        let mut rng = seeded_rng(4);
-        let est = evaluate_sampled_repeated(
-            &model,
-            &triples,
-            &filter,
-            SamplingStrategy::Random,
-            15,
-            5,
-            None,
-            None,
-            TieBreak::Mean,
-            1,
-            &mut rng,
-        );
-        assert_eq!(est.repeats, 5);
-        assert!(est.mrr.0 > 0.0 && est.mrr.0 <= 1.0);
-        assert!(est.mrr.1 >= 0.0, "std must be non-negative");
-        assert!(est.hits10.0 >= est.mrr.0 - 1e-9, "Hits@10 ≥ MRR for any rank distribution");
     }
 
     #[test]

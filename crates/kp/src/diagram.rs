@@ -28,16 +28,6 @@ impl PersistenceDiagram {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Total persistence `Σ (death − birth)`.
-    pub fn total_persistence(&self) -> f64 {
-        self.points.iter().map(|&(b, d)| (d - b) as f64).sum()
-    }
-
-    /// The most persistent point's lifetime.
-    pub fn max_persistence(&self) -> f64 {
-        self.points.iter().map(|&(b, d)| (d - b) as f64).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -50,16 +40,12 @@ mod tests {
         d.push(0.1, 0.5);
         d.push(0.2, 0.2);
         assert_eq!(d.len(), 2);
-        assert!((d.total_persistence() - 0.4).abs() < 1e-6);
-        assert!((d.max_persistence() - 0.4).abs() < 1e-6);
     }
 
     #[test]
     fn empty_diagram() {
         let d = PersistenceDiagram::new();
         assert!(d.is_empty());
-        assert_eq!(d.total_persistence(), 0.0);
-        assert_eq!(d.max_persistence(), 0.0);
     }
 
     #[test]

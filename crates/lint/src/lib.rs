@@ -17,6 +17,8 @@
 //! * **panic-surface lint** (KL008): no `unwrap`/`expect`/`panic!`-family/
 //!   indexing in request-path files — each is a dropped connection under
 //!   `catch_unwind`.
+//! * **dead public surface** (KL012): every `pub` item in `crates/*/src`
+//!   is named by some code outside its declaration.
 //!
 //! Deliberately `--fix`-free: a justification comment is a human claim,
 //! not something a tool should fabricate. Std-only, hand-rolled lexer,
@@ -46,7 +48,8 @@ pub use rules::Finding;
 
 /// Lint a single file's source text under `rel` (root-relative path) with
 /// the per-file rules (KL001–KL008). The workspace rules (KL009–KL011)
-/// need the cross-file model — use [`lint_sources`] for those.
+/// need the cross-file model — use [`lint_sources`] for those, and
+/// [`lint_sources_with_callers`] for KL012.
 pub fn lint_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     let fd = FileData::new(rel.to_string(), src);
     rules::check_file(&fd, cfg)
@@ -58,14 +61,38 @@ pub fn lint_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
 /// access — so fixtures and injected sources test the same code path the
 /// real scan runs.
 pub fn lint_sources(sources: &[(&str, &str)], cfg: &Config) -> Vec<Finding> {
-    let files: Vec<FileData> =
-        sources.iter().map(|(rel, src)| FileData::new(rel.to_string(), src)).collect();
+    lint_tree(sources, None, cfg)
+}
+
+/// [`lint_sources`] plus KL012 (dead public surface), which needs every
+/// file that could name an item: `callers` (integration tests, examples,
+/// the benchmark package) are read for references only, never linted.
+pub fn lint_sources_with_callers(
+    sources: &[(&str, &str)],
+    callers: &[(&str, &str)],
+    cfg: &Config,
+) -> Vec<Finding> {
+    lint_tree(sources, Some(callers), cfg)
+}
+
+fn lint_tree(
+    sources: &[(&str, &str)],
+    callers: Option<&[(&str, &str)]>,
+    cfg: &Config,
+) -> Vec<Finding> {
+    let analyze = |set: &[(&str, &str)]| -> Vec<FileData> {
+        set.iter().map(|(rel, src)| FileData::new(rel.to_string(), src)).collect()
+    };
+    let files = analyze(sources);
     let models: Vec<parse::FileModel> = files.iter().map(parse::parse_file).collect();
     let mut findings = Vec::new();
     for fd in &files {
         findings.extend(rules::check_file(fd, cfg));
     }
     findings.extend(rules::check_workspace(&files, &models, cfg));
+    if let Some(callers) = callers {
+        rules::dead_surface_rule(&files, &analyze(callers), &mut findings);
+    }
     sort_and_dedup(&mut findings);
     findings
 }
@@ -127,6 +154,26 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// The files read only for KL012's references: `crates/*/tests`,
+/// `tests/`, `examples/` and the benchmark package's `perf/src`. Reading
+/// `perf/src` keeps the API the frozen benchmark compiles against alive.
+fn caller_roots(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let mut files = Vec::new();
+    let crates = root.join("crates");
+    if crates.is_dir() {
+        let mut members: Vec<PathBuf> =
+            std::fs::read_dir(&crates)?.filter_map(|e| e.ok()).map(|e| e.path()).collect();
+        members.sort();
+        for member in members {
+            collect_rs(&member.join("tests"), &mut files)?;
+        }
+    }
+    for dir in ["tests", "examples", "perf/src"] {
+        collect_rs(&root.join(dir), &mut files)?;
+    }
+    Ok(files)
+}
+
 /// The workspace manifests governed by the layering contract: the root
 /// `Cargo.toml` plus every `crates/*/Cargo.toml`.
 fn manifest_paths(root: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -157,17 +204,18 @@ fn rel_of(root: &Path, path: &Path) -> String {
 }
 
 /// Lint the whole workspace under `root` with `cfg`: every scanned source
-/// file through the per-file and workspace rules, plus the `Cargo.toml`
-/// layering checks. Returns findings sorted and deduplicated.
+/// file through the per-file and workspace rules (KL012 with the caller
+/// files), plus the `Cargo.toml` layering checks. Returns findings sorted
+/// and deduplicated.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
-    let mut named = Vec::new();
-    for path in scan_roots(root)? {
-        let rel = rel_of(root, &path);
-        let src = std::fs::read_to_string(&path)?;
-        named.push((rel, src));
-    }
+    let read = |paths: Vec<PathBuf>| -> std::io::Result<Vec<(String, String)>> {
+        paths.iter().map(|p| Ok((rel_of(root, p), std::fs::read_to_string(p)?))).collect()
+    };
+    let (named, callers) = (read(scan_roots(root)?)?, read(caller_roots(root)?)?);
     let sources: Vec<(&str, &str)> = named.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
-    let mut findings = lint_sources(&sources, cfg);
+    let callers: Vec<(&str, &str)> =
+        callers.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
+    let mut findings = lint_sources_with_callers(&sources, &callers, cfg);
     for path in manifest_paths(root)? {
         let rel = rel_of(root, &path);
         let text = std::fs::read_to_string(&path)?;

@@ -16,9 +16,11 @@
 //! | KL009 | lock-order        | every lock nesting (direct or through the intra-crate call graph) follows the `[locks] order` declared in lint.toml — undeclared nestings and inversions are potential deadlocks |
 //! | KL010 | blocking-under-lock | no blocking call (I/O, sleep, channel/condvar waits, thread joins) while a guard is live in `[locks] blocking_files`, unless justified with `// HELD-OK:` |
 //! | KL011 | layering          | workspace crates import only what `[layering] allow` declares (checked in `use`/path tokens and `Cargo.toml [dependencies]`) — architecture erosion is a CI failure |
+//! | KL012 | dead-surface      | every `pub` item in `crates/*/src` is named by some code outside its declaration (tests, examples and `perf/src` count as callers) |
 //!
 //! KL001–KL008 are per-file (see [`check_file`]); KL009–KL011 need the
-//! cross-file workspace model (see [`check_workspace`]).
+//! cross-file workspace model (see [`check_workspace`]); KL012 needs every
+//! file that could name an item (see [`dead_surface_rule`]).
 
 use std::collections::BTreeMap;
 
@@ -37,7 +39,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based byte column.
     pub col: u32,
-    /// Stable rule ID (`KL001`…`KL011`).
+    /// Stable rule ID (`KL001`…`KL012`).
     pub rule_id: &'static str,
     /// Short rule name.
     pub rule_name: &'static str,
@@ -807,4 +809,114 @@ pub fn check_manifest(rel: &str, text: &str, cfg: &Config) -> Vec<Finding> {
         });
     }
     out
+}
+
+/// The item keywords whose `pub` items KL012 audits.
+const SURFACE_KINDS: &[&str] = &["fn", "struct", "enum", "const", "static", "type", "trait"];
+
+/// Is `rel` a library or binary source of a workspace member
+/// (`crates/<member>/src/…`)? Only those declare the audited surface.
+fn is_member_source(rel: &str) -> bool {
+    let mut parts = rel.split('/');
+    parts.next() == Some("crates") && parts.next().is_some() && parts.next() == Some("src")
+}
+
+/// Per token: whether an identifier here names something for KL012 —
+/// everything except declaration names and `pub use` re-exports. Comments
+/// are not tokens, so doc links never count.
+fn reference_mask(fd: &FileData) -> Vec<bool> {
+    let toks = &fd.toks;
+    let is = |i: usize, text: &str| toks.get(i).is_some_and(|t| t.text == text);
+    let mut mask: Vec<bool> = toks.iter().map(|t| t.kind == TokKind::Ident).collect();
+    for i in 0..toks.len() {
+        if toks[i].kind != TokKind::Ident {
+            continue;
+        }
+        match toks[i].text.as_str() {
+            "fn" | "struct" | "enum" | "union" | "trait" | "type" | "const" | "static" | "mod" => {
+                let name = if is(i + 1, "mut") { i + 2 } else { i + 1 };
+                if let Some(m) = mask.get_mut(name) {
+                    *m = false;
+                }
+            }
+            "use" if i > 0 && (is(i - 1, "pub") || is(i - 1, ")")) => {
+                let end = (i..toks.len()).find(|&j| is(j, ";")).unwrap_or(toks.len());
+                mask[i..end].fill(false);
+            }
+            _ => {}
+        }
+    }
+    mask
+}
+
+/// KL012 — a `pub` item (fn, method, struct, enum, const, static, type,
+/// trait) declared in `crates/*/src` that no code names: no other file
+/// (its tests included), and not its own file's non-test code. `callers`
+/// (integration tests, examples, the benchmark package) are read for
+/// references only. `pub(crate)` and `#[cfg(test)]` items are rustc's
+/// `dead_code` lint's business and out of scope.
+pub fn dead_surface_rule(files: &[FileData], callers: &[FileData], out: &mut Vec<Finding>) {
+    // Name → the files naming it anywhere, and the files naming it in
+    // non-test code.
+    let mut anywhere: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    let mut in_code: std::collections::BTreeSet<(usize, &str)> = Default::default();
+    for (fi, fd) in files.iter().chain(callers).enumerate() {
+        for (i, m) in reference_mask(fd).into_iter().enumerate() {
+            if !m {
+                continue;
+            }
+            let name = fd.toks[i].text.as_str();
+            let seen = anywhere.entry(name).or_default();
+            if seen.last() != Some(&fi) {
+                seen.push(fi);
+            }
+            if !fd.in_test[i] {
+                in_code.insert((fi, name));
+            }
+        }
+    }
+    let named = |fi: usize, name: &str| {
+        in_code.contains(&(fi, name))
+            || anywhere.get(name).is_some_and(|s| s.iter().any(|&f| f != fi))
+    };
+    for (fi, fd) in files.iter().enumerate().filter(|(_, fd)| is_member_source(&fd.rel)) {
+        let toks = &fd.toks;
+        let is = |i: usize, text: &str| toks.get(i).is_some_and(|t| t.text == text);
+        for i in 0..toks.len() {
+            let visibility = toks[i].kind == TokKind::Ident && toks[i].text == "pub";
+            if !visibility || fd.in_test[i] || fd.in_attr[i] || is(i + 1, "(") {
+                continue;
+            }
+            // Qualifiers between `pub` and the item keyword.
+            let mut k = i + 1;
+            while let Some(t) = toks.get(k) {
+                match t.text.as_str() {
+                    "const" if !is(k + 1, "fn") && !is(k + 1, "unsafe") => break,
+                    "const" | "async" | "unsafe" | "extern" | "default" => k += 1,
+                    _ if t.kind == TokKind::Str => k += 1,
+                    _ => break,
+                }
+            }
+            let Some(kind) = toks.get(k).map(|t| t.text.as_str()) else { continue };
+            if !SURFACE_KINDS.contains(&kind) {
+                continue;
+            }
+            let name = if is(k + 1, "mut") { k + 2 } else { k + 1 };
+            let Some(t) = toks.get(name) else { continue };
+            if t.kind != TokKind::Ident || t.text == "_" || named(fi, &t.text) {
+                continue;
+            }
+            out.push(finding(
+                fd,
+                name,
+                "KL012",
+                "dead-surface",
+                format!(
+                    "`pub {kind} {}` is named by no code outside its declaration — delete it, \
+                     or make it `#[cfg(test)]` if only tests use it",
+                    t.text
+                ),
+            ));
+        }
+    }
 }

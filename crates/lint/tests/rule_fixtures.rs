@@ -4,7 +4,7 @@
 //! `fixtures/` — outside `src/`, so the workspace self-scan never sees
 //! them — and are lexed, not compiled.
 
-use kg_lint::{lint_source, lint_sources, Config, Finding};
+use kg_lint::{lint_source, lint_sources, lint_sources_with_callers, Config, Finding};
 
 fn ids(findings: &[Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.rule_id).collect()
@@ -308,4 +308,43 @@ fn kl011_accepts_declared_imports_and_ignores_external_crates() {
     // With the rule unconfigured, even the failing fixture is silent.
     let fail = include_str!("../fixtures/kl011_fail.rs");
     assert!(lint_sources(&[("crates/core/src/kl011_fail.rs", fail)], &Config::default()).is_empty());
+}
+
+/// The companion `lib.rs` for the KL012 failing fixture: a `pub use`
+/// re-export and a doc link, neither of which is a reference.
+const KL012_LIB: &str = "//! [`kl012_fail::ONLY_DOCUMENTED`] is linked, not used.\n\
+                         pub mod kl012_fail;\n\
+                         pub use kl012_fail::OnlyReexported;\n";
+
+#[test]
+fn kl012_flags_surface_named_only_by_own_tests_reexports_and_docs() {
+    let rel = "crates/demo/src/kl012_fail.rs";
+    let src = include_str!("../fixtures/kl012_fail.rs");
+    let sources = [(rel, src), ("crates/demo/src/lib.rs", KL012_LIB)];
+    let f = lint_sources_with_callers(&sources, &[], &Config::default());
+    assert_eq!(ids(&f), ["KL012", "KL012", "KL012"], "{f:#?}");
+    assert_eq!(lines(&f), [7, 12, 15]);
+    assert!(f[0].message.contains("`pub fn only_tested`"), "{}", f[0].message);
+    assert!(f[1].message.contains("`pub struct OnlyReexported`"), "{}", f[1].message);
+    assert!(f[2].message.contains("`pub const ONLY_DOCUMENTED`"), "{}", f[2].message);
+    // KL012 audits `crates/*/src` only, and runs only when callers are
+    // given: under a fixtures path, or through `lint_sources`, the same
+    // files are clean.
+    let outside = [("fixtures/kl012_fail.rs", src), ("fixtures/lib.rs", KL012_LIB)];
+    assert!(lint_sources_with_callers(&outside, &[], &Config::default()).is_empty());
+    assert!(lint_sources(&sources, &Config::default()).is_empty());
+}
+
+#[test]
+fn kl012_accepts_callers_crate_visibility_test_items_and_own_file_uses() {
+    let rel = "crates/demo/src/kl012_pass.rs";
+    let src = include_str!("../fixtures/kl012_pass.rs");
+    let perf = "fn main() {\n    println!(\"{}\", demo::kl012_pass::entry());\n}\n";
+    let f =
+        lint_sources_with_callers(&[(rel, src)], &[("perf/src/main.rs", perf)], &Config::default());
+    assert!(f.is_empty(), "{f:#?}");
+    // The caller-only file is what keeps `entry` alive.
+    let f = lint_sources_with_callers(&[(rel, src)], &[], &Config::default());
+    assert_eq!(ids(&f), ["KL012"], "{f:#?}");
+    assert_eq!(lines(&f), [5]);
 }

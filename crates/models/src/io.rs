@@ -35,7 +35,6 @@ use crate::embedding::Zeroed;
 use crate::factory::{build_with, ModelKind};
 use crate::kernels::Precision;
 use crate::model::TrainableModel;
-use crate::quantized::QuantizedModel;
 
 const MAGIC: &[u8; 4] = b"KGEV";
 const FORMAT_V1: u16 = 1;
@@ -270,32 +269,12 @@ pub fn load_model_from_path(path: impl AsRef<Path>) -> Result<Box<dyn TrainableM
     Ok(read_model_from_path(path)?.model)
 }
 
-/// Load a snapshot and quantize its entity table to `precision` for
-/// serving. Fails for model families without a quantized scoring path
-/// (TuckER, ConvE) — quantization is never silent.
-pub fn load_quantized_from_path(
-    path: impl AsRef<Path>,
-    precision: Precision,
-) -> Result<QuantizedModel, KgError> {
-    let loaded = read_model_from_path(path)?;
-    QuantizedModel::from_model(loaded.model.as_ref(), loaded.kind, precision)
-}
-
-/// Round-trip helper used in tests: save to memory and load back.
-pub fn roundtrip(
-    model: &dyn TrainableModel,
-    kind: ModelKind,
-) -> Result<Box<dyn TrainableModel>, KgError> {
-    let mut buf = Vec::new();
-    save_model(model, kind, &mut buf)?;
-    Ok(read_model(&mut buf.as_slice(), buf.len() as u64)?.model)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::factory::build_model;
     use crate::model::KgcModel;
+    use crate::quantized::QuantizedModel;
     use kg_core::{EntityId, RelationId};
 
     fn read(raw: &[u8]) -> Result<LoadedModel, KgError> {
@@ -306,6 +285,14 @@ mod tests {
         let mut buf = Vec::new();
         save_model(model, kind, &mut buf).unwrap();
         buf
+    }
+
+    /// Save to memory and load back.
+    fn roundtrip(
+        model: &dyn TrainableModel,
+        kind: ModelKind,
+    ) -> Result<Box<dyn TrainableModel>, KgError> {
+        Ok(read(&saved(model, kind))?.model)
     }
 
     #[test]
@@ -568,12 +555,16 @@ mod tests {
         let path = dir.join("m.kgev");
         let model = build_model(ModelKind::DistMult, 6, 2, 8, 11);
         save_model_to_path(model.as_ref(), ModelKind::DistMult, &path).unwrap();
-        let quant = load_quantized_from_path(&path, Precision::Int8).unwrap();
+        let load_quantized = |path: &Path| {
+            let loaded = read_model_from_path(path)?;
+            QuantizedModel::from_model(loaded.model.as_ref(), loaded.kind, Precision::Int8)
+        };
+        let quant = load_quantized(&path).unwrap();
         assert_eq!(quant.precision(), Precision::Int8);
         assert_eq!(quant.num_entities(), 6);
         let tucker = build_model(ModelKind::TuckEr, 6, 2, 8, 11);
         save_model_to_path(tucker.as_ref(), ModelKind::TuckEr, &path).unwrap();
-        assert!(load_quantized_from_path(&path, Precision::Int8).is_err());
+        assert!(load_quantized(&path).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

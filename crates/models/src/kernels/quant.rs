@@ -245,6 +245,7 @@ impl QuantizedTable {
     }
 
     /// Bytes of table storage (codes + affine parameters).
+    #[cfg(test)]
     pub fn bytes(&self) -> usize {
         match &self.repr {
             Repr::F16(h) => h.len() * 2,

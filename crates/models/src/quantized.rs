@@ -109,11 +109,6 @@ impl QuantizedModel {
         self.kind
     }
 
-    /// Bytes held by the quantized entity table (for capacity planning).
-    pub fn entity_table_bytes(&self) -> usize {
-        self.entities.bytes()
-    }
-
     /// Distance/similarity op the family's range kernel uses.
     fn combine(&self) -> Combine {
         match self.kind {

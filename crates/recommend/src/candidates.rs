@@ -17,7 +17,7 @@
 //! entity order and merged with the (sorted) union column.
 
 use kg_core::triple::QuerySide;
-use kg_core::{DrColumn, RelationId, Triple};
+use kg_core::{DrColumn, RelationId};
 use kg_datasets::Dataset;
 
 use crate::score_matrix::ScoreMatrix;
@@ -277,11 +277,6 @@ pub fn cr_rr(sets: &CandidateSets, dataset: &Dataset, seen_with_valid: &SeenSets
         queries,
         unseen_queries,
     }
-}
-
-/// Convenience: triples of the test split as a slice of queries.
-pub fn test_queries(dataset: &Dataset) -> impl Iterator<Item = (Triple, QuerySide)> + '_ {
-    dataset.test.iter().flat_map(|&t| QuerySide::BOTH.into_iter().map(move |s| (t, s)))
 }
 
 #[cfg(test)]

@@ -119,11 +119,6 @@ impl SampledCandidates {
         self.sample_size
     }
 
-    /// Total entities drawn across all columns (the Table 3 quantity).
-    pub fn total_drawn(&self) -> usize {
-        self.ids.len()
-    }
-
     /// Number of relations.
     pub fn num_relations(&self) -> usize {
         self.num_relations
@@ -230,7 +225,6 @@ mod tests {
         let s =
             sample_candidates(SamplingStrategy::Random, 10, 1, 4, None, None, &mut seeded_rng(1));
         assert_eq!(s.column(DrColumn(0)).len(), 4);
-        assert_eq!(s.total_drawn(), 8);
         let mut v: Vec<u32> = s.column(DrColumn(0)).iter().map(|e| e.0).collect();
         v.sort_unstable();
         v.dedup();
@@ -380,7 +374,6 @@ mod tests {
                 let got: Vec<u32> = s.column(DrColumn(c as u32)).iter().map(|e| e.0).collect();
                 assert_eq!(got, want, "{strategy:?} column {c}");
             }
-            assert_eq!(s.total_drawn(), columns.iter().map(|c| c.len()).sum::<usize>());
         }
     }
 

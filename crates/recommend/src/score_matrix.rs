@@ -197,22 +197,6 @@ impl ScoreMatrix {
     pub fn zero_cells(&self) -> usize {
         self.num_entities * self.num_columns() - self.nnz()
     }
-
-    /// Cap every column to its `max_entries` highest-scoring entities
-    /// (used by learned recommenders whose dense scores would not fit).
-    pub fn truncate_columns(&self, max_entries: usize) -> ScoreMatrix {
-        let mut columns: Vec<Vec<(u32, f32)>> = Vec::with_capacity(self.num_columns());
-        for c in 0..self.num_columns() {
-            let (es, ss) = self.column(DrColumn(c as u32));
-            let mut pairs: Vec<(u32, f32)> = es.iter().copied().zip(ss.iter().copied()).collect();
-            if pairs.len() > max_entries {
-                pairs.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-                pairs.truncate(max_entries);
-            }
-            columns.push(pairs);
-        }
-        ScoreMatrix::from_columns(self.num_entities, self.num_relations, columns)
-    }
 }
 
 #[cfg(test)]
@@ -247,18 +231,5 @@ mod tests {
         let m = ScoreMatrix::from_columns(3, 1, vec![vec![(1, 1.0), (1, 2.0), (0, 0.0)], vec![]]);
         assert_eq!(m.score(1, DrColumn(0)), 3.0);
         assert_eq!(m.nnz(), 1, "zero-score entry must be dropped");
-    }
-
-    #[test]
-    fn truncate_keeps_top_scores() {
-        let m = ScoreMatrix::from_columns(
-            5,
-            1,
-            vec![vec![(0, 1.0), (1, 5.0), (2, 3.0)], vec![(0, 1.0)]],
-        );
-        let t = m.truncate_columns(2);
-        let (es, _) = t.column(DrColumn(0));
-        assert_eq!(es, &[1, 2], "keeps the two highest-scoring entities");
-        assert_eq!(t.column(DrColumn(1)).0, &[0]);
     }
 }

@@ -60,11 +60,6 @@ impl SeenSets {
     pub fn contains(&self, entity: u32, c: DrColumn) -> bool {
         self.column(c).binary_search(&entity).is_ok()
     }
-
-    /// Total membership count over all columns.
-    pub fn total_len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
 }
 
 #[cfg(test)]
@@ -104,11 +99,5 @@ mod tests {
         // Still deduplicated.
         s.extend_with(&[Triple::new(2, 1, 3)]);
         assert_eq!(s.column(DrColumn(1)), &[2, 3]);
-    }
-
-    #[test]
-    fn total_len_counts_all_columns() {
-        let s = SeenSets::from_store(&store());
-        assert_eq!(s.total_len(), 1 + 1 + 2 + 1);
     }
 }

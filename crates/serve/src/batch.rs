@@ -435,6 +435,7 @@ impl TopKBatcher {
     }
 
     /// Cached query results currently held, stale ones included (tests).
+    #[cfg(test)]
     pub fn cached_results(&self) -> usize {
         self.cache.lock().unwrap().len()
     }

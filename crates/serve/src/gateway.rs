@@ -217,11 +217,6 @@ impl Gateway {
         &self.inner.metrics
     }
 
-    /// Number of configured backends.
-    pub fn num_backends(&self) -> usize {
-        self.inner.backends.len()
-    }
-
     /// Whether every backend is currently believed healthy.
     pub fn all_healthy(&self) -> bool {
         // ORDERING: Relaxed — the health flag is advisory and publishes no

@@ -10,8 +10,17 @@
 //! Float formatting uses Rust's shortest-roundtrip `Display`, so a value
 //! serialised here and parsed back is **bit-identical** — the property the
 //! `/eval` endpoint relies on to agree with library-level evaluation.
+//!
+//! Parsing recurses once per `[`/`{`, so nesting is capped at
+//! [`MAX_DEPTH`]: an unbounded recursion lets a few kilobytes of brackets
+//! overflow the worker's stack, an abort no `catch_unwind` survives.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts; deeper input is a
+/// [`JsonError`] (a `400` on the request path). No request schema nests
+/// beyond three levels.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -52,7 +61,7 @@ impl std::error::Error for JsonError {}
 impl Json {
     /// Parse a complete JSON document (rejects trailing garbage).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -65,11 +74,6 @@ impl Json {
     /// Build an object from key/value pairs.
     pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Build an array from values.
-    pub fn arr(items: impl IntoIterator<Item = Json>) -> Json {
-        Json::Arr(items.into_iter().collect())
     }
 
     /// Field lookup on an object.
@@ -211,6 +215,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -252,8 +258,11 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err("arrays and objects nested too deeply"))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -262,6 +271,16 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -458,6 +477,21 @@ mod tests {
         let original = Json::Str("line\n\"quote\"\\tab\t\u{1F600}\u{0007}".into());
         let text = original.to_string();
         assert_eq!(Json::parse(&text).unwrap(), original);
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        // A spawned thread has the default 2 MiB stack, which unbounded
+        // recursion overflows at about 10 000 levels.
+        let deep = std::thread::spawn(|| Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(deep.join().unwrap(), "100 000 open brackets must be rejected");
+        let nest =
+            |open: &str, close: &str, n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+        for (open, close) in [("[", "]"), (r#"{"k":"#, "}")] {
+            assert!(Json::parse(&nest(open, close, MAX_DEPTH)).is_ok(), "{open} at the bound");
+            let err = Json::parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.message.contains("nested too deeply"), "{err}");
+        }
     }
 
     #[test]

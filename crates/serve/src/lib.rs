@@ -20,7 +20,6 @@
 //! | `/healthz`      | GET  | Liveness, uptime, registered models, this worker's shard ranges (on a gateway: per-backend health) |
 //! | `/metrics`      | GET  | Prometheus text: request counts, p50/p99 latency, batch counts and sizes |
 //! | `/shard/topk`   | POST | **Internal** (multi-node): `/topk`'s queries over this worker's entity range, as wire-encoded [`kg_core::partial::PartialTopK`]s |
-//! | `/shard/rank`   | POST | **Internal** (multi-node): filtered-rank counters over this worker's range, as wire-encoded [`kg_core::partial::PartialRankCounts`] |
 //!
 //! ## Request/response schemas (JSON)
 //!

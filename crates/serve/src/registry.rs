@@ -6,9 +6,9 @@
 //! the same `(strategy, n_s, seed)` skip the sampling pass.
 //!
 //! Entries swap atomically: `register` (and the `/admin/models` hot-reload
-//! path, [`ModelRegistry::reload_snapshot`]) replaces the `Arc<ModelEntry>`
-//! under a write lock, while in-flight requests keep scoring against the
-//! `Arc` they already cloned.
+//! path, [`ModelRegistry::reload_snapshot_with`]) replaces the
+//! `Arc<ModelEntry>` under a write lock, while in-flight requests keep
+//! scoring against the `Arc` they already cloned.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -293,11 +293,6 @@ impl ModelEntry {
         self.evals.lock().unwrap().insert(key, Arc::new(cached));
     }
 
-    /// Cached `/eval` results currently held, stale ones included (tests).
-    pub fn cached_evals(&self) -> usize {
-        self.evals.lock().unwrap().len()
-    }
-
     /// The coalescing batcher for `/score` traffic.
     pub fn batcher(&self) -> &ScoreBatcher {
         &self.batcher
@@ -375,6 +370,7 @@ impl ModelEntry {
     }
 
     /// Cached sampling configurations (tests).
+    #[cfg(test)]
     pub fn cached_samples(&self) -> usize {
         self.samples.lock().unwrap().len()
     }
@@ -394,8 +390,8 @@ pub struct RegistryConfig {
     pub admin_token: Option<String>,
     /// This node's slice of the entity space in a multi-node topology.
     /// `None` (the default) serves the full range; when set, the internal
-    /// `/shard/topk` and `/shard/rank` endpoints evaluate only this
-    /// worker's shard of every registered model. Public endpoints
+    /// `/shard/topk` endpoint evaluates only this worker's shard of every
+    /// registered model. Public endpoints
     /// (`/score`, `/eval`, …) always serve the full model — the split is
     /// in ranking work, not in model storage.
     pub worker_shard: Option<WorkerShard>,
@@ -634,16 +630,8 @@ impl ModelRegistry {
     /// the donated filter index and sampling artifacts are indexed by
     /// those ids, and a shape change would make them silently wrong (or
     /// panic). Shape changes require a fresh `register*` call.
-    pub fn reload_snapshot(
-        &self,
-        name: &str,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<Arc<ModelEntry>, kg_core::KgError> {
-        self.reload_snapshot_with(name, path, None)
-    }
-
-    /// [`ModelRegistry::reload_snapshot`] with an explicit serving
-    /// precision, overriding both the registry default and the snapshot's
+    ///
+    /// `precision` overrides both the registry default and the snapshot's
     /// hint (the `"precision"` field of `POST /admin/models`).
     pub fn reload_snapshot_with(
         &self,
@@ -873,7 +861,7 @@ mod tests {
             std::env::temp_dir().join(format!("kg-serve-reload-cache-{}", std::process::id()));
         let path = dir.join("v2.kgev");
         kg_models::io::save_model_to_path(replacement.as_ref(), ModelKind::ComplEx, &path).unwrap();
-        let reloaded = registry.reload_snapshot("tiny", &path).unwrap();
+        let reloaded = registry.reload_snapshot_with("tiny", &path, None).unwrap();
         assert_eq!(reloaded.cached_samples(), 0, "a reloaded entry starts with no samples");
         let (after, hit) = reloaded.samples_for(&key).unwrap();
         assert!(!hit, "first post-reload lookup redraws");

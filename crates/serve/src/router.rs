@@ -15,10 +15,10 @@
 //!   registry entry atomically;
 //! * `GET  /admin/models` — list registered models (shape, graph version);
 //! * `GET  /monitor`      — continuous-evaluation status per model;
-//! * `POST /shard/topk` / `POST /shard/rank` — **internal** multi-node
-//!   endpoints: the same queries evaluated only over this worker's
-//!   configured entity range, returned as wire-encoded
-//!   [`kg_core::partial`] results for a gateway to merge;
+//! * `POST /shard/topk`   — **internal** multi-node endpoint: the queries
+//!   of a `/topk` evaluated only over this worker's configured entity
+//!   range, returned as wire-encoded [`kg_core::partial`] results for a
+//!   gateway to merge;
 //! * `GET  /healthz`      — liveness + registered models + shard ranges;
 //! * `GET  /metrics`      — Prometheus text (request counts, p50/p99, batches).
 //!
@@ -149,7 +149,7 @@ impl Router {
         // scanner grow the metrics map without bound.
         let endpoint = match path {
             "/score" | "/topk" | "/eval" | "/triples" | "/monitor" | "/admin/models"
-            | "/healthz" | "/metrics" | "/shard/topk" | "/shard/rank" => path,
+            | "/healthz" | "/metrics" | "/shard/topk" => path,
             _ => "other",
         };
         self.metrics.observe_request(endpoint, latency_us, response.status);
@@ -191,16 +191,12 @@ impl Router {
             ("POST", "/score") => self.with_request(registry, body, |r, e| self.score(r, e)),
             ("POST", "/topk") => self.with_request(registry, body, |r, e| self.topk(r, e)),
             ("POST", "/eval") => self.with_request(registry, body, |r, e| self.eval(r, e)),
-            // Internal shard-worker endpoints (multi-node topology): the
-            // same parsing and validation as their public counterparts,
-            // but evaluation is restricted to this worker's configured
-            // entity range and partial results are returned for the
-            // gateway to merge.
+            // Internal shard-worker endpoint (multi-node topology): the
+            // same parsing and validation as `/topk`, but evaluation is
+            // restricted to this worker's configured entity range and
+            // partial results are returned for the gateway to merge.
             ("POST", "/shard/topk") => {
                 self.with_request(registry, body, |r, e| self.shard_topk(r, e))
-            }
-            ("POST", "/shard/rank") => {
-                self.with_request(registry, body, |r, e| self.shard_rank(r, e))
             }
             ("POST", "/triples") => {
                 self.with_request(registry, body, |r, e| self.triples(registry, r, e))
@@ -397,54 +393,6 @@ impl Router {
             ]),
         )
     }
-
-    /// `POST /shard/rank` (internal): filtered-rank counters for every
-    /// query of the submitted triples (two per triple, tail then head —
-    /// the `/eval` query order), each restricted to this worker's entity
-    /// range and returned as a wire-encoded
-    /// [`kg_core::partial::PartialRankCounts`]. Summing the partials
-    /// across a fleet whose ranges tile the entity space reproduces the
-    /// single-node full-ranking counters bit for bit — the distributed
-    /// building block for exact (non-sampled) evaluation.
-    fn shard_rank(&self, request: &Json, entry: &Arc<ModelEntry>) -> Response {
-        let triples = match parse_triples(request, entry, MAX_TRIPLES_PER_REQUEST) {
-            Ok(t) => t,
-            Err(r) => return r,
-        };
-        let filtered = match request.get("filtered") {
-            None => true,
-            Some(v) => match v.as_bool() {
-                Some(b) => b,
-                None => return Response::error(400, "'filtered' must be a boolean"),
-            },
-        };
-        let engine = entry.engine();
-        let range = entry.shard_range();
-        let queries = kg_eval::ranker::queries_of(&triples);
-        let partials = ranked_pass(
-            entry.live(),
-            entry.threads(),
-            &queries,
-            |&(triple, side)| (triple, side, filtered),
-            |&(triple, side), known, inner| {
-                engine.partial_rank_counts(triple, side, known, range.clone(), inner).encode()
-            },
-        );
-        Response::json(
-            200,
-            Json::obj([
-                ("model", Json::Str(entry.name().to_string())),
-                ("filtered", Json::Bool(filtered)),
-                ("entities", Json::Num(engine.num_entities() as f64)),
-                (
-                    "range",
-                    Json::Arr(vec![Json::Num(range.start as f64), Json::Num(range.end as f64)]),
-                ),
-                ("partials", Json::Arr(partials.into_iter().map(Json::Str).collect())),
-            ]),
-        )
-    }
-
     /// `POST /admin/models`: hot-reload a model snapshot.
     ///
     /// Body: `{"name": "m", "path": "/path/to/model.kgev"}` (plus
@@ -975,6 +923,16 @@ mod tests {
     }
 
     #[test]
+    fn an_over_nested_body_is_a_400_and_the_router_keeps_serving() {
+        let (router, _) = router();
+        let r = router.handle("POST", "/score", &"[".repeat(100_000));
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("nested too deeply"), "{}", r.body);
+        let r = router.handle("POST", "/score", r#"{"model":"m","triples":[[0,1,2]]}"#);
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+
+    #[test]
     fn topk_returns_sorted_filtered_results() {
         let (router, registry) = router();
         let body =
@@ -1270,10 +1228,9 @@ mod tests {
 
     #[test]
     fn shard_workers_tile_the_entity_space_and_merge_to_the_full_result() {
-        use kg_core::partial::{Partial, PartialRankCounts, PartialTopK};
+        use kg_core::partial::{Partial, PartialTopK};
         // Two worker registries over the same weights, shard 0/2 and 1/2:
-        // merged /shard/topk partials equal the single-node /topk, and
-        // summed /shard/rank partials equal the full filtered ranks.
+        // merged /shard/topk partials equal the single-node /topk.
         let model_for = || {
             let m = build_model(ModelKind::RotatE, 30, 3, 8, 7);
             Arc::from(m as Box<dyn KgcModel>) as Arc<dyn KgcModel>
@@ -1330,36 +1287,6 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "merged shard partials == single-node top-k");
         }
-
-        // /shard/rank: summed counters reproduce the full filtered ranks.
-        let rank_body = r#"{"model":"m","triples":[[2,1,5],[9,0,4],[0,2,7]]}"#;
-        let r0 = Json::parse(&w0.handle("POST", "/shard/rank", rank_body).body).unwrap();
-        let r1 = Json::parse(&w1.handle("POST", "/shard/rank", rank_body).body).unwrap();
-        let counts = |v: &Json| -> Vec<PartialRankCounts> {
-            v.get("partials")
-                .and_then(Json::as_array)
-                .unwrap()
-                .iter()
-                .map(|w| PartialRankCounts::decode(w.as_str().unwrap()).unwrap())
-                .collect()
-        };
-        let model = model_for();
-        let want = kg_eval::evaluate_full(
-            model.as_ref(),
-            &[Triple::new(2, 1, 5), Triple::new(9, 0, 4), Triple::new(0, 2, 7)],
-            filter.as_ref(),
-            TieBreak::Mean,
-            1,
-        );
-        let merged: Vec<f64> = counts(&r0)
-            .into_iter()
-            .zip(counts(&r1))
-            .map(|(mut a, b)| {
-                a.merge(b);
-                TieBreak::Mean.rank(a.higher as usize, a.ties as usize)
-            })
-            .collect();
-        assert_eq!(merged, want.ranks, "summed shard counters == full filtered ranks");
     }
 
     #[test]
@@ -1378,15 +1305,9 @@ mod tests {
             assert_eq!(shard.status, public.status, "{body}: statuses diverge");
             assert_eq!(shard.body, public.body, "{body}: error bodies diverge");
         }
-        // /shard/rank validates triples like /score and /eval do.
-        for (body, status) in [
-            (r#"{"model":"m"}"#, 400),
-            (r#"{"model":"m","triples":[[0,1,99]]}"#, 422),
-            (r#"{"model":"m","triples":[[0,1,2]],"filtered":"yes"}"#, 400),
-        ] {
-            let r = router.handle("POST", "/shard/rank", body);
-            assert_eq!(r.status, status, "{body} → {}", r.body);
-        }
+        // There is no `/shard/rank`: it answers like any unknown route.
+        let r = router.handle("POST", "/shard/rank", r#"{"model":"m","triples":[[0,1,2]]}"#);
+        assert_eq!(r.status, 404, "{}", r.body);
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn main() {
     let workers: Vec<_> =
         (0..2).map(|i| start_node(Some(WorkerShard { index: i, of: 2 }))).collect();
     for (i, w) in workers.iter().enumerate() {
-        println!("worker {i}/2 on http://{} (internal /shard/topk, /shard/rank)", w.addr());
+        println!("worker {i}/2 on http://{} (internal /shard/topk)", w.addr());
     }
 
     // 3. The gateway: no models, just the backend list in shard order.
